@@ -128,10 +128,20 @@ def load_coherence_csv(path) -> list[CoherenceRecord]:
 
 
 def write_shots_csv(path, shots: ShotSet) -> Path:
-    """Dump normalized IQ clouds as state,i,q rows (ground first)."""
-    rows = [(GROUND, i, q) for i, q in zip(shots.i_ground, shots.q_ground)]
-    rows += [(EXCITED, i, q) for i, q in zip(shots.i_excited, shots.q_excited)]
-    return write_csv(path, ("state", "i", "q"), rows)
+    """Dump normalized IQ clouds as state,i,q rows (ground first).
+
+    Same bytes as ``write_csv`` on the (state, i, q) rows, formatted a
+    column pair at a time instead of cell by cell.
+    """
+    path = Path(path)
+    number = f"{{:.{SIGNIFICANT_DIGITS}g}}"
+    lines = ["state,i,q"]
+    for state, i, q in ((GROUND, shots.i_ground, shots.q_ground),
+                        (EXCITED, shots.i_excited, shots.q_excited)):
+        lines.extend(map(f"{state},{number},{number}".format,
+                         i.tolist(), q.tolist()))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
 
 
 def load_shots_csv(path, sigma: float = 1.0) -> ShotSet:

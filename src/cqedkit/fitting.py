@@ -26,7 +26,6 @@ MAX_ITERATIONS = 200
 REL_REDUCTION_TOL = 1e-10
 GRADIENT_TOL = 1e-8
 _DAMPING_INIT_SCALE = 1e-3
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass
@@ -288,45 +287,9 @@ def fit_gaussian_1d(samples, min_samples: int = 100) -> GaussianEstimate:
     )
 
 
-def _erf_series(x: float) -> float:
-    # Maclaurin series of erf; alternating terms, no cancellation trouble
-    # below the series/continued-fraction switch point.
-    x2 = x * x
-    power = x  # x^(2n+1) / n!
-    total = x
-    for n in range(1, 200):
-        power *= -x2 / n
-        contribution = power / (2 * n + 1)
-        total += contribution
-        if abs(contribution) < 1e-18 * abs(total):
-            break
-    return 2.0 * total / _SQRT_PI
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # Classical continued fraction for sqrt(pi)*exp(x^2)*erfc(x) with
-    # partial numerators m/2; evaluated bottom-up at fixed depth, which is
-    # ample for x >= 2.
-    tail = 0.0
-    for m in range(60, 0, -1):
-        tail = (0.5 * m) / (x + tail)
-    return math.exp(-x * x) / (_SQRT_PI * (x + tail))
-
-
-_ERFC_SWITCH = 2.0
-
-
 def erfc(x: float) -> float:
-    """Complementary error function, absolute error below 1e-7 on [-6, 6].
-
-    Series expansion below |x| = 2, continued fraction above, reflection
-    for negative arguments.
-    """
+    """Complementary error function (``math.erfc``) of a finite argument."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("erfc requires a finite argument")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERFC_SWITCH:
-        return 1.0 - _erf_series(x)
-    return _erfc_continued_fraction(x)
+    return math.erfc(x)

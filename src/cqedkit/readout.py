@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,13 +160,16 @@ def _shot_blocks(n_shots: int):
     return [(b, min(SHOT_BLOCK, n_shots - b * SHOT_BLOCK)) for b in range(n_blocks)]
 
 
-def _generate_block(config: ReadoutConfig, state_index: int, block: tuple[int, int],
-                    mean: complex, sigma: float):
-    index, count = block
-    seq = np.random.SeedSequence([int(config.seed), state_index, index])
-    rng = np.random.Generator(np.random.PCG64(seq))
-    noise = rng.standard_normal((count, 2))
-    return mean.real + sigma * noise[:, 0], mean.imag + sigma * noise[:, 1]
+def _fill_blocks(config: ReadoutConfig, state_index: int, mean: complex,
+                 sigma: float, out: np.ndarray, blocks) -> None:
+    """Draw each (index, count) block of shots into its columns of ``out``."""
+    for index, count in blocks:
+        start = index * SHOT_BLOCK
+        view = out[:, start:start + count]
+        seq = np.random.SeedSequence([int(config.seed), state_index, index])
+        np.random.Generator(np.random.PCG64(seq)).standard_normal(out=view)
+        view *= sigma
+        view += ((mean.real,), (mean.imag,))
 
 
 def simulate_shots(config: ReadoutConfig, partitions: int = 1) -> ShotSet:
@@ -182,25 +184,26 @@ def simulate_shots(config: ReadoutConfig, partitions: int = 1) -> ShotSet:
         raise DomainError("partitions must be at least 1")
     sigma = noise_sigma(config)
     blocks = _shot_blocks(config.n_shots)
+    size = math.ceil(len(blocks) / partitions)
+    chunks = [blocks[k:k + size] for k in range(0, len(blocks), size)]
     per_state = {}
     for state_index, state in enumerate((GROUND, EXCITED)):
         mean = integrated_signal(state, config)
-        if partitions == 1:
-            pieces = [_generate_block(config, state_index, blk, mean, sigma)
-                      for blk in blocks]
+        # Rows are I and Q. Fortran order interleaves each shot's (I, Q)
+        # pair in memory, the order in which the sub-seeded streams are
+        # drawn, so a block's columns are one contiguous draw.
+        out = np.empty((2, config.n_shots), order="F")
+        if len(chunks) == 1:
+            _fill_blocks(config, state_index, mean, sigma, out, blocks)
         else:
-            chunks = [c for c in np.array_split(np.arange(len(blocks)), partitions)
-                      if c.size]
-
-            def run_chunk(chunk):
-                return [_generate_block(config, state_index, blocks[b], mean, sigma)
-                        for b in chunk]
-
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                pieces = [piece for chunk_out in pool.map(run_chunk, chunks)
-                          for piece in chunk_out]
-        per_state[state] = (np.concatenate([p[0] for p in pieces]),
-                            np.concatenate([p[1] for p in pieces]))
+                futures = [pool.submit(_fill_blocks, config, state_index,
+                                       mean, sigma, out, chunk)
+                           for chunk in chunks]
+            for future in futures:
+                future.result()
+        per_state[state] = out
     return ShotSet(
         i_ground=per_state[GROUND][0],
         q_ground=per_state[GROUND][1],

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import e as _ELEMENTARY_CHARGE, h as _PLANCK
-
 from .errors import DomainError
+
+# Exact by definition since the 2019 SI redefinition (CODATA 2018).
+_ELEMENTARY_CHARGE = 1.602176634e-19  # C
+_PLANCK = 6.62607015e-34  # J s
 
 
 @dataclass(frozen=True)

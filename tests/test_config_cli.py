@@ -1,6 +1,10 @@
 """Configuration parsing and command-line behavior tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,16 @@ def test_cli_unknown_command_exits_with_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _run(["frobnicate", "--config", str(path)])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the command line must start without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import cqedkit.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60)
 
 
 def test_cli_error_line_is_machine_parsable(tmp_path, capsys):

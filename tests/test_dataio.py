@@ -111,6 +111,22 @@ def test_shots_csv_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_shots_csv_matches_row_writer(tmp_path):
+    # Values that stress the 9-significant-digit format: signed zero,
+    # extreme exponents, subnormals and ties on the ninth digit.
+    awkward = np.array([-0.0, 0.0, 1e-300, 1e300, 123456789.5, 999999999.5,
+                        9.999999995, 0.1234567895, 1.0000000005e-5,
+                        -2.5e-7, 5e-324, -1.7976931348623157e308])
+    shots = ShotSet(i_ground=awkward, q_ground=awkward[::-1].copy(),
+                    i_excited=-awkward[::-1], q_excited=awkward / 3.0,
+                    sigma=1.0)
+    rows = [("g", i, q) for i, q in zip(shots.i_ground, shots.q_ground)]
+    rows += [("e", i, q) for i, q in zip(shots.i_excited, shots.q_excited)]
+    reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
+    written = write_shots_csv(tmp_path / "shots.csv", shots)
+    assert written.read_bytes() == reference.read_bytes()
+
+
 def test_shots_csv_rejects_unknown_state(tmp_path):
     path = tmp_path / "shots.csv"
     path.write_text("state,i,q\ng,0.1,0.2\nz,0.3,0.4\n", encoding="ascii")

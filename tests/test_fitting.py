@@ -208,6 +208,11 @@ def test_erfc_strictly_decreasing():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_erfc_is_stdlib_for_finite_arguments(x):
+    assert erfc(x) == math.erfc(x)
+
+
 def test_erfc_rejects_non_finite():
     with pytest.raises(DomainError):
         erfc(math.inf)
