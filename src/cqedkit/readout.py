@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from .fitting import erfc, fit_gaussian_1d
 from .transmon import dispersive_phase
 
 SHOT_BLOCK = 4096
+# Blocks that make an extra drawing thread worth its start-up and memory
+# (about 2.6e5 shots, roughly 10 ms of drawing).
+BLOCKS_PER_WORKER = 64
 GROUND = "g"
 EXCITED = "e"
 _STATE_SIGN = {GROUND: -1.0, EXCITED: +1.0}
@@ -48,6 +54,10 @@ class ReadoutConfig:
     transient: bool = False
 
     def __post_init__(self):
+        # epsilon last: the CLI derives it from the other three
+        for name in ("kappa", "chi", "tau_m", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.epsilon < 0.0:
             raise DomainError("epsilon must be nonnegative")
         if self.kappa <= 0.0:
@@ -155,62 +165,74 @@ def noise_sigma(config: ReadoutConfig) -> float:
     return math.sqrt(config.tau_m / (2.0 * config.kappa))
 
 
-def _shot_blocks(n_shots: int):
+def _shot_jobs(n_shots: int):
+    """(state index, block index, shot count) for every block of both states."""
     n_blocks = (n_shots + SHOT_BLOCK - 1) // SHOT_BLOCK
-    return [(b, min(SHOT_BLOCK, n_shots - b * SHOT_BLOCK)) for b in range(n_blocks)]
+    return [(state_index, b, min(SHOT_BLOCK, n_shots - b * SHOT_BLOCK))
+            for state_index in (0, 1) for b in range(n_blocks)]
 
 
-def _fill_blocks(config: ReadoutConfig, state_index: int, mean: complex,
-                 sigma: float, out: np.ndarray, blocks) -> None:
-    """Draw each (index, count) block of shots into its columns of ``out``."""
-    for index, count in blocks:
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _fill_blocks(config: ReadoutConfig, means, sigma: float, outs, jobs) -> None:
+    """Draw each (state, index, count) job into its columns of ``outs[state]``."""
+    for state_index, index, count in jobs:
         start = index * SHOT_BLOCK
-        view = out[:, start:start + count]
+        view = outs[state_index][:, start:start + count]
         seq = np.random.SeedSequence([int(config.seed), state_index, index])
         np.random.Generator(np.random.PCG64(seq)).standard_normal(out=view)
         view *= sigma
+        mean = means[state_index]
         view += ((mean.real,), (mean.imag,))
 
 
-def simulate_shots(config: ReadoutConfig, partitions: int = 1) -> ShotSet:
+def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> ShotSet:
     """Draw Gaussian IQ shots around the two pointer-state signals.
 
     Shots are generated in fixed-size blocks, each from a sub-seed derived
     from (seed, state, block index), so the result is byte-identical for
-    any ``partitions`` count; partitions only group blocks onto worker
-    threads.
+    any ``partitions`` count; partitions only group blocks onto threads.
+    By default one thread per ``BLOCKS_PER_WORKER`` blocks is used, up to
+    the number of available cores.
     """
-    if partitions < 1:
+    if partitions is not None and partitions < 1:
         raise DomainError("partitions must be at least 1")
     sigma = noise_sigma(config)
-    blocks = _shot_blocks(config.n_shots)
-    size = math.ceil(len(blocks) / partitions)
-    chunks = [blocks[k:k + size] for k in range(0, len(blocks), size)]
-    per_state = {}
-    for state_index, state in enumerate((GROUND, EXCITED)):
-        mean = integrated_signal(state, config)
-        # Rows are I and Q. Fortran order interleaves each shot's (I, Q)
-        # pair in memory, the order in which the sub-seeded streams are
-        # drawn, so a block's columns are one contiguous draw.
-        out = np.empty((2, config.n_shots), order="F")
-        if len(chunks) == 1:
-            _fill_blocks(config, state_index, mean, sigma, out, blocks)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [pool.submit(_fill_blocks, config, state_index,
-                                       mean, sigma, out, chunk)
-                           for chunk in chunks]
-            for future in futures:
-                future.result()
-        per_state[state] = out
-    return ShotSet(
-        i_ground=per_state[GROUND][0],
-        q_ground=per_state[GROUND][1],
-        i_excited=per_state[EXCITED][0],
-        q_excited=per_state[EXCITED][1],
-        sigma=sigma,
-    )
+    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
+    # Rows are I and Q. Fortran order interleaves each shot's (I, Q) pair in
+    # memory, the order in which the sub-seeded streams are drawn, so a
+    # block's columns are one contiguous draw.
+    outs = [np.empty((2, config.n_shots), order="F") for _ in means]
+    jobs = _shot_jobs(config.n_shots)
+    if partitions is None:
+        partitions = min(_available_cores(),
+                         max(1, len(jobs) // BLOCKS_PER_WORKER))
+    size = math.ceil(len(jobs) / partitions)
+    chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
+    errors = []
+
+    def fill(chunk):
+        try:
+            _fill_blocks(config, means, sigma, outs, chunk)
+        except Exception as exc:  # re-raised below, after every join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(chunk,))
+               for chunk in chunks[1:]]
+    for thread in threads:
+        thread.start()
+    fill(chunks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
+                   i_excited=outs[1][0], q_excited=outs[1][1], sigma=sigma)
 
 
 @dataclass
@@ -223,7 +245,18 @@ class HistogramFit:
     sigma: float
     sigma_ground: float
     sigma_excited: float
-    normalized: ShotSet
+    shots: ShotSet
+
+    @cached_property
+    def normalized(self) -> ShotSet:
+        """The fitted clouds divided by the pooled width, built on first use."""
+        return ShotSet(
+            i_ground=self.shots.i_ground / self.sigma,
+            q_ground=self.shots.q_ground / self.sigma,
+            i_excited=self.shots.i_excited / self.sigma,
+            q_excited=self.shots.q_excited / self.sigma,
+            sigma=1.0,
+        )
 
 
 def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
@@ -231,8 +264,9 @@ def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
 
     Both clouds are projected onto the line joining their centroids, each
     projection is fitted as a 1D Gaussian, and the SNR is the centroid
-    separation divided by the pooled width. The returned ``normalized``
-    set holds the clouds divided by the pooled width.
+    separation divided by the pooled width. The returned fit keeps
+    ``shots``; its ``normalized`` set, the clouds divided by the pooled
+    width, is computed on first access.
     """
     n_ground = len(shots.i_ground)
     n_excited = len(shots.i_excited)
@@ -254,13 +288,6 @@ def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
     fit_e = fit_gaussian_1d(proj_e, min_samples=min_shots)
     pooled = math.sqrt(0.5 * (fit_g.sigma**2 + fit_e.sigma**2))
     snr = abs(fit_e.mean - fit_g.mean) / pooled
-    normalized = ShotSet(
-        i_ground=shots.i_ground / pooled,
-        q_ground=shots.q_ground / pooled,
-        i_excited=shots.i_excited / pooled,
-        q_excited=shots.q_excited / pooled,
-        sigma=1.0,
-    )
     return HistogramFit(
         snr=snr,
         mean_ground=(float(centroid_g[0]), float(centroid_g[1])),
@@ -268,7 +295,7 @@ def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
         sigma=pooled,
         sigma_ground=fit_g.sigma,
         sigma_excited=fit_e.sigma,
-        normalized=normalized,
+        shots=shots,
     )
 
 
@@ -295,7 +322,8 @@ def derive_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def snr_sweep(config: ReadoutConfig, tau_values, partitions: int = 1) -> list[SweepPoint]:
+def snr_sweep(config: ReadoutConfig, tau_values,
+              partitions: int | None = None) -> list[SweepPoint]:
     """Closed-form and Monte-Carlo SNR over a list of integration times.
 
     Each point simulates afresh under a sub-seed derived from

@@ -1,6 +1,7 @@
 """Tests for closed-form SNR, IQ shot simulation and histogram analysis."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cqedkit import (
     snr_asymptotic,
     snr_sweep,
 )
+from cqedkit import readout
 
 KAPPA = 1.0 / 300e-9
 CHI = math.pi * 930e3          # half of the 930 kHz full shift, angular
@@ -159,6 +161,38 @@ def test_simulate_shots_partition_independent():
         assert np.array_equal(base.q_excited, split.q_excited)
 
 
+def test_simulate_shots_default_partitions_match_serial(monkeypatch):
+    """130 jobs make two default workers (at most one per core); the arrays
+    are those drawn on one thread."""
+    cfg = _config(n_shots=64 * 4096 + 1)    # 65 blocks per state, 130 jobs
+    fill = readout._fill_blocks
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        fill(*args)
+
+    monkeypatch.setattr(readout, "_fill_blocks", recording)
+    threaded = simulate_shots(cfg)
+    assert len(set(threads)) == min(readout._available_cores(), 2)
+    serial = simulate_shots(cfg, partitions=1)
+    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
+        assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+
+
+def test_simulate_shots_reraises_failure_in_other_thread(monkeypatch):
+    fill = readout._fill_blocks
+
+    def failing(config, means, sigma, outs, jobs):
+        if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
+            raise RuntimeError("stream failed")
+        fill(config, means, sigma, outs, jobs)
+
+    monkeypatch.setattr(readout, "_fill_blocks", failing)
+    with pytest.raises(RuntimeError, match="stream failed"):
+        simulate_shots(_config(n_shots=4097), partitions=2)
+
+
 def test_simulate_shots_shapes_and_sigma():
     cfg = _config(n_shots=5_000)
     shots = simulate_shots(cfg)
@@ -187,6 +221,18 @@ def test_histogram_fit_calibrated_point():
     # normalization: unit pooled width by construction
     renormalized = histogram_fit(fit.normalized)
     assert renormalized.sigma == pytest.approx(1.0, rel=1e-9)
+
+
+def test_histogram_fit_normalizes_on_first_access():
+    shots = simulate_shots(_config())
+    fit = histogram_fit(shots)
+    assert "normalized" not in vars(fit)
+    normalized = fit.normalized
+    assert fit.normalized is normalized
+    assert normalized.sigma == 1.0
+    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
+        expected = getattr(shots, name) / fit.sigma
+        assert getattr(normalized, name).tobytes() == expected.tobytes()
 
 
 def test_histogram_fit_synthetic_clouds():
@@ -290,6 +336,18 @@ def test_snr_sweep_domain():
         snr_sweep(_config(), [])
     with pytest.raises(DomainError):
         snr_sweep(_config(), [700e-9, 0.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["epsilon", "kappa", "chi", "tau_m"])
+def test_readout_config_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        _config(**{field: value})
+
+
+def test_snr_sweep_rejects_nan_tau():
+    with pytest.raises(DomainError, match="tau_m must be finite"):
+        snr_sweep(_config(), [700e-9, math.nan])
 
 
 def test_transient_matches_finite_time_prediction():
