@@ -32,11 +32,17 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              n_shots (10000), transient (false),
              tau_list_ns (175, 350, 700, 1400, 2800)
 [run]        seed (0), output_dir (none), emit_plots (false)
+
+Every float and float-list value must be finite: nan and +-inf are
+rejected at parse time, naming the key. This includes
+``[loss] q_diel``; write negligible dielectric loss as a large finite
+value (say 1e12) rather than inf.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,6 +168,10 @@ def _parse_value(section: str, key: str, spec: Key, text: str):
     except ValueError:
         raise ConfigError(
             f"{label}: cannot parse {text!r} as {spec.parse}") from None
+    if spec.parse in ("float", "float_list"):
+        for item in value if spec.parse == "float_list" else (value,):
+            if not math.isfinite(item):
+                raise ConfigError(f"{label}: must be finite, got {item}")
     if spec.parse in ("float", "int"):
         if spec.positive and value <= 0:
             raise ConfigError(f"{label}: must be positive, got {value}")

@@ -3,19 +3,21 @@
 All numeric fields are written with 9 significant digits and '\n' line
 endings so identical inputs produce byte-identical files. Loaders accept
 exactly the documented columns (in any order) and report unknown or
-missing ones by name.
+missing ones by name; a cell that is not a finite number is reported
+by row and column.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .coherence import CoherenceRecord
 from .errors import ConfigError
-from .readout import GROUND, EXCITED, ShotSet
+from .readout import GROUND, EXCITED, SHOT_BLOCK, ShotSet
 
 SIGNIFICANT_DIGITS = 9
 
@@ -66,11 +68,16 @@ def _parse_float(path, row_number, column, text):
     if not text:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(
             f"{path}: row {row_number}, column {column}: "
             f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"{path}: row {row_number}, column {column}: "
+            f"not finite: {text!r}")
+    return value
 
 
 def _load_columns(path, columns):
@@ -130,17 +137,24 @@ def load_coherence_csv(path) -> list[CoherenceRecord]:
 def write_shots_csv(path, shots: ShotSet) -> Path:
     """Dump normalized IQ clouds as state,i,q rows (ground first).
 
-    Same bytes as ``write_csv`` on the (state, i, q) rows, formatted a
-    column pair at a time instead of cell by cell.
+    Same bytes as ``write_csv`` on the (state, i, q) rows, formatted and
+    written ``SHOT_BLOCK`` rows at a time, so memory does not grow with
+    the number of shots.
     """
     path = Path(path)
-    number = f"{{:.{SIGNIFICANT_DIGITS}g}}"
-    lines = ["state,i,q"]
-    for state, i, q in ((GROUND, shots.i_ground, shots.q_ground),
-                        (EXCITED, shots.i_excited, shots.q_excited)):
-        lines.extend(map(f"{state},{number},{number}".format,
-                         i.tolist(), q.tolist()))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    number = f"%.{SIGNIFICANT_DIGITS}g"
+    block = np.empty((SHOT_BLOCK, 2))
+    with open(path, "w", encoding="ascii", newline="") as handle:
+        handle.write("state,i,q\n")
+        for state, i, q in ((GROUND, shots.i_ground, shots.q_ground),
+                            (EXCITED, shots.i_excited, shots.q_excited)):
+            row = f"{state},{number},{number}\n"
+            for start in range(0, len(i), SHOT_BLOCK):
+                count = min(SHOT_BLOCK, len(i) - start)
+                block[:count, 0] = i[start:start + count]
+                block[:count, 1] = q[start:start + count]
+                handle.write(
+                    (row * count) % tuple(block[:count].ravel().tolist()))
     return path
 
 

@@ -14,6 +14,7 @@ from cqedkit.cli import main
 from cqedkit.config import (
     DEFAULT_OUTPUT_DIR,
     ENV_OUTPUT_DIR,
+    SCHEMA,
     parse_config,
     render_resolved,
 )
@@ -89,6 +90,28 @@ def test_type_and_sign_errors_name_the_key(tmp_path):
     bad_sign = write_config(tmp_path, "[readout]\ntau_m_ns = -5\n", "b.cfg")
     with pytest.raises(ConfigError, match=r"\[readout\] tau_m_ns: must be positive"):
         parse_config(bad_sign)
+
+
+FINITE_KEYS = [(section, key) for section, keys in SCHEMA.items()
+               for key, spec in keys.items()
+               if spec.parse in ("float", "float_list")]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FINITE_KEYS)
+def test_non_finite_values_name_the_key(tmp_path, section, key, text):
+    # Every required key of the section is set validly, so only `key`
+    # fails. This includes [loss] q_diel = inf: "no dielectric loss" is
+    # written as a large finite Q.
+    values = {name: "1" for name, spec in SCHEMA[section].items()
+              if spec.required}
+    is_list = SCHEMA[section][key].parse == "float_list"
+    values[key] = f"175, {text}" if is_list else text
+    body = "\n".join(f"{name} = {value}" for name, value in values.items())
+    path = write_config(tmp_path, f"[{section}]\n{body}\n")
+    with pytest.raises(ConfigError,
+                       match=rf"\[{section}\] {key}: must be finite, got"):
+        parse_config(path)
 
 
 def test_parse_error_reports_line_number(tmp_path):
@@ -207,6 +230,16 @@ def test_cli_error_line_is_machine_parsable(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: config: ")
+
+
+def test_cli_non_finite_config_value_names_the_key(tmp_path, capsys):
+    path = write_config(tmp_path, "[readout]\nkappa_inv_ns = nan\n")
+    rc = _run(["simulate-readout", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert "[readout] kappa_inv_ns: must be finite, got nan" in err
 
 
 def test_cli_missing_section_reports_error(tmp_path, capsys):

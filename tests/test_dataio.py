@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the CSV schemas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cqedkit.dataio import (
     write_csv,
     write_shots_csv,
 )
+from cqedkit.readout import SHOT_BLOCK
 
 
 def test_format_number_nine_significant_digits():
@@ -127,6 +129,36 @@ def test_shots_csv_matches_row_writer(tmp_path):
     assert written.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("n", [1, SHOT_BLOCK - 1, SHOT_BLOCK,
+                               SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 1])
+def test_shots_csv_block_edges_match_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    i_g, q_g, i_e, q_e = rng.standard_normal((4, n)) * 10.0 ** rng.integers(
+        -12, 12, size=(4, n))
+    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e,
+                    sigma=1.0)
+    rows = [("g", i, q) for i, q in zip(i_g, q_g)]
+    rows += [("e", i, q) for i, q in zip(i_e, q_e)]
+    reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
+    written = write_shots_csv(tmp_path / "shots.csv", shots)
+    assert written.read_bytes() == reference.read_bytes()
+
+
+def test_shots_csv_memory_does_not_grow_with_shots(tmp_path):
+    n = 100_000
+    i_g, q_g, i_e, q_e = np.random.default_rng(5).standard_normal((4, n))
+    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e,
+                    sigma=1.0)
+    tracemalloc.start()
+    try:
+        write_shots_csv(tmp_path / "shots.csv", shots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is about 5 MB; writing it whole would peak far above that
+    assert peak < 4e6
+
+
 def test_shots_csv_rejects_unknown_state(tmp_path):
     path = tmp_path / "shots.csv"
     path.write_text("state,i,q\ng,0.1,0.2\nz,0.3,0.4\n", encoding="ascii")
@@ -164,6 +196,48 @@ def test_bad_number_reports_row_and_column(tmp_path):
     path.write_text("d_um,kappa_per_s\n1,2e6\noops,3e6\n", encoding="ascii")
     with pytest.raises(ConfigError, match="row 3, column d_um"):
         load_kappa_offset_csv(path)
+
+
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_ringdown_rejects_non_finite_cell(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t_s,v_amplitude\n0,1\n1e-7,{text}\n",
+                    encoding="ascii")
+    with pytest.raises(ConfigError, match=(
+            rf"row 3, column v_amplitude: not finite: '{text}'")):
+        load_ringdown_csv(path)
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_kappa_offset_rejects_non_finite_cell(tmp_path, text):
+    path = tmp_path / "kappa.csv"
+    path.write_text(f"d_um,kappa_per_s\n{text},2e6\n", encoding="ascii")
+    with pytest.raises(ConfigError, match=(
+            rf"row 2, column d_um: not finite: '{text}'")):
+        load_kappa_offset_csv(path)
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_coherence_rejects_non_finite_cell(tmp_path, text):
+    path = tmp_path / "coherence.csv"
+    path.write_text(f"f_q_ghz,t1_us,t1_spread_us\n4.0,29.7,1\n"
+                    f"4.4,26.0,{text}\n", encoding="ascii")
+    with pytest.raises(ConfigError, match=(
+            rf"row 3, column t1_spread_us: not finite: '{text}'")):
+        load_coherence_csv(path)
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_shots_rejects_non_finite_cell(tmp_path, text):
+    path = tmp_path / "shots.csv"
+    path.write_text(f"state,i,q\ng,0.1,0.2\ne,0.3,{text}\n",
+                    encoding="ascii")
+    with pytest.raises(ConfigError, match=(
+            rf"row 3, column q: not finite: '{text}'")):
+        load_shots_csv(path)
 
 
 def test_empty_inputs_rejected(tmp_path):
