@@ -15,27 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cqedkit import (
-    LossModel,
-    PurcellParams,
-    dataio,
-    t1_dielectric,
-    t1_purcell,
-    t1_total,
-)
+from cqedkit import LossModel, PurcellParams, dataio, t1_budget
 from cqedkit.svgplot import SvgPlot
 
 TWO_PI = 2.0 * math.pi
 PURCELL = PurcellParams(g=TWO_PI * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
-
-
-def crossover_frequency(q_diel: float, grid) -> float | None:
-    """Lowest grid frequency where Purcell loss exceeds dielectric loss."""
-    for f_q in grid:
-        delta = TWO_PI * (f_q - PURCELL.f_r)
-        if t1_purcell(PURCELL.g, delta, PURCELL.kappa) < t1_dielectric(f_q, q_diel):
-            return f_q
-    return None
 
 
 def main() -> int:
@@ -51,29 +35,29 @@ def main() -> int:
     grid = np.linspace(args.f_min_ghz * 1e9, args.f_max_ghz * 1e9, args.points)
     q_values = [0.5e6, 746e3, 1.0e6]
 
-    rows = []
+    tables = []
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
                    "relaxation budget with and without Purcell decay")
     print(f"{'q_diel':>9} {'t1_us at f_min':>14} {'t1_us at f_max':>14} "
           f"{'purcell dominates above':>24}")
     for q_diel in q_values:
-        bare = LossModel(q_diel=q_diel)
-        loaded = LossModel(q_diel=q_diel, purcell=PURCELL)
-        t1_bare = np.array([t1_total(f, bare) for f in grid])
-        t1_loaded = np.array([t1_total(f, loaded) for f in grid])
-        for f_q, a, b in zip(grid, t1_bare, t1_loaded):
-            rows.append([q_diel, f_q / 1e9, a * 1e6, b * 1e6])
-        plot.add_line(list(grid / 1e9), list(t1_bare * 1e6), color="#999999")
-        plot.add_line(list(grid / 1e9), list(t1_loaded * 1e6))
-        crossover = crossover_frequency(q_diel, grid)
-        label = (f"{crossover / 1e9:.2f} GHz" if crossover is not None
+        *_, t1_bare = t1_budget(grid, LossModel(q_diel=q_diel))
+        t1_diel, t1_purcell, t1_loaded = t1_budget(
+            grid, LossModel(q_diel=q_diel, purcell=PURCELL))
+        tables.append(np.column_stack([np.full(grid.size, q_diel), grid / 1e9,
+                                       t1_bare * 1e6, t1_loaded * 1e6]))
+        plot.add_line(grid / 1e9, t1_bare * 1e6, color="#999999")
+        plot.add_line(grid / 1e9, t1_loaded * 1e6)
+        # lowest grid frequency where Purcell loss exceeds dielectric loss
+        purcell_wins = np.nonzero(t1_purcell < t1_diel)[0]
+        label = (f"{grid[purcell_wins[0]] / 1e9:.2f} GHz" if purcell_wins.size
                  else "never in range")
         print(f"{q_diel:9.3g} {t1_loaded[0] * 1e6:14.1f} "
               f"{t1_loaded[-1] * 1e6:14.1f} {label:>24}")
 
     dataio.write_csv(outdir / "budget_scan.csv",
                      ["q_diel", "f_q_ghz", "t1_dielectric_only_us",
-                      "t1_with_purcell_us"], rows)
+                      "t1_with_purcell_us"], np.vstack(tables))
     plot.write(outdir / "budget_scan.svg")
     print(f"\nwrote {outdir / 'budget_scan.csv'} and {outdir / 'budget_scan.svg'}")
     return 0

@@ -24,6 +24,7 @@ from .coherence import (
     PurcellParams,
     T2BoundCheck,
     fit_qdiel,
+    t1_budget,
     t1_dielectric,
     t1_purcell,
     t1_total,

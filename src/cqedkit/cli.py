@@ -3,10 +3,18 @@
     cqedkit <command> --config <path> [--seed N] [--out DIR] [--plots]
 
 Commands: design-resonator, sweep-spiral, fit-lk, fit-kappa, fit-qdiel,
-budget-t1, simulate-readout, snr-sweep. Every run writes its CSV results
-plus a plain-text report that echoes the resolved configuration, the seed
-and the tool version; the report alone is enough to repeat the run.
-Failures print a single ``error: <category>: <message>`` line and exit 1.
+budget-t1, simulate-readout, snr-sweep.
+
+Commands compute; ``main`` writes. Each ``cmd_*`` takes the resolved
+config and returns its report lines plus an ordered map from file name to
+artifact: a ``(header, rows)`` table, the ``ShotSet`` for ``shots.csv``,
+or an ``SvgPlot``. ``main`` writes the tables and the shots, the plots
+only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
+report that echoes the resolved configuration, the seed and the tool
+version, then lists the results and the artifacts in map order; the
+report alone is enough to repeat the run. A command that fails writes no
+artifacts. Failures print a single ``error: <category>: <message>`` line
+and exit 1.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ def _resolve_input(config: RunConfig, path_text: str) -> Path:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_design_resonator(config: RunConfig, outdir: Path, plots: bool):
+def cmd_design_resonator(config: RunConfig):
     geometry = _build_geometry(config.require("geometry"))
     film = _build_film(config.require("film"))
     res = config.require("resonator")
@@ -117,18 +125,15 @@ def cmd_design_resonator(config: RunConfig, outdir: Path, plots: bool):
     f_low, f_nominal, f_high = resonator.frequency_band(geometry, film, c_total)
     band = 1.0 - f_low / f_high
 
-    lines = [
-        f"squares: {n_squares:.6g}",
-        f"inductance_nominal_nh: {inductance * 1e9:.6g}",
-        f"f_low_ghz: {f_low / 1e9:.6g}",
-        f"f_nominal_ghz: {f_nominal / 1e9:.6g}",
-        f"f_high_ghz: {f_high / 1e9:.6g}",
-        f"fractional_band: {band:.6g}",
-    ]
-    row = [n_squares, inductance * 1e9, f_low / 1e9, f_nominal / 1e9,
-           f_high / 1e9, band]
-    header = ["squares", "inductance_nominal_nh", "f_low_ghz",
-              "f_nominal_ghz", "f_high_ghz", "fractional_band"]
+    columns = {
+        "squares": n_squares,
+        "inductance_nominal_nh": inductance * 1e9,
+        "f_low_ghz": f_low / 1e9,
+        "f_nominal_ghz": f_nominal / 1e9,
+        "f_high_ghz": f_high / 1e9,
+        "fractional_band": band,
+    }
+    lines = [f"{name}: {value:.6g}" for name, value in columns.items()]
 
     kappa = None
     if res["kappa0_per_s"] is not None and res["d0_um"] is not None:
@@ -144,57 +149,41 @@ def cmd_design_resonator(config: RunConfig, outdir: Path, plots: bool):
             res["q_internal"])
         lines.append(f"kappa_inv_ns: {1e9 / kappa:.6g}")
         lines.append(f"over_coupled: {str(mode.over_coupled).lower()}")
-        header += ["kappa_per_s", "kappa_inv_ns"]
-        row += [kappa, 1e9 / kappa]
-
-    dataio.write_csv(outdir / "design.csv", header, [row])
-    return lines, ["design.csv"]
+        columns.update(kappa_per_s=kappa, kappa_inv_ns=1e9 / kappa)
+    return lines, {"design.csv": (list(columns), [list(columns.values())])}
 
 
-def cmd_sweep_spiral(config: RunConfig, outdir: Path, plots: bool):
-    geometry_values = config.require("geometry")
+def cmd_sweep_spiral(config: RunConfig):
+    base_geometry = _build_geometry(config.require("geometry"))
     film = _build_film(config.require("film"))
-    res = config.require("resonator")
+    c_total = config.require("resonator")["c_total_ff"] * 1e-15
     sweep = config.require("sweep")
-    c_total = res["c_total_ff"] * 1e-15
-    base_geometry = _build_geometry(geometry_values)
     lengths_um = np.linspace(sweep["length_min_um"], sweep["length_max_um"],
                              sweep["points"])
-    rows = []
-    for length_um in lengths_um:
-        geometry = replace(base_geometry, spiral_length=length_um * 1e-6)
-        f_low, f_nominal, f_high = resonator.frequency_band(
-            geometry, film, c_total)
-        rows.append([length_um, f_low / 1e9, f_nominal / 1e9, f_high / 1e9])
-    dataio.write_csv(outdir / "spiral_sweep.csv",
-                     ["spiral_length_um", "f_low_ghz", "f_nominal_ghz",
-                      "f_high_ghz"], rows)
+    bands_ghz = np.array([
+        resonator.frequency_band(
+            replace(base_geometry, spiral_length=length_um * 1e-6),
+            film, c_total)
+        for length_um in lengths_um]) / 1e9
+    f_low, f_nominal, f_high = bands_ghz.T
+    lines = [f"points: {len(lengths_um)}",
+             f"f_nominal_ghz_range: {f_nominal[-1]:.6g} .. {f_nominal[0]:.6g}"]
 
-    lines = [f"points: {len(rows)}",
-             f"f_nominal_ghz_range: {rows[-1][2]:.6g} .. {rows[0][2]:.6g}"]
-    artifacts = ["spiral_sweep.csv"]
-
-    measured = None
+    plot = SvgPlot("spiral length (um)", "frequency (GHz)",
+                   "resonance band vs spiral length")
+    plot.add_band(lengths_um, f_low, f_high)
+    plot.add_line(lengths_um, f_nominal, color="#30609f")
     if sweep["measured_csv"] is not None:
         measured = dataio.load_resonator_csv(
             _resolve_input(config, sweep["measured_csv"]))
         lines.append(f"measured_points: {len(measured[0])}")
-
-    if plots:
-        plot = SvgPlot("spiral length (um)", "frequency (GHz)",
-                       "resonance band vs spiral length")
-        xs = [row[0] for row in rows]
-        plot.add_band(xs, [row[1] for row in rows], [row[3] for row in rows])
-        plot.add_line(xs, [row[2] for row in rows], color="#30609f")
-        if measured is not None:
-            plot.add_scatter(list(measured[0]), list(measured[1]),
-                             color="#b5512d")
-        plot.write(outdir / "spiral_sweep.svg")
-        artifacts.append("spiral_sweep.svg")
-    return lines, artifacts
+        plot.add_scatter(measured[0], measured[1], color="#b5512d")
+    table = (["spiral_length_um", "f_low_ghz", "f_nominal_ghz", "f_high_ghz"],
+             np.column_stack([lengths_um, bands_ghz]))
+    return lines, {"spiral_sweep.csv": table, "spiral_sweep.svg": plot}
 
 
-def cmd_fit_lk(config: RunConfig, outdir: Path, plots: bool):
+def cmd_fit_lk(config: RunConfig):
     values = config.require("lk")
     structure = resonator.CpwTestStructure(
         length=values["cpw_length_um"] * 1e-6,
@@ -208,22 +197,19 @@ def cmd_fit_lk(config: RunConfig, outdir: Path, plots: bool):
         line_width=values["line_width_um"] * 1e-6,
         geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
     )
-    dataio.write_csv(outdir / "lk_extraction.csv",
-                     ["measured_f_ghz", "lk_ph_sq"],
-                     [[values["measured_f_ghz"], lk]])
-    return [f"lk_ph_sq: {lk:.6g}"], ["lk_extraction.csv"]
+    table = (["measured_f_ghz", "lk_ph_sq"], [[values["measured_f_ghz"], lk]])
+    return [f"lk_ph_sq: {lk:.6g}"], {"lk_extraction.csv": table}
 
 
-def cmd_fit_kappa(config: RunConfig, outdir: Path, plots: bool):
+def cmd_fit_kappa(config: RunConfig):
     values = config.require("kappa_fit")
     lines = []
-    artifacts = []
+    artifacts = {}
     if values["trace_csv"] is not None:
         t, v = dataio.load_ringdown_csv(
             _resolve_input(config, values["trace_csv"]))
         ring = resonator.fit_kappa_ringdown(t, v)
-        dataio.write_csv(
-            outdir / "kappa_ringdown.csv",
+        artifacts["kappa_ringdown.csv"] = (
             ["kappa_per_s", "kappa_std_error_per_s", "kappa_inv_ns",
              "amplitude", "offset"],
             [[ring.kappa, ring.kappa_std_error, 1e9 / ring.kappa,
@@ -231,25 +217,22 @@ def cmd_fit_kappa(config: RunConfig, outdir: Path, plots: bool):
         lines += [f"ringdown_kappa_per_s: {ring.kappa:.6g}",
                   f"ringdown_kappa_std_error_per_s: {ring.kappa_std_error:.6g}",
                   f"ringdown_kappa_inv_ns: {1e9 / ring.kappa:.6g}"]
-        artifacts.append("kappa_ringdown.csv")
     if values["offset_csv"] is not None:
         d_um, kappas = dataio.load_kappa_offset_csv(
             _resolve_input(config, values["offset_csv"]))
         fit = resonator.fit_kappa_offset(d_um * 1e-6, kappas)
         kappa0, d0 = fit.params
         kappa0_err, d0_err = fit.std_errors
-        dataio.write_csv(
-            outdir / "kappa_offset.csv",
+        artifacts["kappa_offset.csv"] = (
             ["kappa0_per_s", "kappa0_std_error_per_s", "d0_um",
              "d0_std_error_um"],
             [[kappa0, kappa0_err, d0 * 1e6, d0_err * 1e6]])
         lines += [f"offset_kappa0_per_s: {kappa0:.6g}",
                   f"offset_d0_um: {d0 * 1e6:.6g}"]
-        artifacts.append("kappa_offset.csv")
     return lines, artifacts
 
 
-def cmd_fit_qdiel(config: RunConfig, outdir: Path, plots: bool):
+def cmd_fit_qdiel(config: RunConfig):
     values = config.require("loss")
     if values["coherence_csv"] is None:
         raise ConfigError("[loss]: fit-qdiel needs coherence_csv")
@@ -262,47 +245,40 @@ def cmd_fit_qdiel(config: RunConfig, outdir: Path, plots: bool):
     model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
                                 gamma_phi=values["gamma_phi_per_s"])
 
-    rows = []
-    checks = []
-    for record in records:
-        t1_model = coherence.t1_total(record.f_q, model)
-        rows.append([record.f_q / 1e9, record.t1 * 1e6, t1_model * 1e6,
-                     (record.t1 - t1_model) * 1e6])
-        checks.append(coherence.t2_bound_check(record))
-    dataio.write_csv(outdir / "qdiel_fit.csv",
-                     ["f_q_ghz", "t1_us", "t1_model_us", "residual_us"], rows)
-    dataio.write_csv(outdir / "qdiel_params.csv",
-                     ["q_diel", "q_diel_std_error", "converged", "iterations",
-                      "residual_norm"],
-                     [[q_diel, q_err, float(fit.converged),
-                       float(fit.iterations), fit.residual_norm]])
-
-    n_checked = sum(1 for c in checks if c.applicable)
-    n_passed = sum(1 for c in checks if c.applicable and c.passed)
+    f_q = np.array([r.f_q for r in records])
+    t1 = np.array([r.t1 for r in records])
+    *_, t1_model = coherence.t1_budget(f_q, model)
+    checked = [check for check in map(coherence.t2_bound_check, records)
+               if check.applicable]
     lines = [
         f"q_diel: {q_diel:.6g}",
         f"q_diel_std_error: {q_err:.6g}",
         f"converged: {str(fit.converged).lower()}",
-        f"t2_bound_checked: {n_checked}",
-        f"t2_bound_passed: {n_passed}",
+        f"t2_bound_checked: {len(checked)}",
+        f"t2_bound_passed: {sum(check.passed for check in checked)}",
     ]
-    artifacts = ["qdiel_fit.csv", "qdiel_params.csv"]
 
-    if plots:
-        grid = np.linspace(min(r.f_q for r in records),
-                           max(r.f_q for r in records), 101)
-        curve = [coherence.t1_total(f, model) * 1e6 for f in grid]
-        plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
-                       "relaxation budget fit")
-        plot.add_line(list(grid / 1e9), curve)
-        plot.add_scatter([r.f_q / 1e9 for r in records],
-                         [r.t1 * 1e6 for r in records], color="#b5512d")
-        plot.write(outdir / "t1_budget.svg")
-        artifacts.append("t1_budget.svg")
-    return lines, artifacts
+    grid = np.linspace(f_q.min(), f_q.max(), 101)
+    *_, curve = coherence.t1_budget(grid, model)
+    plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
+                   "relaxation budget fit")
+    plot.add_line(grid / 1e9, curve * 1e6)
+    plot.add_scatter(f_q / 1e9, t1 * 1e6, color="#b5512d")
+    return lines, {
+        "qdiel_fit.csv": (
+            ["f_q_ghz", "t1_us", "t1_model_us", "residual_us"],
+            np.column_stack([f_q / 1e9, t1 * 1e6, t1_model * 1e6,
+                             (t1 - t1_model) * 1e6])),
+        "qdiel_params.csv": (
+            ["q_diel", "q_diel_std_error", "converged", "iterations",
+             "residual_norm"],
+            [[q_diel, q_err, float(fit.converged), float(fit.iterations),
+              fit.residual_norm]]),
+        "t1_budget.svg": plot,
+    }
 
 
-def cmd_budget_t1(config: RunConfig, outdir: Path, plots: bool):
+def cmd_budget_t1(config: RunConfig):
     values = config.require("loss")
     model = _loss_model(config)
     f_min = values["f_q_min_ghz"] * 1e9
@@ -312,86 +288,64 @@ def cmd_budget_t1(config: RunConfig, outdir: Path, plots: bool):
     grid = (np.array([f_min]) if f_min == f_max
             else np.linspace(f_min, f_max, values["points"]))
 
-    rows = []
-    for f_q in grid:
-        t1_diel = coherence.t1_dielectric(f_q, model.q_diel)
-        if model.purcell is not None:
-            delta = TWO_PI * (f_q - model.purcell.f_r)
-            t1_p = coherence.t1_purcell(model.purcell.g, delta,
-                                        model.purcell.kappa)
-        else:
-            t1_p = math.inf
-        total = coherence.t1_total(f_q, model)
-        t2 = coherence.t2_from_t1(total, model.gamma_phi)
-        rows.append([f_q / 1e9, t1_diel * 1e6,
-                     t1_p * 1e6 if math.isfinite(t1_p) else math.inf,
-                     total * 1e6, t2 * 1e6])
+    t1_diel, t1_p, total = coherence.t1_budget(grid, model)
+    t2 = coherence.t2_from_t1(total, model.gamma_phi)
+    f_ghz = grid / 1e9
+    lines = [f"points: {len(grid)}",
+             f"t1_total_us_at_f_min: {total[0] * 1e6:.6g}",
+             f"t1_total_us_at_f_max: {total[-1] * 1e6:.6g}"]
 
-    def render(cell):
-        return "inf" if isinstance(cell, float) and math.isinf(cell) else cell
-
-    dataio.write_csv(outdir / "t1_budget.csv",
-                     ["f_q_ghz", "t1_dielectric_us", "t1_purcell_us",
-                      "t1_total_us", "t2_us"],
-                     [[render(c) for c in row] for row in rows])
-    lines = [f"points: {len(rows)}",
-             f"t1_total_us_at_f_min: {rows[0][3]:.6g}",
-             f"t1_total_us_at_f_max: {rows[-1][3]:.6g}"]
-    artifacts = ["t1_budget.csv"]
-
-    if plots:
-        plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
-                       "relaxation budget")
-        plot.add_line([row[0] for row in rows], [row[1] for row in rows])
-        if model.purcell is not None:
-            plot.add_line([row[0] for row in rows],
-                          [row[2] for row in rows])
-        plot.add_line([row[0] for row in rows], [row[3] for row in rows])
-        plot.write(outdir / "t1_budget.svg")
-        artifacts.append("t1_budget.svg")
-    return lines, artifacts
+    plot = SvgPlot("qubit frequency (GHz)", "T1 (us)", "relaxation budget")
+    plot.add_line(f_ghz, t1_diel * 1e6)
+    if model.purcell is not None:
+        plot.add_line(f_ghz, t1_p * 1e6)
+    plot.add_line(f_ghz, total * 1e6)
+    return lines, {
+        "t1_budget.csv": (
+            ["f_q_ghz", "t1_dielectric_us", "t1_purcell_us", "t1_total_us",
+             "t2_us"],
+            np.column_stack([f_ghz, t1_diel * 1e6, t1_p * 1e6, total * 1e6,
+                             t2 * 1e6])),
+        "t1_budget.svg": plot,
+    }
 
 
-def cmd_simulate_readout(config: RunConfig, outdir: Path, plots: bool):
+def cmd_simulate_readout(config: RunConfig):
     rc = _build_readout(config)
     shots = readout.simulate_shots(rc)
     hist = readout.histogram_fit(shots)
     closed = readout.snr_asymptotic(rc)
-    dataio.write_shots_csv(outdir / "shots.csv", hist.normalized)
-    dataio.write_csv(outdir / "readout_summary.csv",
-                     ["snr_eq1", "snr_mc", "sigma_raw", "fidelity_eq1"],
-                     [[closed, hist.snr, shots.sigma,
-                       readout.separation_fidelity(closed)]])
+    fidelity = readout.separation_fidelity(closed)
     lines = [
         f"epsilon_per_s: {rc.epsilon:.6g}",
         f"snr_closed_form: {closed:.6g}",
         f"snr_monte_carlo: {hist.snr:.6g}",
-        f"fidelity_closed_form: {readout.separation_fidelity(closed):.9g}",
+        f"fidelity_closed_form: {fidelity:.9g}",
         f"shots_per_state: {rc.n_shots}",
     ]
-    return lines, ["shots.csv", "readout_summary.csv"]
+    summary = (["snr_eq1", "snr_mc", "sigma_raw", "fidelity_eq1"],
+               [[closed, hist.snr, shots.sigma, fidelity]])
+    return lines, {"shots.csv": hist.normalized,
+                   "readout_summary.csv": summary}
 
 
-def cmd_snr_sweep(config: RunConfig, outdir: Path, plots: bool):
+def cmd_snr_sweep(config: RunConfig):
     rc = _build_readout(config)
     tau_list_ns = config.require("readout")["tau_list_ns"]
     points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
     rows = [[tau_ns, p.snr_closed_form, p.snr_monte_carlo, p.fidelity]
             for tau_ns, p in zip(tau_list_ns, points)]
-    dataio.write_csv(outdir / "snr_sweep.csv",
-                     ["tau_ns", "snr_eq1", "snr_mc", "fidelity"], rows)
     lines = [f"epsilon_per_s: {rc.epsilon:.6g}",
              f"tau_points: {len(rows)}"]
-    artifacts = ["snr_sweep.csv"]
-    if plots:
-        plot = SvgPlot("integration time (ns)", "SNR",
-                       "readout SNR vs integration time")
-        plot.add_line([row[0] for row in rows], [row[1] for row in rows])
-        plot.add_scatter([row[0] for row in rows], [row[2] for row in rows],
-                         color="#b5512d")
-        plot.write(outdir / "snr_sweep.svg")
-        artifacts.append("snr_sweep.svg")
-    return lines, artifacts
+    taus_ns, snr_eq1, snr_mc, _ = zip(*rows)
+    plot = SvgPlot("integration time (ns)", "SNR",
+                   "readout SNR vs integration time")
+    plot.add_line(taus_ns, snr_eq1)
+    plot.add_scatter(taus_ns, snr_mc, color="#b5512d")
+    return lines, {
+        "snr_sweep.csv": (["tau_ns", "snr_eq1", "snr_mc", "fidelity"], rows),
+        "snr_sweep.svg": plot,
+    }
 
 
 COMMANDS = {
@@ -404,27 +358,6 @@ COMMANDS = {
     "simulate-readout": cmd_simulate_readout,
     "snr-sweep": cmd_snr_sweep,
 }
-
-
-def _write_report(outdir: Path, command: str, config: RunConfig,
-                  lines, artifacts) -> None:
-    text = [
-        f"tool: cqedkit {__version__}",
-        f"command: {command}",
-        f"config: {config.source}",
-        f"seed: {config.seed}",
-        "",
-        "# resolved configuration (usable as a config file)",
-        render_resolved(config).rstrip(),
-        "",
-        "# results",
-        *lines,
-        "",
-        "# artifacts",
-        *artifacts,
-    ]
-    (outdir / "report.txt").write_text("\n".join(text) + "\n",
-                                       encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -450,18 +383,43 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.output_dir = Path(args.out)
-        plots = args.plots or config.emit_plots
         outdir = config.output_dir
         outdir.mkdir(parents=True, exist_ok=True)
-        lines, artifacts = COMMANDS[args.command](config, outdir, plots)
-        _write_report(outdir, args.command, config, lines,
-                      artifacts + ["report.txt"])
+        lines, artifacts = COMMANDS[args.command](config)
+        if not (args.plots or config.emit_plots):
+            artifacts = {name: artifact for name, artifact in artifacts.items()
+                         if not isinstance(artifact, SvgPlot)}
+        for name, artifact in artifacts.items():
+            if isinstance(artifact, SvgPlot):
+                artifact.write(outdir / name)
+            elif isinstance(artifact, readout.ShotSet):
+                dataio.write_shots_csv(outdir / name, artifact)
+            else:
+                dataio.write_csv(outdir / name, *artifact)
+        names = [*artifacts, "report.txt"]
+        report = [
+            f"tool: cqedkit {__version__}",
+            f"command: {args.command}",
+            f"config: {config.source}",
+            f"seed: {config.seed}",
+            "",
+            "# resolved configuration (usable as a config file)",
+            render_resolved(config).rstrip(),
+            "",
+            "# results",
+            *lines,
+            "",
+            "# artifacts",
+            *names,
+        ]
+        (outdir / "report.txt").write_text("\n".join(report) + "\n",
+                                           encoding="utf-8")
     except ToolError as exc:
         print(f"error: {exc.slug}: {exc}", file=sys.stderr)
         return 1
     for line in lines:
         print(line)
-    print(f"wrote {', '.join(artifacts + ['report.txt'])} to {outdir}")
+    print(f"wrote {', '.join(names)} to {outdir}")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_finite
 
 T2_BOUND_TOLERANCE = 0.05
 TWO_PI = 2.0 * math.pi
@@ -33,6 +33,7 @@ class CoherenceRecord:
     t2e: float | None = None
 
     def __post_init__(self):
+        check_finite(self, "f_q", "t1", "t1_spread", "t2e")
         if self.f_q <= 0.0:
             raise DomainError("f_q must be positive")
         if self.t1 <= 0.0:
@@ -56,6 +57,7 @@ class PurcellParams:
     kappa: float   # resonator linewidth, 1/s
 
     def __post_init__(self):
+        check_finite(self, "g", "f_r", "kappa")
         if self.g < 0.0:
             raise DomainError("g must be nonnegative")
         if self.f_r <= 0.0:
@@ -73,6 +75,7 @@ class LossModel:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "q_diel", "gamma_phi")
         if self.q_diel <= 0.0:
             raise DomainError("q_diel must be positive")
         if self.gamma_phi < 0.0:
@@ -123,9 +126,31 @@ def t1_total(f_q: float, model: LossModel) -> float:
     return float(1.0 / _total_rate(f_q, model))
 
 
-def t2_from_t1(t1: float, gamma_phi: float = 0.0) -> float:
-    """Echo time implied by T1 and a pure-dephasing rate: 1/(1/(2 T1) + gamma_phi)."""
-    if t1 <= 0.0:
+def t1_budget(f_q, model: LossModel):
+    """T1 per channel over a frequency grid: (dielectric, Purcell, total), s.
+
+    Each array matches the scalar ``t1_dielectric``, ``t1_purcell`` and
+    ``t1_total`` bit for bit, as the operations run in the same order.
+    The Purcell limit is inf without a Purcell channel or with g = 0.
+    """
+    f_q = np.asarray(f_q, dtype=float)
+    total = 1.0 / _total_rate(f_q, model)
+    t1_diel = model.q_diel / (TWO_PI * f_q)
+    purcell = model.purcell
+    if purcell is None or purcell.g == 0.0:
+        t1_p = np.full(f_q.shape, math.inf)
+    else:
+        delta = TWO_PI * (f_q - purcell.f_r)
+        t1_p = delta * delta / (purcell.g * purcell.g * purcell.kappa)
+    return t1_diel, t1_p, total
+
+
+def t2_from_t1(t1, gamma_phi: float = 0.0):
+    """Echo time implied by T1 and a pure-dephasing rate: 1/(1/(2 T1) + gamma_phi).
+
+    ``t1`` may be a scalar or an array.
+    """
+    if np.any(np.asarray(t1) <= 0.0):
         raise DomainError("t1 must be positive")
     if gamma_phi < 0.0:
         raise DomainError("gamma_phi must be nonnegative")

@@ -192,18 +192,11 @@ class RunConfig:
     output_dir: Path = Path(DEFAULT_OUTPUT_DIR)
     emit_plots: bool = False
 
-    def has(self, section: str) -> bool:
-        return section in self.sections
-
     def require(self, section: str) -> dict[str, Any]:
         if section not in self.sections:
             raise ConfigError(
                 f"missing required config section [{section}]")
         return self.sections[section]
-
-    def get(self, section: str, key: str):
-        return self.require(section)[key]
-
 
 def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, Any]:
     schema = SCHEMA[name]

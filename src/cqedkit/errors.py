@@ -2,8 +2,11 @@
 
 Every error the command-line front end reports maps to one of these; the
 ``slug`` attribute becomes the machine-parsable category in the single
-``error: <slug>: <message>`` line printed on failure.
+``error: <slug>: <message>`` line printed on failure. ``check_finite``
+is the shared finiteness guard of the dataclass validators.
 """
+
+import math
 
 
 class ToolError(Exception):
@@ -40,3 +43,15 @@ class FitFailureError(ToolError, RuntimeError):
     """A least-squares fit could not produce a usable result."""
 
     slug = "fit-failure"
+
+
+def check_finite(obj, *names: str) -> None:
+    """Raise DomainError naming the first field of ``obj`` that is not finite.
+
+    Fields set to None (optional and absent) pass. Call it before any
+    sign check: NaN compares false both ways, so ``x <= 0`` lets it through.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_finite
 from .fitting import erfc, fit_gaussian_1d
 from .transmon import dispersive_phase
 
@@ -55,9 +55,7 @@ class ReadoutConfig:
 
     def __post_init__(self):
         # epsilon last: the CLI derives it from the other three
-        for name in ("kappa", "chi", "tau_m", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite(self, "kappa", "chi", "tau_m", "epsilon")
         if self.epsilon < 0.0:
             raise DomainError("epsilon must be nonnegative")
         if self.kappa <= 0.0:

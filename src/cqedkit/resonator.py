@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     FitFailureError,
     InsufficientDataError,
+    check_finite,
 )
 
 PH_PER_SQUARE = 1e-12  # one pH/square in H/square
@@ -46,6 +47,8 @@ class FilmProperties:
     geometric_l_per_square: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "lk_nominal", "lk_low", "lk_high",
+                     "geometric_l_per_square")
         if self.lk_low <= 0.0:
             raise DomainError("lk_low must be positive")
         if not (self.lk_low <= self.lk_nominal <= self.lk_high):
@@ -67,6 +70,8 @@ class SpiralGeometry:
     turns: float
 
     def __post_init__(self):
+        check_finite(self, "disk_radius", "line_width", "gap", "feed_offset",
+                     "spiral_length", "turns")
         for name in ("disk_radius", "line_width", "gap", "spiral_length"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")
@@ -280,6 +285,7 @@ class CpwTestStructure:
     termination: str = QUARTER_WAVE
 
     def __post_init__(self):
+        check_finite(self, "length", "l_per_length", "c_per_length")
         if self.length <= 0.0:
             raise DomainError("length must be positive")
         if self.l_per_length < 0.0:

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from cqedkit import (
     CoherenceRecord,
+    CpwTestStructure,
     DomainError,
+    FilmProperties,
     InsufficientDataError,
     LossModel,
     PurcellParams,
+    SpiralGeometry,
     fit_qdiel,
+    t1_budget,
     t1_dielectric,
     t1_purcell,
     t1_total,
@@ -105,6 +109,49 @@ def test_t1_total_below_every_channel(q_diel, f_q, g, detune, kappa):
     assert total <= min(diel, purcell) * (1.0 + 1e-12)
 
 
+PURCELL = PurcellParams(g=TWO_PI * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
+
+
+@pytest.mark.parametrize("purcell", [
+    PURCELL,
+    None,
+    PurcellParams(g=0.0, f_r=6.0e9, kappa=1.0 / 300e-9),
+], ids=["purcell", "no-purcell", "g-zero"])
+def test_t1_budget_matches_scalar_channels_bitwise(purcell):
+    # both sides of the readout mode, as the scalar functions allow
+    grid = np.concatenate([np.linspace(3.5e9, 5.8e9, 101),
+                           np.linspace(6.2e9, 8.0e9, 7)])
+    model = LossModel(q_diel=746e3, purcell=purcell, gamma_phi=2e3)
+    t1_diel, t1_p, total = t1_budget(grid, model)
+    assert np.array_equal(t1_diel, [t1_dielectric(f, model.q_diel)
+                                    for f in grid])
+    if purcell is None:
+        assert np.all(t1_p == math.inf)
+    else:
+        assert np.array_equal(t1_p, [
+            t1_purcell(purcell.g, TWO_PI * (f - purcell.f_r), purcell.kappa)
+            for f in grid])
+    assert np.array_equal(total, [t1_total(f, model) for f in grid])
+
+
+def test_t1_budget_rejects_on_resonance_and_nonpositive_frequency():
+    model = LossModel(q_diel=1e6, purcell=PURCELL)
+    with pytest.raises(DomainError):
+        t1_budget(np.array([5e9, 6e9]), model)
+    with pytest.raises(DomainError):
+        t1_budget(np.array([0.0, 5e9]), LossModel(q_diel=1e6))
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 1e4])
+def test_t2_from_t1_on_arrays_matches_scalars_bitwise(gamma_phi):
+    t1 = np.array([1e-6, 25e-6, 3.7e-4, 1.23456789e-5])
+    t2 = t2_from_t1(t1, gamma_phi)
+    assert isinstance(t2, np.ndarray)
+    assert np.array_equal(t2, [t2_from_t1(float(t), gamma_phi) for t in t1])
+    with pytest.raises(DomainError, match="t1 must be positive"):
+        t2_from_t1(np.array([1e-6, 0.0]), gamma_phi)
+
+
 def test_t2_from_t1_exact_doubling():
     for t1 in (1e-6, 25e-6, 3.7e-4):
         assert t2_from_t1(t1) == 2.0 * t1
@@ -142,6 +189,31 @@ def test_record_validation():
         LossModel(q_diel=0.0)
     with pytest.raises(DomainError):
         PurcellParams(g=-1.0, f_r=6e9, kappa=3e6)
+
+
+# One valid instance per validated dataclass, as keyword arguments; every
+# float field is listed, so each one is checked for finiteness below.
+VALID_FIELDS = {
+    LossModel: dict(q_diel=746e3, gamma_phi=0.0),
+    PurcellParams: dict(g=TWO_PI * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9),
+    CoherenceRecord: dict(f_q=4e9, t1=25e-6, t1_spread=1e-6, t2e=47e-6),
+    FilmProperties: dict(lk_nominal=2.0, lk_low=2.0, lk_high=2.2,
+                         geometric_l_per_square=0.0),
+    SpiralGeometry: dict(disk_radius=40e-6, line_width=2e-6, gap=2e-6,
+                         feed_offset=20e-6, spiral_length=5e-3, turns=20.0),
+    CpwTestStructure: dict(length=4e-3, l_per_length=4e-7,
+                           c_per_length=1.6e-10),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls, fields in VALID_FIELDS.items() for field in fields
+], ids=lambda item: getattr(item, "__name__", item))
+def test_dataclass_validators_reject_non_finite(cls, field, value):
+    cls(**VALID_FIELDS[cls])
+    with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+        cls(**{**VALID_FIELDS[cls], field: value})
 
 
 def _synthetic_records(q_diel, freqs, purcell=None, spread_frac=None, rng=None):

@@ -402,3 +402,65 @@ measured_csv = measured.csv
     assert len(lines) == 8
     svg = (out / "spiral_sweep.svg").read_text()
     assert svg.startswith("<svg") or svg.startswith("<?xml")
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+
+
+def _report_artifacts(out):
+    lines = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    return lines[lines.index("# artifacts") + 1:]
+
+
+@pytest.mark.parametrize("command, csv, svg", [
+    ("sweep-spiral", "spiral_sweep.csv", "spiral_sweep.svg"),
+    ("budget-t1", "t1_budget.csv", "t1_budget.svg"),
+    ("snr-sweep", "snr_sweep.csv", "snr_sweep.svg"),
+])
+def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
+                                               capsys):
+    plain, plotted, emitted = (tmp_path / name
+                               for name in ("plain", "plots", "emit"))
+    base = [command, "--config", str(DEMO_CONFIG), "--out"]
+    assert _run(base + [str(plain)]) == 0
+    assert not list(plain.glob("*.svg"))
+    assert _report_artifacts(plain) == [csv, "report.txt"]
+
+    assert _run(base + [str(plotted), "--plots"]) == 0
+    assert _report_artifacts(plotted) == [csv, svg, "report.txt"]
+    assert (plotted / csv).read_bytes() == (plain / csv).read_bytes()
+
+    config = write_config(tmp_path, DEMO_CONFIG.read_text(encoding="utf-8")
+                          + "emit_plots = true\n")
+    assert _run([command, "--config", str(config), "--out", str(emitted)]) == 0
+    assert (emitted / svg).read_bytes() == (plotted / svg).read_bytes()
+
+
+def test_cli_failed_command_writes_no_artifacts(tmp_path, capsys):
+    # the sweep itself succeeds; the measured file named after it does not load
+    config = write_config(tmp_path, FULL_CONFIG + """
+[sweep]
+length_min_um = 800
+length_max_um = 1400
+points = 7
+measured_csv = missing.csv
+""")
+    out = tmp_path / "out"
+    assert _run(["sweep-spiral", "--config", str(config), "--out", str(out),
+                 "--plots"]) == 1
+    assert "error: config: cannot read" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    # the ring-down fit succeeds; the offset table has the wrong columns
+    kappa = 1.0 / 300e-9
+    t = np.linspace(0.0, 3e-6, 64)
+    write_csv(tmp_path / "trace.csv", ("t_s", "v_amplitude"),
+              list(zip(t, np.exp(-0.5 * kappa * t) + 0.05)))
+    config = write_config(tmp_path, FULL_CONFIG + """
+[kappa_fit]
+trace_csv = trace.csv
+offset_csv = trace.csv
+""", name="kappa.cfg")
+    assert _run(["fit-kappa", "--config", str(config), "--out", str(out)]) == 1
+    assert "unknown column(s) t_s, v_amplitude" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
