@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting
-from .errors import DomainError, InsufficientDataError, check_finite
+from .errors import (
+    DomainError,
+    FitFailureError,
+    InsufficientDataError,
+    check_finite,
+    require_finite,
+)
 
 T2_BOUND_TOLERANCE = 0.05
 TWO_PI = 2.0 * math.pi
@@ -84,6 +90,7 @@ class LossModel:
 
 def t1_dielectric(f_q: float, q_diel: float) -> float:
     """Dielectric-loss-limited T1 = Q_diel / omega_q, seconds."""
+    require_finite(f_q=f_q, q_diel=q_diel)
     if f_q <= 0.0:
         raise DomainError("f_q must be positive")
     if q_diel <= 0.0:
@@ -96,6 +103,7 @@ def t1_purcell(g: float, delta: float, kappa: float) -> float:
 
     Decoupling (g -> 0) sends the limit to infinity.
     """
+    require_finite(g=g, delta=delta, kappa=kappa)
     if delta == 0.0:
         raise DomainError("detuning must be nonzero for the dispersive Purcell rate")
     if kappa <= 0.0:
@@ -110,6 +118,7 @@ def t1_purcell(g: float, delta: float, kappa: float) -> float:
 def _total_rate(f_q, model: LossModel):
     """Summed decay rate at qubit frequency f_q; accepts scalars or arrays."""
     f_q = np.asarray(f_q, dtype=float)
+    require_finite(f_q=f_q)
     if np.any(f_q <= 0.0):
         raise DomainError("f_q must be positive")
     rate = TWO_PI * f_q / model.q_diel
@@ -150,6 +159,7 @@ def t2_from_t1(t1, gamma_phi: float = 0.0):
 
     ``t1`` may be a scalar or an array.
     """
+    require_finite(t1=t1, gamma_phi=gamma_phi)
     if np.any(np.asarray(t1) <= 0.0):
         raise DomainError("t1 must be positive")
     if gamma_phi < 0.0:
@@ -189,7 +199,8 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
     Weighted least squares with weights 1/t1_spread^2 when every record
     carries a spread, uniform weights otherwise. Any Purcell channel is
     held fixed at the supplied parameters. Returns a FitResult whose
-    single parameter is q_diel.
+    single parameter is q_diel; a solver that does not converge raises
+    FitFailureError.
     """
     records = list(records)
     if len(records) < 2:
@@ -226,6 +237,8 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
     result = fitting.least_squares(
         model, f_q, t1 / t_scale, init=[1.0], weights=scaled_weights,
         jac=jacobian)
+    if not result.converged:
+        raise FitFailureError("Q_diel fit did not converge")
     return fitting.FitResult(
         params=result.params * q_scale,
         std_errors=result.std_errors * q_scale,

@@ -141,10 +141,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
 }
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
-
 def _parse_value(section: str, key: str, spec: Key, text: str):
     label = f"[{section}] {key}"
     text = text.strip()
@@ -155,7 +151,7 @@ def _parse_value(section: str, key: str, spec: Key, text: str):
             value = int(text, 10)
         elif spec.parse == "bool":
             try:
-                value = _BOOL_WORDS[text.lower()]
+                value = configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
             except KeyError:
                 raise ValueError(text)
         elif spec.parse == "float_list":
@@ -298,7 +294,11 @@ def parse_config(path) -> RunConfig:
 
 
 def render_resolved(config: RunConfig) -> str:
-    """Render the fully resolved configuration as reusable INI text."""
+    """Render the fully resolved configuration as reusable INI text.
+
+    Floats are written in their shortest round-trip form (``str`` equals
+    ``repr`` for floats), so parsing the text back gives equal values.
+    """
     lines = []
     for name in SCHEMA:
         if name not in config.sections and name != "run":
@@ -318,9 +318,9 @@ def render_resolved(config: RunConfig) -> str:
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, tuple):
-                text = ", ".join(format(v, "g") for v in value)
+                text = ", ".join(map(str, value))
             else:
-                text = format(value, "g") if isinstance(value, float) else str(value)
+                text = str(value)
             lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)

@@ -2,11 +2,12 @@
 
 Every error the command-line front end reports maps to one of these; the
 ``slug`` attribute becomes the machine-parsable category in the single
-``error: <slug>: <message>`` line printed on failure. ``check_finite``
-is the shared finiteness guard of the dataclass validators.
+``error: <slug>: <message>`` line printed on failure. ``require_finite``
+is the shared finiteness guard of library arguments, and ``check_finite``
+applies it to the fields of the dataclass validators.
 """
 
-import math
+import numpy as np
 
 
 class ToolError(Exception):
@@ -45,13 +46,21 @@ class FitFailureError(ToolError, RuntimeError):
     slug = "fit-failure"
 
 
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first argument that holds a non-finite value.
+
+    Each value may be a scalar or an array. Call it before any sign check:
+    NaN compares false both ways, so ``x <= 0`` lets it through.
+    """
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite")
+
+
 def check_finite(obj, *names: str) -> None:
     """Raise DomainError naming the first field of ``obj`` that is not finite.
 
-    Fields set to None (optional and absent) pass. Call it before any
-    sign check: NaN compares false both ways, so ``x <= 0`` lets it through.
+    Fields set to None (optional and absent) pass.
     """
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite")
+    require_finite(**{name: getattr(obj, name) for name in names
+                      if getattr(obj, name) is not None})

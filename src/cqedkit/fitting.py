@@ -4,7 +4,8 @@ The least-squares solver is a damped Gauss-Newton iteration with a
 Levenberg-style additive damping term. It is deliberately small: dense
 normal equations, an optional analytic Jacobian, central-difference
 fallback, and textbook standard errors from the scaled inverse normal
-matrix. All fits in this package run through it.
+matrix. The ring-down and Q_diel fits run through it; the offset fit is
+a closed-form straight line in log kappa.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     DomainError,
     FitFailureError,
     InsufficientDataError,
+    require_finite,
 )
 
 MAX_ITERATIONS = 200
@@ -79,21 +81,8 @@ def _exp_decay_jac(x, amp, rate, offset):
     return np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
 
 
-def _exp_decay_floor(x, amp, rate):
-    return amp * np.exp(-rate * np.asarray(x, dtype=float))
-
-
-def _exp_decay_floor_jac(x, amp, rate):
-    x = np.asarray(x, dtype=float)
-    decay = np.exp(-rate * x)
-    return np.column_stack([decay, -amp * x * decay])
-
-
 LINE = FitModel(_line, _line_jac, 2, "line")
 EXP_DECAY = FitModel(_exp_decay, _exp_decay_jac, 3, "exp-decay")
-EXP_DECAY_NO_OFFSET = FitModel(_exp_decay_floor, _exp_decay_floor_jac, 2, "exp-decay-no-offset")
-
-BUILTIN_MODELS = (LINE, EXP_DECAY, EXP_DECAY_NO_OFFSET)
 
 
 def numeric_jacobian(fn: Callable, x, theta: np.ndarray) -> np.ndarray:
@@ -160,6 +149,8 @@ def least_squares(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    require_finite(x=x, y=y, weights=w)
     theta = np.array(init, dtype=float)
     n_params = theta.size
     if y.size < n_params:
@@ -167,14 +158,10 @@ def least_squares(
             f"{y.size} data points cannot constrain {n_params} parameters")
     if not np.all(np.isfinite(theta)):
         raise FitFailureError("initial guess contains non-finite values")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise DomainError("weights must match the data length")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise DomainError("weights must be nonnegative with at least one positive")
+    if w.shape != y.shape:
+        raise DomainError("weights must match the data length")
+    if np.any(w < 0) or not np.any(w > 0):
+        raise DomainError("weights must be nonnegative with at least one positive")
 
     def jacobian(th):
         if jac is not None:
@@ -206,8 +193,6 @@ def least_squares(
             converged = True
             break
 
-        accepted = False
-        rel_drop = 0.0
         for _ in range(60):
             try:
                 step = np.linalg.solve(normal + damping * np.eye(n_params), gradient)
@@ -222,10 +207,9 @@ def least_squares(
                 theta, r, cost = trial, r_trial, cost_trial
                 trace.append(cost)
                 damping /= 10.0
-                accepted = True
                 break
             damping *= 10.0
-        if not accepted:
+        else:
             # No downhill step exists at any damping: already at a minimum
             # to working precision.
             converged = True
@@ -272,6 +256,7 @@ def fit_gaussian_1d(samples, min_samples: int = 100) -> GaussianEstimate:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1:
         raise DomainError("samples must be one-dimensional")
+    require_finite(samples=values)
     if values.size < min_samples:
         raise InsufficientDataError(
             f"need at least {min_samples} samples, got {values.size}")

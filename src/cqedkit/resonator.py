@@ -21,6 +21,7 @@ from .errors import (
     FitFailureError,
     InsufficientDataError,
     check_finite,
+    require_finite,
 )
 
 PH_PER_SQUARE = 1e-12  # one pH/square in H/square
@@ -230,7 +231,10 @@ def kappa_offset_model(feed_offset: float, kappa0: float, d0: float) -> float:
 def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
     """Fit the exponential coupling-vs-offset law to measured pairs.
 
-    Returns a FitResult with params ``[kappa0, d0]`` in the input units.
+    The noise on kappa is multiplicative, so log kappa = log kappa0 - d/d0
+    is fitted as a straight line in closed form, without iterating. Returns
+    a FitResult with params ``[kappa0, d0]`` in the input units;
+    ``residual_norm`` is the residual norm in log kappa.
     """
     d = np.asarray(offsets, dtype=float)
     k = np.asarray(kappas, dtype=float)
@@ -238,40 +242,27 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
         raise DomainError("offsets and kappas must have the same length")
     if d.size < 3:
         raise InsufficientDataError("need at least 3 (offset, kappa) pairs")
+    require_finite(offsets=d, kappas=k)
     if np.any(k <= 0.0):
         raise DomainError("measured kappas must be positive")
     if np.any(d < 0.0):
         raise DomainError("offsets must be nonnegative")
+    if np.ptp(d) == 0.0:
+        raise DegenerateDataError("all offsets are equal")
 
-    d_scale = float(d.max()) if d.max() > 0 else 1.0
-    k_scale = float(k.max())
-    # log-linear seed for the decay constant
-    order = np.argsort(d)
-    span = d[order[-1]] - d[order[0]]
-    ratio = k[order[0]] / k[order[-1]]
-    rate0 = math.log(ratio) / span if span > 0 and ratio > 1.0 else 1.0 / d_scale
-    amp0 = k[order[0]] * math.exp(rate0 * d[order[0]])
-
-    result = fitting.least_squares(
-        fitting.EXP_DECAY_NO_OFFSET.fn,
-        d / d_scale,
-        k / k_scale,
-        init=[amp0 / k_scale, rate0 * d_scale],
-        jac=fitting.EXP_DECAY_NO_OFFSET.jac,
-    )
-    amp, rate = result.params
-    amp_err, rate_err = result.std_errors
-    if amp <= 0.0 or rate <= 0.0:
+    log_k = np.log(k)
+    (slope, intercept), covariance = np.polyfit(d, log_k, 1, cov=True)
+    if slope >= 0.0:
         raise FitFailureError("fitted coupling law is not a positive decay")
-    kappa0 = amp * k_scale
-    d0 = d_scale / rate
+    kappa0 = math.exp(intercept)
+    d0 = -1.0 / slope
+    slope_err, intercept_err = np.sqrt(np.diag(covariance))
     return fitting.FitResult(
         params=np.array([kappa0, d0]),
-        std_errors=np.array([amp_err * k_scale, d0 * rate_err / rate]),
-        residual_norm=result.residual_norm * k_scale,
-        converged=result.converged,
-        iterations=result.iterations,
-        cost_trace=result.cost_trace,
+        std_errors=np.array([kappa0 * intercept_err, slope_err * d0 * d0]),
+        residual_norm=float(np.linalg.norm(log_k - (slope * d + intercept))),
+        converged=True,
+        iterations=0,
     )
 
 

@@ -1,12 +1,14 @@
 """Minimal deterministic SVG line/scatter plots.
 
 Just enough for the figure-like outputs: polyline series, scatter markers,
-a filled band, linear axes with five ticks each. No external plotting
-dependency, and the output bytes depend only on the data handed in.
+a filled band, linear axes with five ticks each. Points with a non-finite
+coordinate are left out. No external plotting dependency, and the output
+bytes depend only on the data handed in.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 WIDTH = 640
@@ -39,21 +41,28 @@ class SvgPlot:
         self._color_index += 1
         return color
 
+    def _add(self, kind: str, color: str | None, xs, ys, ys2=None):
+        """Keep the points whose coordinates are all finite.
+
+        A series left without points is dropped; it still takes its colour,
+        so the colours of the other series do not depend on the data.
+        """
+        color = color or self._next_color()
+        columns = [xs, ys] if ys2 is None else [xs, ys, ys2]
+        points = [point for point in zip(*(map(float, c) for c in columns))
+                  if all(map(math.isfinite, point))]
+        if points:
+            xs, ys, *rest = map(list, zip(*points))
+            self._series.append((kind, xs, ys, rest[0] if rest else None, color))
+
     def add_line(self, xs, ys, color: str | None = None):
-        self._series.append(("line", list(map(float, xs)),
-                             list(map(float, ys)), None,
-                             color or self._next_color()))
+        self._add("line", color, xs, ys)
 
     def add_scatter(self, xs, ys, color: str | None = None):
-        self._series.append(("scatter", list(map(float, xs)),
-                             list(map(float, ys)), None,
-                             color or self._next_color()))
+        self._add("scatter", color, xs, ys)
 
     def add_band(self, xs, y_low, y_high, color: str | None = None):
-        self._series.append(("band", list(map(float, xs)),
-                             list(map(float, y_low)),
-                             list(map(float, y_high)),
-                             color or self._next_color()))
+        self._add("band", color, xs, y_low, y_high)
 
     def _limits(self):
         xs, ys = [], []

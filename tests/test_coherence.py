@@ -12,11 +12,16 @@ from cqedkit import (
     CpwTestStructure,
     DomainError,
     FilmProperties,
+    FitFailureError,
     InsufficientDataError,
     LossModel,
     PurcellParams,
     SpiralGeometry,
+    fit_gaussian_1d,
+    fit_kappa_offset,
     fit_qdiel,
+    fitting,
+    least_squares,
     t1_budget,
     t1_dielectric,
     t1_purcell,
@@ -216,6 +221,42 @@ def test_dataclass_validators_reject_non_finite(cls, field, value):
         cls(**{**VALID_FIELDS[cls], field: value})
 
 
+LIBRARY_CALLS = {
+    "t1_dielectric-f_q": (lambda v: t1_dielectric(v, 1e6), "f_q"),
+    "t1_dielectric-q_diel": (lambda v: t1_dielectric(4e9, v), "q_diel"),
+    "t1_purcell-g": (lambda v: t1_purcell(v, TWO_PI * 2e9, 3e6), "g"),
+    "t1_purcell-delta": (lambda v: t1_purcell(1e8, v, 3e6), "delta"),
+    "t1_purcell-kappa": (lambda v: t1_purcell(1e8, TWO_PI * 2e9, v), "kappa"),
+    "t1_total": (lambda v: t1_total(v, LossModel(q_diel=1e6)), "f_q"),
+    "t1_budget": (lambda v: t1_budget([4e9, v], LossModel(q_diel=1e6)), "f_q"),
+    "t2_from_t1-t1": (lambda v: t2_from_t1(np.array([30e-6, v])), "t1"),
+    "t2_from_t1-gamma_phi": (lambda v: t2_from_t1(30e-6, v), "gamma_phi"),
+    "fit_gaussian_1d": (
+        lambda v: fit_gaussian_1d(np.append(np.arange(200.0), v)), "samples"),
+    "least_squares-x": (lambda v: least_squares(
+        fitting.LINE.fn, [0.0, 1.0, v, 3.0], [0.0, 1.0, 2.0, 3.0],
+        init=[1.0, 0.0]), "x"),
+    "least_squares-y": (lambda v: least_squares(
+        fitting.LINE.fn, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, v, 3.0],
+        init=[1.0, 0.0]), "y"),
+    "fit_kappa_offset-offsets": (lambda v: fit_kappa_offset(
+        [5e-6, v, 2e-5], [1e6, 8e5, 6e5]), "offsets"),
+    "fit_kappa_offset-kappas": (lambda v: fit_kappa_offset(
+        [5e-6, 1e-5, 2e-5], [1e6, v, 6e5]), "kappas"),
+    "least_squares-weights": (lambda v: least_squares(
+        fitting.LINE.fn, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
+        init=[1.0, 0.0], weights=[1.0, v, 1.0, 1.0]), "weights"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", sorted(LIBRARY_CALLS))
+def test_library_functions_reject_non_finite_arguments(case, value):
+    call, name = LIBRARY_CALLS[case]
+    with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+        call(value)
+
+
 def _synthetic_records(q_diel, freqs, purcell=None, spread_frac=None, rng=None):
     records = []
     for f in freqs:
@@ -269,6 +310,18 @@ def test_fit_qdiel_weighted_vs_uniform_differ():
     ])
     assert pinned.params[0] == pytest.approx(700e3, rel=1e-2)
     assert abs(pinned.params[0] - 700e3) < abs(uniform.params[0] - 700e3)
+
+
+def test_fit_qdiel_raises_when_the_solver_does_not_converge(monkeypatch):
+    def unconverged(model, x, y, init, **kwargs):
+        return fitting.FitResult(params=np.array(init, dtype=float),
+                                 std_errors=np.zeros(1), residual_norm=1.0,
+                                 converged=False, iterations=200)
+
+    monkeypatch.setattr(fitting, "least_squares", unconverged)
+    records = _synthetic_records(1e6, np.linspace(3.5e9, 4.8e9, 4))
+    with pytest.raises(FitFailureError, match="did not converge"):
+        fit_qdiel(records)
 
 
 def test_fit_qdiel_requires_two_records():

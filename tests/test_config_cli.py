@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqedkit import ConfigError
 from cqedkit.cli import main
@@ -114,6 +117,24 @@ def test_non_finite_values_name_the_key(tmp_path, section, key, text):
         parse_config(path)
 
 
+CONSTRAINED_KEYS = [(section, key) for section, keys in SCHEMA.items()
+                    for key, spec in keys.items()
+                    if spec.positive or spec.nonnegative
+                    or spec.parse == "float_list"]
+
+
+@pytest.mark.parametrize("section,key", CONSTRAINED_KEYS)
+def test_out_of_domain_values_name_the_key(tmp_path, section, key):
+    values = {name: "1" for name, spec in SCHEMA[section].items()
+              if spec.required}
+    values[key] = "-1"
+    body = "\n".join(f"{name} = {value}" for name, value in values.items())
+    path = write_config(tmp_path, f"[{section}]\n{body}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: (all entries )?"
+                       r"must be (positive|nonnegative)"):
+        parse_config(path)
+
+
 def test_parse_error_reports_line_number(tmp_path):
     path = write_config(tmp_path, "[readout]\nthis line has no equals sign\n")
     with pytest.raises(ConfigError, match="line 2"):
@@ -202,6 +223,95 @@ def test_render_resolved_reparses_identically(tmp_path, monkeypatch):
     assert reparsed.output_dir == config.output_dir
 
 
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PURCELL_KEYS = [key for key in SCHEMA["loss"] if key.startswith("purcell_")
+                or key == "anharmonicity_ghz"]
+
+
+def _valid_value(spec):
+    if spec.parse == "bool":
+        return st.booleans()
+    if spec.parse == "int":
+        return st.integers(min_value=1 if spec.positive else 0, max_value=10**9)
+    if spec.parse == "str":
+        return st.sampled_from(["inputs.csv", "data/trace.csv"])
+    if spec.parse == "float_list":
+        return st.lists(POSITIVE, min_size=1, max_size=4).map(tuple)
+    if spec.positive:
+        return POSITIVE
+    return st.floats(min_value=0.0 if spec.nonnegative else None,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Sections of a valid config: full-precision values in every key's domain."""
+    sections = {}
+    for name, keys in SCHEMA.items():
+        if name != "run" and not draw(st.booleans()):
+            continue
+        sections[name] = {key: draw(_valid_value(spec))
+                          for key, spec in keys.items()
+                          if spec.required or draw(st.booleans())}
+    if "film" in sections:
+        low, nominal, high = sorted(draw(st.lists(POSITIVE, min_size=3,
+                                                  max_size=3)))
+        sections["film"].update(lk_low_ph_sq=low, lk_nominal_ph_sq=nominal,
+                                lk_high_ph_sq=high)
+    if "sweep" in sections:
+        low, high = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2,
+                                         unique=True)))
+        sections["sweep"].update(length_min_um=low, length_max_um=high)
+    if "kappa_fit" in sections:
+        sections["kappa_fit"].setdefault("trace_csv", "trace.csv")
+    if "loss" in sections:
+        # no Purcell channel, or one set by g or by chi, never both
+        route = draw(st.sampled_from([
+            [],
+            ["purcell_f_r_ghz", "purcell_kappa_inv_ns", "purcell_g_mhz"],
+            ["purcell_f_r_ghz", "purcell_kappa_inv_ns", "purcell_two_chi_khz",
+             "purcell_ref_f_q_ghz", "anharmonicity_ghz"],
+        ]))
+        for key in PURCELL_KEYS:
+            sections["loss"].pop(key, None)
+        for key in route:
+            sections["loss"][key] = draw(_valid_value(SCHEMA["loss"][key]))
+    return sections
+
+
+def _config_text(sections):
+    lines = []
+    for name, values in sections.items():
+        lines.append(f"[{name}]")
+        for key, value in values.items():
+            if isinstance(value, bool):
+                text = str(value).lower()
+            elif isinstance(value, tuple):
+                text = ", ".join(map(repr, value))
+            else:
+                text = repr(value) if isinstance(value, float) else str(value)
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@given(sections=valid_configs())
+@settings(max_examples=150, deadline=None)
+def test_any_valid_config_survives_render_and_reparse(sections):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "drawn.cfg"
+        source.write_text(_config_text(sections), encoding="utf-8")
+        config = parse_config(source)
+        for name, values in sections.items():
+            for key, value in values.items():
+                assert config.sections[name][key] == value, (name, key)
+        rendered = Path(tmp) / "rendered.cfg"
+        rendered.write_text(render_resolved(config), encoding="utf-8")
+        reparsed = parse_config(rendered)
+    expected = {name: dict(values) for name, values in config.sections.items()}
+    expected["run"]["output_dir"] = str(config.output_dir)
+    assert reparsed.sections == expected
+
+
 def _run(args):
     return main(args)
 
@@ -264,18 +374,31 @@ def test_cli_design_resonator(tmp_path, capsys):
 
 
 def test_cli_report_is_reusable_as_config(tmp_path, capsys):
-    path = write_config(tmp_path, FULL_CONFIG)
-    out = tmp_path / "out"
-    assert _run(["design-resonator", "--config", str(path),
-                 "--out", str(out)]) == 0
-    report = (out / "report.txt").read_text()
-    start = report.index("[geometry]")
-    end = report.index("# results")
-    replay = write_config(tmp_path, report[start:end], "replay.cfg")
-    out2 = tmp_path / "out2"
-    assert _run(["design-resonator", "--config", str(replay),
-                 "--out", str(out2)]) == 0
-    assert (out2 / "design.csv").read_bytes() == (out / "design.csv").read_bytes()
+    # values with more than six significant digits must survive the echo
+    config_text = FULL_CONFIG.replace(
+        "c_total_ff = 85", "c_total_ff = 85.123456").replace(
+        "n_shots = 2000", "n_shots = 2000\ntwo_chi_khz = 930.12345") + """
+[loss]
+q_diel = 746123.7
+"""
+    path = write_config(tmp_path, config_text)
+    for command in ("design-resonator", "budget-t1", "simulate-readout"):
+        out = tmp_path / command
+        assert _run([command, "--config", str(path), "--out", str(out),
+                     "--plots"]) == 0
+        report = (out / "report.txt").read_text()
+        start = report.index("[geometry]")
+        end = report.index("# results")
+        replay = write_config(tmp_path, report[start:end], "replay.cfg")
+        again = tmp_path / f"{command}-again"
+        assert _run([command, "--config", str(replay), "--out", str(again),
+                     "--plots"]) == 0
+        written = sorted(p.name for p in out.iterdir() if p.name != "report.txt")
+        assert written == sorted(p.name for p in again.iterdir()
+                                 if p.name != "report.txt")
+        for name in written:
+            assert (again / name).read_bytes() == (out / name).read_bytes(), (
+                command, name)
 
 
 def test_cli_simulate_readout_seed_override(tmp_path, capsys):
@@ -434,6 +557,21 @@ def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
                           + "emit_plots = true\n")
     assert _run([command, "--config", str(config), "--out", str(emitted)]) == 0
     assert (emitted / svg).read_bytes() == (plotted / svg).read_bytes()
+
+
+def test_cli_infinite_purcell_limit_writes_no_nan(tmp_path, capsys):
+    # g = 0 makes the Purcell limit inf at every point: the CSV says inf,
+    # and the plot leaves that series out instead of scaling its axes by it
+    config = write_config(tmp_path, DEMO_CONFIG.read_text(encoding="utf-8")
+                          .replace("purcell_g_mhz = 50", "purcell_g_mhz = 0"))
+    out = tmp_path / "out"
+    assert _run(["budget-t1", "--config", str(config), "--out", str(out),
+                 "--plots"]) == 0
+    for name in ("t1_budget.csv", "t1_budget.svg"):
+        assert "nan" not in (out / name).read_text(encoding="utf-8"), name
+    assert ",inf," in (out / "t1_budget.csv").read_text(encoding="utf-8")
+    assert (out / "t1_budget.svg").read_text(encoding="utf-8").count(
+        "<polyline") == 2
 
 
 def test_cli_failed_command_writes_no_artifacts(tmp_path, capsys):

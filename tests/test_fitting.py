@@ -22,7 +22,7 @@ from cqedkit import (
     least_squares,
     numeric_jacobian,
 )
-from cqedkit.fitting import BUILTIN_MODELS, EXP_DECAY, LINE
+from cqedkit.fitting import EXP_DECAY, LINE
 
 
 def test_line_exact_points():
@@ -140,7 +140,7 @@ def test_bad_weights_rejected():
         least_squares(LINE.fn, x, x, init=[1.0, 0.0], weights=[0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("model", BUILTIN_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("model", [LINE, EXP_DECAY], ids=lambda m: m.name)
 def test_analytic_jacobians_match_central_differences(model):
     x = np.linspace(0.1, 4.0, 25)
     theta = np.array([1.7, 0.8, 0.3][: model.n_params])

@@ -1,16 +1,20 @@
 """Tests for spiral resonator design and film-parameter extraction."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from cqedkit import (
     CpwTestStructure,
+    DegenerateDataError,
     DomainError,
     FilmProperties,
     FitFailureError,
@@ -31,6 +35,7 @@ from cqedkit import (
     squares,
     total_inductance,
 )
+from cqedkit.dataio import load_kappa_offset_csv
 from cqedkit.resonator import HALF_WAVE, QUARTER_WAVE
 
 KAPPA_REF = 1.0 / 300e-9
@@ -191,6 +196,7 @@ def test_kappa_offset_fit_round_trip():
     kappas = np.array([kappa_offset_model(d, kappa0, d0) for d in offsets])
     result = fit_kappa_offset(offsets, kappas)
     assert result.converged
+    assert result.iterations == 0
     assert result.params[0] == pytest.approx(kappa0, rel=1e-3)
     assert result.params[1] == pytest.approx(d0, rel=1e-3)
 
@@ -200,6 +206,43 @@ def test_kappa_offset_fit_errors():
         fit_kappa_offset([1e-6, 2e-6], [1e6, 9e5])
     with pytest.raises(DomainError):
         fit_kappa_offset([1e-6, 2e-6, 3e-6], [1e6, -9e5, 8e5])
+    with pytest.raises(DegenerateDataError):
+        fit_kappa_offset([5e-6, 5e-6, 5e-6], [1e6, 9e5, 8e5])
+    with pytest.raises(FitFailureError):
+        fit_kappa_offset([1e-6, 2e-6, 3e-6], [1e6, 1.1e6, 1.2e6])
+
+
+def _demo_inputs_module():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_demo_inputs.py"
+    spec = importlib.util.spec_from_file_location("make_demo_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kappa_offset_fit_intervals_are_calibrated(tmp_path):
+    """The +-1 and +-2 sigma intervals cover the truth as often as stated.
+
+    Seeded tables from the demo generator (6 offsets, 2 % multiplicative
+    noise) go through the CSV loader as in ``fit-kappa``. With n - 2 = 4
+    degrees of freedom the nominal coverage is Student t's, and the
+    measured share must lie within four binomial standard deviations.
+    """
+    demo = _demo_inputs_module()
+    kappa0, d0, seeds = 2.5e7, 12e-6, 400
+    z_scores = []
+    for seed in range(seeds):
+        path = demo.write_kappa_offset(tmp_path, np.random.default_rng(seed),
+                                       kappa0=kappa0, d0=d0)
+        d_um, kappas = load_kappa_offset_csv(path)
+        fit = fit_kappa_offset(d_um * 1e-6, kappas)
+        z_scores.append(np.abs(fit.params - [kappa0, d0]) / fit.std_errors)
+    z_scores = np.array(z_scores)
+    for z in (1.0, 2.0):
+        nominal = 2.0 * stats.t.cdf(z, df=4) - 1.0
+        band = 4.0 * math.sqrt(nominal * (1.0 - nominal) / seeds)
+        coverage = np.mean(z_scores < z, axis=0)
+        assert np.all(np.abs(coverage - nominal) < band), (z, nominal, coverage)
 
 
 def _cpw(length=4e-3):
