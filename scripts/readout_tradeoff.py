@@ -21,10 +21,9 @@ from cqedkit import (
     ReadoutConfig,
     calibrate_epsilon,
     dataio,
-    histogram_fit,
     separation_fidelity,
-    simulate_shots,
     snr_asymptotic,
+    snr_monte_carlo,
 )
 from cqedkit.svgplot import SvgPlot
 
@@ -59,7 +58,7 @@ def main() -> int:
         tau = kappa_tau / KAPPA
         cfg = replace(config, tau_m=tau)
         closed = snr_asymptotic(cfg)
-        mc = histogram_fit(simulate_shots(cfg)).snr
+        mc = snr_monte_carlo(cfg)
         ratio = mc / closed
         rows.append([kappa_tau, tau * 1e9, closed, mc, ratio,
                      separation_fidelity(mc)])

@@ -62,6 +62,7 @@ from .readout import (
     separation_fidelity,
     simulate_shots,
     snr_asymptotic,
+    snr_monte_carlo,
     snr_sweep,
 )
 from .resonator import (

@@ -8,7 +8,9 @@ valid in the long-measurement limit. The Monte-Carlo path integrates the
 cavity pointer states (or jumps straight to their steady-state values),
 adds white Gaussian noise per quadrature, and recovers the SNR from
 Gaussian fits of the projected clouds, mirroring how measured IQ data is
-processed.
+processed. Where only the SNR is wanted (``snr_monte_carlo``, and so
+``snr_sweep``) each block of shots is reduced to its moments as it is
+drawn, so that path's memory does not grow with ``n_shots``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, check_finite
+from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
+                     check_finite, require_finite)
 from .fitting import erfc, fit_gaussian_1d
 from .transmon import dispersive_phase
 
@@ -177,13 +180,51 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _draw_block(config: ReadoutConfig, state_index: int, index: int, out) -> None:
+    """Fill ``out`` with the standard normals of one (state, block) sub-stream."""
+    seq = np.random.SeedSequence([int(config.seed), state_index, index])
+    np.random.Generator(np.random.PCG64(seq)).standard_normal(out=out)
+
+
+def _run_chunks(jobs, partitions: int | None, work) -> None:
+    """Call ``work(chunk)`` on contiguous chunks of ``jobs``, one per thread.
+
+    The first chunk runs on the calling thread. By default one thread per
+    ``BLOCKS_PER_WORKER`` jobs is used, up to the number of available
+    cores. The first worker exception is re-raised after every join.
+    """
+    if partitions is not None and partitions < 1:
+        raise DomainError("partitions must be at least 1")
+    if partitions is None:
+        partitions = min(_available_cores(),
+                         max(1, len(jobs) // BLOCKS_PER_WORKER))
+    size = math.ceil(len(jobs) / partitions)
+    chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
+    errors = []
+
+    def run(chunk):
+        try:
+            work(chunk)
+        except Exception as exc:  # re-raised below, after every join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(chunk,))
+               for chunk in chunks[1:]]
+    for thread in threads:
+        thread.start()
+    run(chunks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _fill_blocks(config: ReadoutConfig, means, sigma: float, outs, jobs) -> None:
     """Draw each (state, index, count) job into its columns of ``outs[state]``."""
     for state_index, index, count in jobs:
         start = index * SHOT_BLOCK
         view = outs[state_index][:, start:start + count]
-        seq = np.random.SeedSequence([int(config.seed), state_index, index])
-        np.random.Generator(np.random.PCG64(seq)).standard_normal(out=view)
+        _draw_block(config, state_index, index, view)
         view *= sigma
         mean = means[state_index]
         view += ((mean.real,), (mean.imag,))
@@ -194,43 +235,79 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
 
     Shots are generated in fixed-size blocks, each from a sub-seed derived
     from (seed, state, block index), so the result is byte-identical for
-    any ``partitions`` count; partitions only group blocks onto threads.
-    By default one thread per ``BLOCKS_PER_WORKER`` blocks is used, up to
-    the number of available cores.
+    any ``partitions`` count; partitions only group blocks onto threads
+    (see ``_run_chunks`` for the default).
     """
-    if partitions is not None and partitions < 1:
-        raise DomainError("partitions must be at least 1")
     sigma = noise_sigma(config)
     means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
     # Rows are I and Q. Fortran order interleaves each shot's (I, Q) pair in
     # memory, the order in which the sub-seeded streams are drawn, so a
     # block's columns are one contiguous draw.
     outs = [np.empty((2, config.n_shots), order="F") for _ in means]
-    jobs = _shot_jobs(config.n_shots)
-    if partitions is None:
-        partitions = min(_available_cores(),
-                         max(1, len(jobs) // BLOCKS_PER_WORKER))
-    size = math.ceil(len(jobs) / partitions)
-    chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
-    errors = []
-
-    def fill(chunk):
-        try:
-            _fill_blocks(config, means, sigma, outs, chunk)
-        except Exception as exc:  # re-raised below, after every join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fill, args=(chunk,))
-               for chunk in chunks[1:]]
-    for thread in threads:
-        thread.start()
-    fill(chunks[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _run_chunks(_shot_jobs(config.n_shots), partitions,
+                lambda chunk: _fill_blocks(config, means, sigma, outs, chunk))
     return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
                    i_excited=outs[1][0], q_excited=outs[1][1], sigma=sigma)
+
+
+def _reduce_blocks(config: ReadoutConfig, moments, jobs) -> None:
+    """Store each job's sums and raw second moments in ``moments[state, index]``.
+
+    The standard normals of every job are drawn into one reused buffer, so
+    a worker holds one block whatever the shot count. The five columns are
+    sum(i), sum(q), sum(i*i), sum(i*q) and sum(q*q).
+    """
+    buffer = np.empty((2, SHOT_BLOCK), order="F")
+    ones = np.ones(SHOT_BLOCK)
+    for state_index, index, count in jobs:
+        z = buffer[:, :count]
+        _draw_block(config, state_index, index, z)
+        second = z @ z.T
+        # a product with ones: z.sum(axis=1) walks this layout shot by shot
+        moments[state_index, index, :2] = z @ ones[:count]
+        moments[state_index, index, 2:] = second[0, 0], second[0, 1], second[1, 1]
+
+
+def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None,
+                    min_shots: int = 100) -> float:
+    """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
+
+    The same sub-seeded blocks are drawn, but each is reduced at once to
+    its sums and raw second moments, so memory does not grow with
+    ``n_shots``. Per state, the standard-normal moments map to the cloud's
+    centroid sigma*mean(z) + signal and covariance sigma^2*cov(z); the SNR
+    is the centroid separation over the pooled width projected on the
+    centroid axis. Blocks are summed in a fixed order, so the result is
+    bitwise the same for any ``partitions``.
+    """
+    n = config.n_shots
+    if n < min_shots:
+        raise InsufficientDataError(
+            f"need at least {min_shots} shots per state, got {n}")
+    jobs = _shot_jobs(n)
+    moments = np.empty((2, len(jobs) // 2, 5))
+    _run_chunks(jobs, partitions,
+                lambda chunk: _reduce_blocks(config, moments, chunk))
+    totals = moments.sum(axis=1)
+    mean_z = totals[:, :2] / n
+    second = totals[:, [[2, 3], [3, 4]]]
+    # raw sums lose no digits here: z has mean near 0 and unit variance
+    cov_z = (second - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
+    sigma = noise_sigma(config)
+    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
+    centroids = sigma * mean_z + [(mean.real, mean.imag) for mean in means]
+    covariances = sigma**2 * cov_z
+    require_finite(centroids=centroids, covariances=covariances)
+    axis = centroids[1] - centroids[0]
+    norm = float(np.hypot(*axis))
+    if norm == 0.0:
+        axis = np.array([1.0, 0.0])  # arbitrary but fixed for identical clouds
+    else:
+        axis = axis / norm
+    variances = np.einsum("i,sij,j->s", axis, covariances, axis)
+    if np.any(variances <= 0.0):
+        raise DegenerateDataError("shots have zero variance along the centroid axis")
+    return norm / math.sqrt(0.5 * float(variances.sum()))
 
 
 @dataclass
@@ -325,8 +402,9 @@ def snr_sweep(config: ReadoutConfig, tau_values,
     """Closed-form and Monte-Carlo SNR over a list of integration times.
 
     Each point simulates afresh under a sub-seed derived from
-    (config.seed, point index); the fidelity column applies the
-    separation-fidelity map to the closed-form SNR.
+    (config.seed, point index) through ``snr_monte_carlo``, so no shot
+    clouds are held; the fidelity column applies the separation-fidelity
+    map to the closed-form SNR.
     """
     tau_values = list(tau_values)
     if not tau_values:
@@ -337,7 +415,7 @@ def snr_sweep(config: ReadoutConfig, tau_values,
             raise DomainError("every tau must be positive")
         sub = replace(config, tau_m=float(tau), seed=derive_seed(config.seed, index))
         closed = snr_asymptotic(sub)
-        monte = histogram_fit(simulate_shots(sub, partitions=partitions)).snr
+        monte = snr_monte_carlo(sub, partitions=partitions)
         points.append(SweepPoint(
             tau_m=float(tau),
             snr_closed_form=closed,

@@ -362,6 +362,7 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(amplitudes, dtype=float)
+    require_finite(times=t, amplitudes=v)
     if t.size != v.size:
         raise DomainError("times and amplitudes must have the same length")
     if t.size < RINGDOWN_MIN_SAMPLES:

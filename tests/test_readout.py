@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cqedkit import (
     separation_fidelity,
     simulate_shots,
     snr_asymptotic,
+    snr_monte_carlo,
     snr_sweep,
 )
 from cqedkit import readout
@@ -291,6 +293,99 @@ def test_histogram_fit_errors():
                        sigma=1.0)
     with pytest.raises(DegenerateDataError):
         histogram_fit(constant)
+
+
+def test_snr_monte_carlo_partition_independent():
+    cfg = _config(n_shots=4097)
+    base = snr_monte_carlo(cfg, partitions=1)
+    for partitions in (2, 3, 7):
+        assert snr_monte_carlo(cfg, partitions=partitions).hex() == base.hex()
+
+
+def test_snr_monte_carlo_default_partitions_match_serial(monkeypatch):
+    """130 jobs make two default workers (at most one per core); the SNR is
+    the one reduced on one thread, bit for bit."""
+    cfg = _config(n_shots=64 * 4096 + 1)    # 65 blocks per state, 130 jobs
+    reduce = readout._reduce_blocks
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        reduce(*args)
+
+    monkeypatch.setattr(readout, "_reduce_blocks", recording)
+    threaded = snr_monte_carlo(cfg)
+    assert len(set(threads)) == min(readout._available_cores(), 2)
+    assert threaded.hex() == snr_monte_carlo(cfg, partitions=1).hex()
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_snr_monte_carlo_matches_histogram_fit(transient):
+    """The moment path reproduces the array path to rounding, and so the
+    .9g cells that snr_sweep.csv writes, over 100 seeds and three sizes."""
+    for seed in range(100):
+        cfg = _config(n_shots=(100, 4097, 10_000)[seed % 3], seed=seed,
+                      tau_m=TAU_REF * (1 + seed % 5), transient=transient)
+        expected = histogram_fit(simulate_shots(cfg)).snr
+        actual = snr_monte_carlo(cfg)
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert f"{actual:.9g}" == f"{expected:.9g}"
+
+
+def test_snr_monte_carlo_identical_clouds(monkeypatch):
+    """With both states drawn from one stream around one signal, the
+    centroids coincide and both paths report zero separation."""
+    draw = readout._draw_block
+    monkeypatch.setattr(readout, "_draw_block",
+                        lambda config, state_index, index, out:
+                        draw(config, 0, index, out))
+    cfg = _config(chi=0.0, n_shots=500)
+    assert snr_monte_carlo(cfg) == 0.0
+    assert histogram_fit(simulate_shots(cfg)).snr == 0.0
+
+
+def test_snr_monte_carlo_reraises_failure_in_other_thread(monkeypatch):
+    reduce = readout._reduce_blocks
+
+    def failing(config, moments, jobs):
+        if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
+            raise RuntimeError("stream failed")
+        reduce(config, moments, jobs)
+
+    monkeypatch.setattr(readout, "_reduce_blocks", failing)
+    with pytest.raises(RuntimeError, match="stream failed"):
+        snr_monte_carlo(_config(n_shots=4097), partitions=2)
+
+
+def test_snr_monte_carlo_errors():
+    with pytest.raises(InsufficientDataError, match="at least 100 shots"):
+        snr_monte_carlo(_config(n_shots=99))
+    with pytest.raises(InsufficientDataError, match="at least 501 shots"):
+        snr_monte_carlo(_config(n_shots=500), min_shots=501)
+    with pytest.raises(DomainError, match="partitions"):
+        snr_monte_carlo(_config(), partitions=0)
+    # tau_m this small makes the noise width underflow to zero
+    flat = _config(tau_m=5e-324, n_shots=200)
+    assert noise_sigma(flat) == 0.0
+    with pytest.raises(DegenerateDataError):
+        snr_monte_carlo(flat)
+    with pytest.raises(DegenerateDataError):
+        histogram_fit(simulate_shots(flat))
+    # the integrated signal overflows to inf
+    with pytest.raises(DomainError, match="centroids must be finite"):
+        snr_monte_carlo(_config(epsilon=1e308, tau_m=1e10, n_shots=200))
+
+
+def test_snr_sweep_memory_does_not_grow_with_shots():
+    """3e5 shots per state would take 9.6 MB as clouds; the streamed
+    moments hold one block per worker."""
+    tracemalloc.start()
+    try:
+        snr_sweep(_config(n_shots=300_000), [175e-9, 700e-9])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_separation_fidelity_landmarks():

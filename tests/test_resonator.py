@@ -350,3 +350,19 @@ def test_ringdown_degenerate_inputs():
     with pytest.raises(DomainError, match="decay times"):
         short = np.linspace(0.0, 0.1 / KAPPA_REF, 16)
         fit_kappa_ringdown(short, np.exp(-0.5 * KAPPA_REF * short) + 0.05)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ringdown_rejects_non_finite_time(value):
+    t, v = _ringdown_trace()
+    t[5] = value
+    with pytest.raises(DomainError, match="^times must be finite$"):
+        fit_kappa_ringdown(t, v)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ringdown_rejects_non_finite_amplitude(value):
+    t, v = _ringdown_trace()
+    v[5] = value
+    with pytest.raises(DomainError, match="^amplitudes must be finite$"):
+        fit_kappa_ringdown(t, v)
