@@ -33,6 +33,8 @@ SHOT_BLOCK = 4096
 # Blocks that make an extra drawing thread worth its start-up and memory
 # (about 2.6e5 shots, roughly 10 ms of drawing).
 BLOCKS_PER_WORKER = 64
+# Fewest shots per state from which an SNR is estimated.
+MIN_SHOTS = 100
 GROUND = "g"
 EXCITED = "e"
 _STATE_SIGN = {GROUND: -1.0, EXCITED: +1.0}
@@ -268,8 +270,16 @@ def _reduce_blocks(config: ReadoutConfig, moments, jobs) -> None:
         moments[state_index, index, 2:] = second[0, 0], second[0, 1], second[1, 1]
 
 
-def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None,
-                    min_shots: int = 100) -> float:
+def _centroid_axis(centroid_g, centroid_e):
+    """Unit vector from the ground to the excited centroid, and their distance."""
+    axis = centroid_e - centroid_g
+    norm = float(np.hypot(*axis))
+    if norm == 0.0:
+        return np.array([1.0, 0.0]), norm  # arbitrary but fixed for identical clouds
+    return axis / norm, norm
+
+
+def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> float:
     """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
 
     The same sub-seeded blocks are drawn, but each is reduced at once to
@@ -281,9 +291,9 @@ def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None,
     bitwise the same for any ``partitions``.
     """
     n = config.n_shots
-    if n < min_shots:
+    if n < MIN_SHOTS:
         raise InsufficientDataError(
-            f"need at least {min_shots} shots per state, got {n}")
+            f"need at least {MIN_SHOTS} shots per state, got {n}")
     jobs = _shot_jobs(n)
     moments = np.empty((2, len(jobs) // 2, 5))
     _run_chunks(jobs, partitions,
@@ -298,12 +308,7 @@ def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None,
     centroids = sigma * mean_z + [(mean.real, mean.imag) for mean in means]
     covariances = sigma**2 * cov_z
     require_finite(centroids=centroids, covariances=covariances)
-    axis = centroids[1] - centroids[0]
-    norm = float(np.hypot(*axis))
-    if norm == 0.0:
-        axis = np.array([1.0, 0.0])  # arbitrary but fixed for identical clouds
-    else:
-        axis = axis / norm
+    axis, norm = _centroid_axis(centroids[0], centroids[1])
     variances = np.einsum("i,sij,j->s", axis, covariances, axis)
     if np.any(variances <= 0.0):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
@@ -334,7 +339,7 @@ class HistogramFit:
         )
 
 
-def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
+def histogram_fit(shots: ShotSet, min_shots: int = MIN_SHOTS) -> HistogramFit:
     """Separation-over-width SNR from Gaussian fits along the centroid axis.
 
     Both clouds are projected onto the line joining their centroids, each
@@ -351,12 +356,7 @@ def histogram_fit(shots: ShotSet, min_shots: int = 100) -> HistogramFit:
             f"got {n_ground} and {n_excited}")
     centroid_g = np.array([shots.i_ground.mean(), shots.q_ground.mean()])
     centroid_e = np.array([shots.i_excited.mean(), shots.q_excited.mean()])
-    axis = centroid_e - centroid_g
-    norm = float(np.hypot(*axis))
-    if norm == 0.0:
-        axis = np.array([1.0, 0.0])  # arbitrary but fixed for identical clouds
-    else:
-        axis = axis / norm
+    axis, _ = _centroid_axis(centroid_g, centroid_e)
     proj_g = shots.i_ground * axis[0] + shots.q_ground * axis[1]
     proj_e = shots.i_excited * axis[0] + shots.q_excited * axis[1]
     fit_g = fit_gaussian_1d(proj_g, min_samples=min_shots)

@@ -360,8 +360,6 @@ def test_snr_monte_carlo_reraises_failure_in_other_thread(monkeypatch):
 def test_snr_monte_carlo_errors():
     with pytest.raises(InsufficientDataError, match="at least 100 shots"):
         snr_monte_carlo(_config(n_shots=99))
-    with pytest.raises(InsufficientDataError, match="at least 501 shots"):
-        snr_monte_carlo(_config(n_shots=500), min_shots=501)
     with pytest.raises(DomainError, match="partitions"):
         snr_monte_carlo(_config(), partitions=0)
     # tau_m this small makes the noise width underflow to zero
