@@ -64,6 +64,7 @@ from .readout import (
     snr_asymptotic,
     snr_monte_carlo,
     snr_sweep,
+    stream_shots,
 )
 from .resonator import (
     CpwTestStructure,

@@ -7,8 +7,10 @@ budget-t1, simulate-readout, snr-sweep.
 
 Commands compute; ``main`` writes. Each ``cmd_*`` takes the resolved
 config and returns its report lines plus an ordered map from file name to
-artifact: a ``(header, rows)`` table, the ``ShotSet`` for ``shots.csv``,
-or an ``SvgPlot``. ``main`` writes the tables and the shots, the plots
+artifact: a ``(header, rows)`` table, an ``SvgPlot``, or for
+``shots.csv`` the iterator of ``(state, block)`` pairs that
+``readout.stream_shots`` returns, which draws the shots only as
+``main`` writes them. ``main`` writes the tables and the shots, the plots
 only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
 report that echoes the resolved configuration, the seed and the tool
 version, then lists the results and the artifacts in map order; the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -312,20 +315,19 @@ def cmd_budget_t1(config: RunConfig):
 
 def cmd_simulate_readout(config: RunConfig):
     rc = _build_readout(config)
-    shots = readout.simulate_shots(rc)
-    hist = readout.histogram_fit(shots)
+    snr, shots = readout.stream_shots(rc)
     closed = readout.snr_asymptotic(rc)
     fidelity = readout.separation_fidelity(closed)
     lines = [
         f"epsilon_per_s: {rc.epsilon:.6g}",
         f"snr_closed_form: {closed:.6g}",
-        f"snr_monte_carlo: {hist.snr:.6g}",
+        f"snr_monte_carlo: {snr:.6g}",
         f"fidelity_closed_form: {fidelity:.9g}",
         f"shots_per_state: {rc.n_shots}",
     ]
     summary = (["snr_eq1", "snr_mc", "sigma_raw", "fidelity_eq1"],
-               [[closed, hist.snr, shots.sigma, fidelity]])
-    return lines, {"shots.csv": hist.normalized,
+               [[closed, snr, readout.noise_sigma(rc), fidelity]])
+    return lines, {"shots.csv": shots,
                    "readout_summary.csv": summary}
 
 
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
         for name, artifact in artifacts.items():
             if isinstance(artifact, SvgPlot):
                 artifact.write(outdir / name)
-            elif isinstance(artifact, readout.ShotSet):
+            elif isinstance(artifact, Iterator):
                 dataio.write_shots_csv(outdir / name, artifact)
             else:
                 dataio.write_csv(outdir / name, *artifact)

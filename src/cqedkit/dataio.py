@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import CoherenceRecord
 from .errors import ConfigError
-from .readout import GROUND, EXCITED, SHOT_BLOCK, ShotSet
+from .readout import GROUND, EXCITED, ShotSet
 
 SIGNIFICANT_DIGITS = 9
 
@@ -134,27 +134,24 @@ def load_coherence_csv(path) -> list[CoherenceRecord]:
     return records
 
 
-def write_shots_csv(path, shots: ShotSet) -> Path:
-    """Dump normalized IQ clouds as state,i,q rows (ground first).
+def write_shots_csv(path, blocks) -> Path:
+    """Write ``(state, block)`` pairs as state,i,q rows, in the order given.
 
-    Same bytes as ``write_csv`` on the (state, i, q) rows, formatted and
-    written ``SHOT_BLOCK`` rows at a time, so memory does not grow with
-    the number of shots.
+    Each block is a (2, count) array of I and Q rows, as
+    ``ShotSet.blocks()`` and ``readout.stream_shots`` yield them. A block
+    is formatted and written before the next is taken, so memory does not
+    grow with the number of shots. Same bytes as ``write_csv`` on the
+    (state, i, q) rows.
     """
     path = Path(path)
     number = f"%.{SIGNIFICANT_DIGITS}g"
-    block = np.empty((SHOT_BLOCK, 2))
     with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write("state,i,q\n")
-        for state, i, q in ((GROUND, shots.i_ground, shots.q_ground),
-                            (EXCITED, shots.i_excited, shots.q_excited)):
+        for state, block in blocks:
             row = f"{state},{number},{number}\n"
-            for start in range(0, len(i), SHOT_BLOCK):
-                count = min(SHOT_BLOCK, len(i) - start)
-                block[:count, 0] = i[start:start + count]
-                block[:count, 1] = q[start:start + count]
-                handle.write(
-                    (row * count) % tuple(block[:count].ravel().tolist()))
+            # the transpose interleaves each shot's (i, q) pair
+            handle.write((row * block.shape[1])
+                         % tuple(block.T.ravel().tolist()))
     return path
 
 

@@ -8,19 +8,23 @@ valid in the long-measurement limit. The Monte-Carlo path integrates the
 cavity pointer states (or jumps straight to their steady-state values),
 adds white Gaussian noise per quadrature, and recovers the SNR from
 Gaussian fits of the projected clouds, mirroring how measured IQ data is
-processed. Where only the SNR is wanted (``snr_monte_carlo``, and so
-``snr_sweep``) each block of shots is reduced to its moments as it is
-drawn, so that path's memory does not grow with ``n_shots``.
+processed. ``simulate_shots`` and ``histogram_fit`` do this on arrays,
+for measured or in-memory clouds. The seeded paths hold no cloud:
+``snr_monte_carlo`` (and so ``snr_sweep``) reduces each block of shots to
+its moments as it is drawn, and ``stream_shots`` adds a second pass that
+redraws the same blocks, divided by the fitted width, for ``shots.csv``.
+Their memory does not grow with ``n_shots``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +71,16 @@ class ReadoutConfig:
             raise DomainError("kappa must be positive")
         if self.tau_m <= 0.0:
             raise DomainError("tau_m must be positive")
+        for name in ("n_shots", "seed"):
+            value = getattr(self, name)
+            # numbers.Integral covers numpy's integer types; a bool is a flag
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            # a Python int: a narrow numpy type overflows in the block arithmetic
+            object.__setattr__(self, name, int(value))
         if self.n_shots < 2:
             raise DomainError("n_shots must be at least 2")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise DomainError("seed must fit an unsigned 64-bit integer")
 
 
@@ -93,6 +104,24 @@ class ShotSet:
                    len(self.i_excited), len(self.q_excited)}
         if len(lengths) != 1:
             raise DomainError("all four shot arrays must share one length")
+
+    def blocks(self) -> Iterator[tuple[str, np.ndarray]]:
+        """The clouds as ``(state, block)`` pairs, ground first.
+
+        Each block is a (2, count) array of I and Q rows, at most
+        ``SHOT_BLOCK`` shots, copied into one reused buffer: it is valid
+        until the next block is taken. ``dataio.write_shots_csv`` writes
+        them.
+        """
+        buffer = np.empty((2, SHOT_BLOCK), order="F")
+        for state, i, q in ((GROUND, self.i_ground, self.q_ground),
+                            (EXCITED, self.i_excited, self.q_excited)):
+            for start in range(0, len(i), SHOT_BLOCK):
+                stop = min(start + SHOT_BLOCK, len(i))
+                block = buffer[:, :stop - start]
+                block[0] = i[start:stop]
+                block[1] = q[start:stop]
+                yield state, block
 
 
 def _state_sign(state: str) -> float:
@@ -221,15 +250,23 @@ def _run_chunks(jobs, partitions: int | None, work) -> None:
         raise errors[0]
 
 
+def _scale_shift(z, sigma: float, mean: complex) -> None:
+    """Turn the standard normals ``z`` (rows I, Q) into shots, in place.
+
+    Both the array and the streamed path apply exactly this, so their shots
+    are the same bits.
+    """
+    z *= sigma
+    z += ((mean.real,), (mean.imag,))
+
+
 def _fill_blocks(config: ReadoutConfig, means, sigma: float, outs, jobs) -> None:
     """Draw each (state, index, count) job into its columns of ``outs[state]``."""
     for state_index, index, count in jobs:
         start = index * SHOT_BLOCK
         view = outs[state_index][:, start:start + count]
         _draw_block(config, state_index, index, view)
-        view *= sigma
-        mean = means[state_index]
-        view += ((mean.real,), (mean.imag,))
+        _scale_shift(view, sigma, means[state_index])
 
 
 def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> ShotSet:
@@ -279,16 +316,12 @@ def _centroid_axis(centroid_g, centroid_e):
     return axis / norm, norm
 
 
-def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> float:
-    """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
+def _moment_fit(config: ReadoutConfig,
+                partitions: int | None = None) -> tuple[float, float]:
+    """The SNR of ``snr_monte_carlo`` and the pooled width it divides by.
 
-    The same sub-seeded blocks are drawn, but each is reduced at once to
-    its sums and raw second moments, so memory does not grow with
-    ``n_shots``. Per state, the standard-normal moments map to the cloud's
-    centroid sigma*mean(z) + signal and covariance sigma^2*cov(z); the SNR
-    is the centroid separation over the pooled width projected on the
-    centroid axis. Blocks are summed in a fixed order, so the result is
-    bitwise the same for any ``partitions``.
+    The width is ``histogram_fit``'s ``sigma`` to rounding: the root mean
+    of the two states' variances along the centroid axis.
     """
     n = config.n_shots
     if n < MIN_SHOTS:
@@ -312,7 +345,51 @@ def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> flo
     variances = np.einsum("i,sij,j->s", axis, covariances, axis)
     if np.any(variances <= 0.0):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
-    return norm / math.sqrt(0.5 * float(variances.sum()))
+    width = math.sqrt(0.5 * float(variances.sum()))
+    return norm / width, width
+
+
+def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> float:
+    """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
+
+    The same sub-seeded blocks are drawn, but each is reduced at once to
+    its sums and raw second moments, so memory does not grow with
+    ``n_shots``. Per state, the standard-normal moments map to the cloud's
+    centroid sigma*mean(z) + signal and covariance sigma^2*cov(z); the SNR
+    is the centroid separation over the pooled width projected on the
+    centroid axis. Blocks are summed in a fixed order, so the result is
+    bitwise the same for any ``partitions``. Raises what ``histogram_fit``
+    raises: too few shots, non-finite clouds, zero variance.
+    """
+    return _moment_fit(config, partitions)[0]
+
+
+def stream_shots(config: ReadoutConfig
+                 ) -> tuple[float, Iterator[tuple[str, np.ndarray]]]:
+    """SNR of the simulated shots and the shots over their pooled width.
+
+    Returns ``(snr, blocks)``. ``snr`` is ``snr_monte_carlo(config)``; the
+    moment fit runs here and raises here. ``blocks`` yields the shots of
+    ``simulate_shots(config)`` divided by the fitted pooled width as
+    ``(state, block)`` pairs, ground first, the form ``ShotSet.blocks``
+    gives. They are redrawn from the same sub-seeded streams as they are
+    taken, into one reused (2, ``SHOT_BLOCK``) buffer, so a block is valid
+    until the next one and no cloud is ever held.
+    """
+    snr, width = _moment_fit(config)
+    return snr, _normalized_blocks(config, width)
+
+
+def _normalized_blocks(config: ReadoutConfig, width: float):
+    sigma = noise_sigma(config)
+    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
+    buffer = np.empty((2, SHOT_BLOCK), order="F")
+    for state_index, index, count in _shot_jobs(config.n_shots):
+        block = buffer[:, :count]
+        _draw_block(config, state_index, index, block)
+        _scale_shift(block, sigma, means[state_index])
+        block /= width
+        yield (GROUND, EXCITED)[state_index], block
 
 
 @dataclass
@@ -325,18 +402,6 @@ class HistogramFit:
     sigma: float
     sigma_ground: float
     sigma_excited: float
-    shots: ShotSet
-
-    @cached_property
-    def normalized(self) -> ShotSet:
-        """The fitted clouds divided by the pooled width, built on first use."""
-        return ShotSet(
-            i_ground=self.shots.i_ground / self.sigma,
-            q_ground=self.shots.q_ground / self.sigma,
-            i_excited=self.shots.i_excited / self.sigma,
-            q_excited=self.shots.q_excited / self.sigma,
-            sigma=1.0,
-        )
 
 
 def histogram_fit(shots: ShotSet, min_shots: int = MIN_SHOTS) -> HistogramFit:
@@ -344,9 +409,7 @@ def histogram_fit(shots: ShotSet, min_shots: int = MIN_SHOTS) -> HistogramFit:
 
     Both clouds are projected onto the line joining their centroids, each
     projection is fitted as a 1D Gaussian, and the SNR is the centroid
-    separation divided by the pooled width. The returned fit keeps
-    ``shots``; its ``normalized`` set, the clouds divided by the pooled
-    width, is computed on first access.
+    separation divided by the pooled width.
     """
     n_ground = len(shots.i_ground)
     n_excited = len(shots.i_excited)
@@ -370,7 +433,6 @@ def histogram_fit(shots: ShotSet, min_shots: int = MIN_SHOTS) -> HistogramFit:
         sigma=pooled,
         sigma_ground=fit_g.sigma,
         sigma_excited=fit_e.sigma,
-        shots=shots,
     )
 
 

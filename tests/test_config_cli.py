@@ -602,3 +602,11 @@ offset_csv = trace.csv
     assert _run(["fit-kappa", "--config", str(config), "--out", str(out)]) == 1
     assert "unknown column(s) t_s, v_amplitude" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+    # simulate-readout fits the shot moments before a shot is written
+    config = write_config(tmp_path, FULL_CONFIG.replace(
+        "n_shots = 2000", "n_shots = 50"), name="shots.cfg")
+    assert _run(["simulate-readout", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert "at least 100 shots" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -102,14 +102,14 @@ def test_shots_csv_round_trip(tmp_path):
                            chi=math.pi * 930e3, tau_m=700e-9, n_shots=500)
     shots = simulate_shots(config)
     path = tmp_path / "shots.csv"
-    write_shots_csv(path, shots)
+    write_shots_csv(path, shots.blocks())
     loaded = load_shots_csv(path, sigma=shots.sigma)
     assert loaded.sigma == shots.sigma
     assert loaded.i_ground == pytest.approx(shots.i_ground, rel=1e-8)
     assert loaded.q_excited == pytest.approx(shots.q_excited, rel=1e-8)
     # rewriting the loaded set reproduces the file byte for byte
     again = tmp_path / "again.csv"
-    write_shots_csv(again, loaded)
+    write_shots_csv(again, loaded.blocks())
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -125,7 +125,7 @@ def test_shots_csv_matches_row_writer(tmp_path):
     rows = [("g", i, q) for i, q in zip(shots.i_ground, shots.q_ground)]
     rows += [("e", i, q) for i, q in zip(shots.i_excited, shots.q_excited)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
-    written = write_shots_csv(tmp_path / "shots.csv", shots)
+    written = write_shots_csv(tmp_path / "shots.csv", shots.blocks())
     assert written.read_bytes() == reference.read_bytes()
 
 
@@ -140,7 +140,7 @@ def test_shots_csv_block_edges_match_row_writer(tmp_path, n):
     rows = [("g", i, q) for i, q in zip(i_g, q_g)]
     rows += [("e", i, q) for i, q in zip(i_e, q_e)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
-    written = write_shots_csv(tmp_path / "shots.csv", shots)
+    written = write_shots_csv(tmp_path / "shots.csv", shots.blocks())
     assert written.read_bytes() == reference.read_bytes()
 
 
@@ -151,7 +151,7 @@ def test_shots_csv_memory_does_not_grow_with_shots(tmp_path):
                     sigma=1.0)
     tracemalloc.start()
     try:
-        write_shots_csv(tmp_path / "shots.csv", shots)
+        write_shots_csv(tmp_path / "shots.csv", shots.blocks())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,13 @@ from cqedkit import (
     snr_asymptotic,
     snr_monte_carlo,
     snr_sweep,
+    stream_shots,
 )
-from cqedkit import readout
+from cqedkit import cli, readout
+from cqedkit.config import parse_config
+from cqedkit.dataio import write_shots_csv
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 KAPPA = 1.0 / 300e-9
 CHI = math.pi * 930e3          # half of the 930 kHz full shift, angular
@@ -220,21 +226,6 @@ def test_histogram_fit_calibrated_point():
     assert fit.sigma == pytest.approx(
         math.sqrt(0.5 * (fit.sigma_ground**2 + fit.sigma_excited**2)),
         rel=1e-12)
-    # normalization: unit pooled width by construction
-    renormalized = histogram_fit(fit.normalized)
-    assert renormalized.sigma == pytest.approx(1.0, rel=1e-9)
-
-
-def test_histogram_fit_normalizes_on_first_access():
-    shots = simulate_shots(_config())
-    fit = histogram_fit(shots)
-    assert "normalized" not in vars(fit)
-    normalized = fit.normalized
-    assert fit.normalized is normalized
-    assert normalized.sigma == 1.0
-    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
-        expected = getattr(shots, name) / fit.sigma
-        assert getattr(normalized, name).tobytes() == expected.tobytes()
 
 
 def test_histogram_fit_synthetic_clouds():
@@ -296,10 +287,14 @@ def test_histogram_fit_errors():
 
 
 def test_snr_monte_carlo_partition_independent():
-    cfg = _config(n_shots=4097)
-    base = snr_monte_carlo(cfg, partitions=1)
+    """The moment fit (SNR and pooled width) is bitwise the same whether its
+    8 jobs run on 1, 2, 3 (chunks of 3, 3, 2) or 7 threads."""
+    cfg = _config(n_shots=3 * 4096 + 1)
+    base = [value.hex() for value in readout._moment_fit(cfg, partitions=1)]
+    assert snr_monte_carlo(cfg, partitions=1).hex() == base[0]
     for partitions in (2, 3, 7):
-        assert snr_monte_carlo(cfg, partitions=partitions).hex() == base.hex()
+        fit = readout._moment_fit(cfg, partitions=partitions)
+        assert [value.hex() for value in fit] == base
 
 
 def test_snr_monte_carlo_default_partitions_match_serial(monkeypatch):
@@ -386,6 +381,95 @@ def test_snr_sweep_memory_does_not_grow_with_shots():
     assert peak < 2e6
 
 
+def _array_shots_csv(cfg, path):
+    """The array path: fit the clouds, divide them by the pooled width and
+    write them; returns the fitted SNR."""
+    shots = simulate_shots(cfg)
+    fit = histogram_fit(shots)
+    write_shots_csv(path, ShotSet(
+        i_ground=shots.i_ground / fit.sigma, q_ground=shots.q_ground / fit.sigma,
+        i_excited=shots.i_excited / fit.sigma,
+        q_excited=shots.q_excited / fit.sigma, sigma=1.0).blocks())
+    return fit.snr
+
+
+def _within_ninth_digit(a: str, b: str) -> bool:
+    """Two .9g numbers equal, or one unit of the ninth significant digit apart."""
+    x, y = float(a), float(b)
+    if x == y:
+        return True
+    unit = 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 8)
+    return abs(x - y) <= unit * (1.0 + 1e-9)
+
+
+def test_stream_shots_matches_array_path_at_golden_seed(tmp_path, capsys):
+    """simulate-readout on the demo config at the golden seed writes the
+    shots.csv and snr_mc of the array path, byte for byte."""
+    config = parse_config(DEMO_CONFIG)
+    config.seed = 7
+    snr = _array_shots_csv(cli._build_readout(config), tmp_path / "array.csv")
+    out = tmp_path / "out"
+    assert cli.main(["simulate-readout", "--config", str(DEMO_CONFIG),
+                     "--seed", "7", "--out", str(out)]) == 0
+    assert (out / "shots.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+    summary = (out / "readout_summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[1] == f"{snr:.9g}"
+
+
+@pytest.mark.parametrize("n_shots", [100, 4097, 10_000])
+def test_stream_shots_matches_array_path(n_shots, tmp_path):
+    """Over seeds 0-9 every streamed cell, and the SNR, is within one unit of
+    the ninth significant digit of the array path's."""
+    for seed in range(10):
+        cfg = _config(n_shots=n_shots, seed=seed, transient=seed % 2 == 1)
+        expected_snr = _array_shots_csv(cfg, tmp_path / "array.csv")
+        snr, blocks = stream_shots(cfg)
+        write_shots_csv(tmp_path / "stream.csv", blocks)
+        assert _within_ninth_digit(f"{snr:.9g}", f"{expected_snr:.9g}")
+        expected = (tmp_path / "array.csv").read_text().splitlines()
+        actual = (tmp_path / "stream.csv").read_text().splitlines()
+        assert len(actual) == len(expected) == 2 * n_shots + 1
+        for line, reference in zip(actual, expected):
+            if line != reference:
+                state, *cells = line.split(",")
+                ref_state, *ref_cells = reference.split(",")
+                assert state == ref_state
+                assert all(map(_within_ninth_digit, cells, ref_cells)), (
+                    seed, line, reference)
+
+
+def test_stream_shots_fits_before_drawing():
+    """The moment fit raises when stream_shots is called, before a block is
+    taken, so the command that calls it fails before writing."""
+    with pytest.raises(InsufficientDataError):
+        stream_shots(_config(n_shots=99))
+    snr, blocks = stream_shots(_config(n_shots=4097))
+    assert snr == snr_monte_carlo(_config(n_shots=4097))
+    counts = [(state, block.shape) for state, block in blocks]
+    assert counts == [("g", (2, 4096)), ("g", (2, 1)),
+                      ("e", (2, 4096)), ("e", (2, 1))]
+
+
+def test_simulate_readout_memory_does_not_grow_with_shots(tmp_path, capsys):
+    """2e5 shots per state would take 12 MB as clouds, projections and the
+    normalized copy; the two streamed passes hold one block each."""
+    # a demo-size run first, so lazy imports and set-up are not counted
+    assert cli.main(["simulate-readout", "--config", str(DEMO_CONFIG),
+                     "--out", str(tmp_path / "warm")]) == 0
+    path = tmp_path / "big.cfg"
+    path.write_text(DEMO_CONFIG.read_text().replace(
+        "n_shots = 10000", "n_shots = 200000"))
+    argv = ["simulate-readout", "--config", str(path), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "shots.csv").read_bytes().splitlines()) == 400_001
+    assert peak < 2e6
+
+
 def test_separation_fidelity_landmarks():
     assert separation_fidelity(5.0) == pytest.approx(0.99959, abs=1e-5)
     assert separation_fidelity(5.0) > 0.999
@@ -436,6 +520,24 @@ def test_snr_sweep_domain():
 def test_readout_config_rejects_non_finite(field, value):
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         _config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_shots", 10000.0), ("n_shots", "10000"), ("n_shots", True),
+    ("n_shots", np.float64(500.0)), ("seed", 1.5), ("seed", 1.0),
+    ("seed", None), ("seed", False)])
+def test_readout_config_rejects_non_integer(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        _config(**{field: value})
+
+
+@pytest.mark.parametrize("to_int", [int, np.int64, np.uint64, np.int32])
+def test_readout_config_accepts_numpy_integers(to_int):
+    cfg = _config(n_shots=to_int(500), seed=to_int(5))
+    assert type(cfg.n_shots) is int and type(cfg.seed) is int
+    assert snr_monte_carlo(cfg) == snr_monte_carlo(_config(n_shots=500, seed=5))
+    # a narrow type whose block arithmetic would overflow
+    assert _config(n_shots=np.uint8(200)).n_shots == 200
 
 
 def test_snr_sweep_rejects_nan_tau():
