@@ -14,14 +14,15 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              lk_high_ph_sq (lk_nominal), geometric_l_per_square_ph_sq (0)
 [resonator]  c_total_ff -, q_coupling (none), q_internal (1e6),
              kappa0_per_s (none), d0_um (none)
-[sweep]      length_min_um -, length_max_um -, points (25),
+[sweep]      length_min_um -, length_max_um -, points (25, at least 2),
              measured_csv (none)
 [lk]         cpw_length_um -, l_per_m_nh -, c_per_m_pf -,
              measured_f_ghz -, line_width_um -,
              geometric_l_per_square_ph_sq (0),
              termination (quarter-wave)
 [kappa_fit]  trace_csv (none), offset_csv (none); at least one required
-[loss]       q_diel -, f_q_min_ghz (3.5), f_q_max_ghz (4.8), points (25),
+[loss]       q_diel -, f_q_min_ghz (3.5), f_q_max_ghz (4.8),
+             points (25, at least 2 unless f_q_min_ghz = f_q_max_ghz),
              gamma_phi_per_s (0), coherence_csv (for fit-qdiel),
              purcell_g_mhz (none), purcell_f_r_ghz (none),
              purcell_kappa_inv_ns (none),
@@ -194,6 +195,13 @@ class RunConfig:
                 f"missing required config section [{section}]")
         return self.sections[section]
 
+    def input_path(self, path_text: str) -> Path:
+        """An input file named in the config, relative to the config file."""
+        path = Path(path_text)
+        if not path.is_absolute():
+            path = self.source.parent / path
+        return path
+
 def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, Any]:
     schema = SCHEMA[name]
     unknown = [key for key in raw if key not in schema]
@@ -226,11 +234,23 @@ def _cross_validate(name: str, values: dict[str, Any]) -> None:
         if values["length_min_um"] >= values["length_max_um"]:
             raise ConfigError(
                 "[sweep]: length_min_um must be below length_max_um")
+        if values["points"] < 2:
+            raise ConfigError(
+                f"[sweep] points: must be at least 2 to span length_min_um "
+                f"to length_max_um, got {values['points']}")
     elif name == "kappa_fit":
         if values["trace_csv"] is None and values["offset_csv"] is None:
             raise ConfigError(
                 "[kappa_fit]: set trace_csv and/or offset_csv")
     elif name == "loss":
+        f_min, f_max = values["f_q_min_ghz"], values["f_q_max_ghz"]
+        if f_min > f_max:
+            raise ConfigError(
+                "[loss]: f_q_min_ghz must not exceed f_q_max_ghz")
+        if values["points"] < 2 and f_min != f_max:
+            raise ConfigError(
+                f"[loss] points: must be at least 2 unless f_q_min_ghz "
+                f"equals f_q_max_ghz, got {values['points']}")
         g_route = values["purcell_g_mhz"] is not None
         chi_route = values["purcell_two_chi_khz"] is not None
         if g_route and chi_route:

@@ -5,6 +5,10 @@ endings so identical inputs produce byte-identical files. Loaders accept
 exactly the documented columns (in any order) and report unknown or
 missing ones by name; a cell that is not a finite number is reported
 by row and column.
+
+The writers need no numpy. The loaders that build arrays or records
+import numpy, ``coherence`` or ``readout`` when called, so writing the
+closed-form commands' tables never loads them.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .coherence import CoherenceRecord
 from .errors import ConfigError
-from .readout import GROUND, EXCITED, ShotSet
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceRecord
+    from .readout import ShotSet
 
 SIGNIFICANT_DIGITS = 9
 
@@ -81,6 +86,8 @@ def _parse_float(path, row_number, column, text):
 
 
 def _load_columns(path, columns):
+    import numpy as np
+
     rows = _read_rows(path, required=columns)
     out = []
     for number, row in enumerate(rows, start=2):
@@ -92,8 +99,7 @@ def _load_columns(path, columns):
                     f"{path}: row {number}, column {column}: empty value")
             values.append(value)
         out.append(values)
-    arrays = tuple(np.array(col) for col in zip(*out))
-    return arrays
+    return tuple(np.array(col) for col in zip(*out))
 
 
 def load_resonator_csv(path):
@@ -113,6 +119,8 @@ def load_ringdown_csv(path):
 
 def load_coherence_csv(path) -> list[CoherenceRecord]:
     """Coherence records: f_q_ghz, t1_us and optional t1_spread_us, t2e_us."""
+    from .coherence import CoherenceRecord
+
     rows = _read_rows(path, required=("f_q_ghz", "t1_us"),
                       optional=("t1_spread_us", "t2e_us"))
     records = []
@@ -157,6 +165,10 @@ def write_shots_csv(path, blocks) -> Path:
 
 def load_shots_csv(path, sigma: float = 1.0) -> ShotSet:
     """Read a shot dump back into a ShotSet (assumed already normalized)."""
+    import numpy as np
+
+    from .readout import EXCITED, GROUND, ShotSet
+
     rows = _read_rows(path, required=("state", "i", "q"))
     clouds = {GROUND: ([], []), EXCITED: ([], [])}
     for number, row in enumerate(rows, start=2):

@@ -7,7 +7,7 @@ is the shared finiteness guard of library arguments, and ``check_finite``
 applies it to the fields of the dataclass validators.
 """
 
-import numpy as np
+import math
 
 
 class ToolError(Exception):
@@ -50,10 +50,19 @@ def require_finite(**values) -> None:
     """Raise DomainError naming the first argument that holds a non-finite value.
 
     Each value may be a scalar or an array. Call it before any sign check:
-    NaN compares false both ways, so ``x <= 0`` lets it through.
+    NaN compares false both ways, so ``x <= 0`` lets it through. Python
+    ints and floats (``np.float64`` is one) are checked without numpy,
+    so the closed-form paths never import it.
     """
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if isinstance(value, int):
+            continue
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        else:
+            import numpy as np
+            finite = np.all(np.isfinite(value))
+        if not finite:
             raise DomainError(f"{name} must be finite")
 
 

@@ -4,6 +4,10 @@ Covers the forward path (geometry -> squares -> inductance -> resonance
 band, coupling rate from Q or from feed offset) and the inverse path
 (sheet inductance from test-structure frequencies, kappa from ring-down
 traces, feed-offset model from measured coupling rates).
+
+The design relations are plain float arithmetic. Only the two fits use
+numpy and ``fitting``, and they import them when called, so the design
+commands start without numpy.
 """
 
 from __future__ import annotations
@@ -11,10 +15,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fitting
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -23,6 +25,9 @@ from .errors import (
     check_finite,
     require_finite,
 )
+
+if TYPE_CHECKING:
+    from . import fitting
 
 PH_PER_SQUARE = 1e-12  # one pH/square in H/square
 SPIRAL_LENGTH_TOLERANCE = 0.05
@@ -236,6 +241,10 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
     a FitResult with params ``[kappa0, d0]`` in the input units;
     ``residual_norm`` is the residual norm in log kappa.
     """
+    import numpy as np
+
+    from . import fitting
+
     d = np.asarray(offsets, dtype=float)
     k = np.asarray(kappas, dtype=float)
     if d.size != k.size:
@@ -360,6 +369,10 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     least 8 samples and span at least two amplitude decay times, and must
     actually decay.
     """
+    import numpy as np
+
+    from . import fitting
+
     t = np.asarray(times, dtype=float)
     v = np.asarray(amplitudes, dtype=float)
     require_finite(times=t, amplitudes=v)

@@ -156,6 +156,28 @@ def test_sweep_ordering_constraint(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[sweep]\nlength_min_um = 2000\nlength_max_um = 6000\npoints = 1\n",
+     r"^\[sweep\] points: must be at least 2"),
+    ("[loss]\nq_diel = 1e6\npoints = 1\n",
+     r"^\[loss\] points: must be at least 2 unless"),
+    ("[loss]\nq_diel = 1e6\nf_q_min_ghz = 4.0\nf_q_max_ghz = 4.5\npoints = 1\n",
+     r"^\[loss\] points: must be at least 2 unless"),
+    ("[loss]\nq_diel = 1e6\nf_q_min_ghz = 4.8\nf_q_max_ghz = 3.5\n",
+     r"^\[loss\]: f_q_min_ghz must not exceed f_q_max_ghz$"),
+])
+def test_grid_over_a_range_needs_ordered_ends_and_two_points(
+        tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_config(tmp_path, text))
+    command = "sweep-spiral" if text.startswith("[sweep]") else "budget-t1"
+    path = write_config(tmp_path, FULL_CONFIG + text, "full.cfg")
+    assert _run([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_loss_purcell_route_exclusivity(tmp_path):
     both = write_config(tmp_path, """
 [loss]
@@ -224,6 +246,8 @@ def test_render_resolved_reparses_identically(tmp_path, monkeypatch):
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a grid over a range of two distinct ends needs both of them
+SPANNING_POINTS = st.integers(min_value=2, max_value=10**9)
 PURCELL_KEYS = [key for key in SCHEMA["loss"] if key.startswith("purcell_")
                 or key == "anharmonicity_ghz"]
 
@@ -262,9 +286,15 @@ def valid_configs(draw):
         low, high = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2,
                                          unique=True)))
         sections["sweep"].update(length_min_um=low, length_max_um=high)
+        if "points" in sections["sweep"]:
+            sections["sweep"]["points"] = draw(SPANNING_POINTS)
     if "kappa_fit" in sections:
         sections["kappa_fit"].setdefault("trace_csv", "trace.csv")
     if "loss" in sections:
+        low, high = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2)))
+        sections["loss"].update(f_q_min_ghz=low, f_q_max_ghz=high)
+        if "points" in sections["loss"] and low != high:
+            sections["loss"]["points"] = draw(SPANNING_POINTS)
         # no Purcell channel, or one set by g or by chi, never both
         route = draw(st.sampled_from([
             [],

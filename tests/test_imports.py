@@ -1,0 +1,144 @@
+"""Start-up paths and the package's public names.
+
+The closed-form commands (design-resonator, sweep-spiral, fit-lk) and a
+bare ``import cqedkit`` must run without numpy; every numeric command
+loads numpy, ``coherence``, ``fitting`` and ``readout`` together, which is
+what a tracer that looks those modules up after the first command relies
+on. ``cqedkit`` resolves its public names on first access, and they must
+stay the same names bound to the same objects.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import cqedkit
+from cqedkit import cli, cli_numeric
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+# Which config each command runs on: configs/demo.cfg, or the fits.cfg
+# that scripts/make_demo_inputs.py writes.
+CLOSED_FORM = {"design-resonator": "demo", "sweep-spiral": "demo",
+               "fit-lk": "fits"}
+NUMERIC = {"fit-kappa": "fits", "fit-qdiel": "fits", "budget-t1": "demo",
+           "simulate-readout": "demo", "snr-sweep": "demo"}
+
+# Runs ``python -m cqedkit <argv>`` as runpy does for -m, then reports the
+# exit code and which of numpy and cqedkit's modules got loaded.
+PROBE = """
+import json, runpy, sys
+sys.argv[0] = "cqedkit"
+try:
+    runpy.run_module("cqedkit", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(
+    name for name in sys.modules
+    if name == "numpy" or name.startswith("cqedkit."))}))
+"""
+
+PUBLIC_NAMES = [
+    "CoherenceRecord", "ConfigError", "CpwTestStructure",
+    "DegenerateDataError", "DispersiveCoupling", "DomainError",
+    "FilmProperties", "FitFailureError", "FitModel", "FitResult",
+    "GaussianEstimate", "HistogramFit", "InsufficientDataError", "LossModel",
+    "PurcellParams", "ReadoutConfig", "ResonatorMode", "RingdownFit",
+    "ShotSet", "SpiralGeometry", "SweepPoint", "T2BoundCheck", "ToolError",
+    "TransmonParams", "anharmonicity", "archimedean_spiral_length",
+    "build_spiral", "calibrate_epsilon", "cavity_response",
+    "charging_energy", "coherence", "coupling_from_chi",
+    "cpw_mode_frequency", "derive_seed", "dispersive_phase",
+    "dispersive_shift", "erfc", "errors", "extract_lk_cpw",
+    "fit_gaussian_1d", "fit_kappa_offset", "fit_kappa_ringdown",
+    "fit_qdiel", "fitting", "flux_effective_ej", "frequency_band",
+    "histogram_fit", "integrated_signal", "kappa_from_qc",
+    "kappa_offset_model", "least_squares", "noise_sigma", "numeric_jacobian",
+    "q_c_from_kappa", "readout", "resonance_frequency", "resonator",
+    "separation_fidelity", "simulate_shots", "snr_asymptotic",
+    "snr_monte_carlo", "snr_sweep", "squares", "stream_shots", "t1_budget",
+    "t1_dielectric", "t1_purcell", "t1_total", "t2_bound_check",
+    "t2_from_t1", "total_inductance", "transmon", "transmon_frequency",
+]
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("inputs")
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_inputs.py"),
+                    str(inputs), "--seed", "3"],
+                   env=ENV, check=True, capture_output=True, timeout=120)
+    return {"demo": ROOT / "configs" / "demo.cfg", "fits": inputs / "fits.cfg"}
+
+
+def _run_command(command, config, out):
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, command, "--config", str(config),
+         "--out", str(out), "--plots"],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["code"] == 0, done.stderr
+    return set(report["modules"])
+
+
+def test_command_tables_cover_every_command():
+    assert set(CLOSED_FORM) == set(cli.COMMANDS)
+    assert set(NUMERIC) == set(cli.NUMERIC_COMMANDS) == set(cli_numeric.COMMANDS)
+
+
+def test_import_cqedkit_loads_no_submodule_and_no_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import cqedkit, sys; print(sorted(name for name in sys.modules "
+         "if name == 'numpy' or name.startswith('cqedkit.')))"],
+        env=ENV, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM))
+def test_closed_form_command_runs_without_numpy(command, configs, tmp_path):
+    modules = _run_command(command, configs[CLOSED_FORM[command]], tmp_path)
+    assert "numpy" not in modules
+    assert not {"cqedkit.coherence", "cqedkit.fitting",
+                "cqedkit.readout", "cqedkit.cli_numeric"} & modules
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC))
+def test_numeric_command_loads_its_modules_together(command, configs, tmp_path):
+    modules = _run_command(command, configs[NUMERIC[command]], tmp_path)
+    assert {"numpy", "cqedkit.coherence", "cqedkit.fitting",
+            "cqedkit.readout"} <= modules
+
+
+def test_public_names_are_unchanged():
+    assert cqedkit.__all__ == PUBLIC_NAMES
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(cqedkit, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"cqedkit.{name}"], name
+        else:
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("cqedkit."), name
+            assert getattr(home, name) is value, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from cqedkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cqedkit.no_such_name
+    from cqedkit import dataio   # a submodule outside __all__ still imports
+    assert dataio is sys.modules["cqedkit.dataio"]
