@@ -21,12 +21,14 @@ and exit 1.
 The closed-form commands (design-resonator, sweep-spiral, fit-lk) live
 here and, with the parser, the writers and the report, run without
 numpy. The numeric ones live in ``cli_numeric``, which ``main`` imports
-only to run one of them.
+only to run one of them. If that import is the first to load numpy, it
+loads OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
@@ -165,6 +167,11 @@ NUMERIC_COMMANDS = ("fit-kappa", "fit-qdiel", "budget-t1", "simulate-readout",
 def _command(name: str):
     if name in COMMANDS:
         return COMMANDS[name]
+    if "numpy" not in sys.modules:
+        # cqedkit's BLAS products are far too small for OpenBLAS to thread
+        # and it runs its own drawing threads, so an idle BLAS worker only
+        # burns CPU. Set before numpy loads; a caller's own value wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import cli_numeric
     return cli_numeric.COMMANDS[name]
 

@@ -2,9 +2,10 @@
 
 All numeric fields are written with 9 significant digits and '\n' line
 endings so identical inputs produce byte-identical files. Loaders accept
-exactly the documented columns (in any order) and report unknown or
-missing ones by name; a cell that is not a finite number is reported
-by row and column.
+exactly the documented columns (in any order, spaces around a name
+ignored) and report unknown, repeated or missing ones by name; a row
+with more cells than the header is reported by row, and a cell that is
+not a finite number by row and column.
 
 The writers need no numpy. The loaders that build arrays or records
 import numpy, ``coherence`` or ``readout`` when called, so writing the
@@ -50,12 +51,19 @@ def _read_rows(path, required, optional=()):
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 raise ConfigError(f"{path}: empty file, expected a CSV header")
-            fields = [name.strip() for name in reader.fieldnames]
+            # rows are keyed by the stripped names, as the checks see them
+            fields = reader.fieldnames = [
+                name.strip() for name in reader.fieldnames]
             known = set(required) | set(optional)
             unknown = [name for name in fields if name not in known]
             if unknown:
                 raise ConfigError(
                     f"{path}: unknown column(s) {', '.join(unknown)}")
+            repeated = sorted({name for name in fields
+                               if fields.count(name) > 1})
+            if repeated:
+                raise ConfigError(
+                    f"{path}: repeated column(s) {', '.join(repeated)}")
             missing = [name for name in required if name not in fields]
             if missing:
                 raise ConfigError(
@@ -65,6 +73,12 @@ def _read_rows(path, required, optional=()):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
+    for number, row in enumerate(rows, start=2):
+        # DictReader files cells beyond the header under the key None
+        if None in row:
+            raise ConfigError(
+                f"{path}: row {number}: {len(fields) + len(row[None])} "
+                f"cells under a {len(fields)}-column header")
     return rows
 
 

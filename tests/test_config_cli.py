@@ -640,3 +640,30 @@ offset_csv = trace.csv
                  "--out", str(out)]) == 1
     assert "at least 100 shots" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("header, error", [
+    ("f_q_ghz, t1_us", None),
+    ("f_q_ghz,t1_us,t1_us", "repeated column(s) t1_us"),
+])
+def test_cli_coherence_csv_header_checks(header, error, tmp_path, capsys):
+    # a spaced header used to pass the column check, then fail with a
+    # bare KeyError and a traceback
+    cells = len(header.split(","))
+    rows = [",".join([str(f), *["20"] * (cells - 1)])
+            for f in (3.5, 4.0, 4.45, 4.8)]
+    (tmp_path / "coherence.csv").write_text(
+        "\n".join([header, *rows]) + "\n", encoding="ascii")
+    config = write_config(tmp_path, FULL_CONFIG + """
+[loss]
+q_diel = 1e6
+coherence_csv = coherence.csv
+""")
+    status = _run(["fit-qdiel", "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+    if error is None:
+        assert status == 0
+    else:
+        assert status == 1
+        assert f"error: config: {tmp_path / 'coherence.csv'}: {error}" in (
+            capsys.readouterr().err)

@@ -191,6 +191,50 @@ def test_missing_column_named(tmp_path):
         load_kappa_offset_csv(path)
 
 
+SPACED_HEADERS = [
+    (load_resonator_csv, "spiral_length_um, f_measured_ghz", "800,5.1"),
+    (load_kappa_offset_csv, " d_um , kappa_per_s", "2,4e6"),
+    (load_ringdown_csv, "t_s,  v_amplitude", "0,1"),
+    (load_coherence_csv, "f_q_ghz, t1_us, t2e_us", "4.0,29.7,40"),
+    (load_shots_csv, "state, i, q", "g,0.1,0.2\ne,0.3,0.4"),
+    (load_sweep_csv, "tau_ns, snr_eq1, snr_mc, fidelity", "175,2.5,2.4,0.9"),
+]
+
+
+@pytest.mark.parametrize("loader, header, row", SPACED_HEADERS,
+                         ids=[case[0].__name__ for case in SPACED_HEADERS])
+def test_header_names_with_spaces_load(tmp_path, loader, header, row):
+    path = tmp_path / "spaced.csv"
+    path.write_text(f"{header}\n{row}\n", encoding="ascii")
+    tight = tmp_path / "tight.csv"
+    tight.write_text(f"{header.replace(' ', '')}\n{row}\n", encoding="ascii")
+    loaded, expected = loader(path), loader(tight)
+    if loader is load_coherence_csv:
+        assert loaded == expected
+    elif loader is load_shots_csv:
+        assert loaded.i_excited.tolist() == expected.i_excited.tolist() == [0.3]
+    else:
+        assert [col.tolist() for col in loaded] == [
+            col.tolist() for col in expected]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("t_s, v_amplitude\n0,1\n1e-7,0.5\n", None),
+    ("t_s,t_s,v_amplitude\n0,1,1\n", r"repeated column\(s\) t_s$"),
+    ("t_s,v_amplitude\n0,1\n1e-7,0.5,9\n",
+     r"trace\.csv: row 3: 3 cells under a 2-column header"),
+], ids=["spaced-header", "repeated-column", "extra-cell"])
+def test_malformed_header_or_row(tmp_path, text, error):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="ascii")
+    if error is None:
+        t, v = load_ringdown_csv(path)
+        assert t.tolist() == [0.0, 1e-7] and v.tolist() == [1.0, 0.5]
+    else:
+        with pytest.raises(ConfigError, match=error):
+            load_ringdown_csv(path)
+
+
 def test_bad_number_reports_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("d_um,kappa_per_s\n1,2e6\noops,3e6\n", encoding="ascii")

@@ -6,8 +6,10 @@ fixed seed. ``tests/golden/cli.json`` pins every CSV and SVG of all eight
 commands run with ``--plots``: the five demo commands on
 ``configs/demo.cfg`` and the three fit commands on the ``fits.cfg`` that
 ``scripts/make_demo_inputs.py`` writes, plus the ``# results`` and
-``# artifacts`` sections of each ``report.txt``. Both files record the
-numpy version the hashes were taken with. A mismatch means the
+``# artifacts`` sections of each ``report.txt``; the BLAS-using commands
+are also run as ``python -m cqedkit`` subprocesses, which load OpenBLAS
+as the CLI sets it up, and checked against the same hashes. Both files
+record the numpy version the hashes were taken with. A mismatch means the
 Monte-Carlo stream, a kernel or the CSV/SVG formatting drifted; re-bless
 only deliberately and log the reason in CHANGES.md.
 """
@@ -65,21 +67,42 @@ def golden_configs(tmp_path_factory):
             "fits": inputs / "fits.cfg"}
 
 
-@pytest.mark.parametrize("command", sorted(CLI_GOLDEN["commands"]))
-def test_cli_artifacts_and_report_match_golden(command, golden_configs,
-                                               tmp_path, capsys):
+def _check_cli_golden(command, outdir):
     golden = CLI_GOLDEN["commands"][command]
-    status = main([command, "--config", str(golden_configs[golden["config"]]),
-                   "--plots", "--seed", str(CLI_GOLDEN["seed"]),
-                   "--out", str(tmp_path)])
-    assert status == 0
-    written = sorted(p.name for p in tmp_path.iterdir()
+    written = sorted(p.name for p in outdir.iterdir()
                      if p.suffix in (".csv", ".svg"))
     assert written == sorted(golden["artifacts"])
     for name, expected in golden["artifacts"].items():
-        assert _digest(tmp_path / name) == expected, (
+        assert _digest(outdir / name) == expected, (
             f"{command}: {name} drifted from the golden hash (pinned with "
             f"numpy {CLI_GOLDEN['numpy']}, running numpy {np.__version__})")
-    report = (tmp_path / "report.txt").read_text(encoding="utf-8").split("\n")
+    report = (outdir / "report.txt").read_text(encoding="utf-8").split("\n")
     assert _section(report, "# results") == golden["results"]
     assert _section(report, "# artifacts") == golden["artifact_list"]
+
+
+def _cli_argv(command, configs, outdir):
+    config = configs[CLI_GOLDEN["commands"][command]["config"]]
+    return [command, "--config", str(config), "--plots",
+            "--seed", str(CLI_GOLDEN["seed"]), "--out", str(outdir)]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN["commands"]))
+def test_cli_artifacts_and_report_match_golden(command, golden_configs,
+                                               tmp_path, capsys):
+    assert main(_cli_argv(command, golden_configs, tmp_path)) == 0
+    _check_cli_golden(command, tmp_path)
+
+
+# The CLI loads OpenBLAS single-threaded when it is the first to import
+# numpy, which an in-process run under pytest never is.
+@pytest.mark.parametrize("command", ["fit-kappa", "fit-qdiel",
+                                     "simulate-readout", "snr-sweep"])
+def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    subprocess.run([sys.executable, "-m", "cqedkit",
+                    *_cli_argv(command, golden_configs, tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    _check_cli_golden(command, tmp_path)

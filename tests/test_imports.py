@@ -4,8 +4,10 @@ The closed-form commands (design-resonator, sweep-spiral, fit-lk) and a
 bare ``import cqedkit`` must run without numpy; every numeric command
 loads numpy, ``coherence``, ``fitting`` and ``readout`` together, which is
 what a tracer that looks those modules up after the first command relies
-on. ``cqedkit`` resolves its public names on first access, and they must
-stay the same names bound to the same objects.
+on. A numeric command run as the first importer of numpy loads OpenBLAS
+with one thread, unless the caller sets ``OPENBLAS_NUM_THREADS``.
+``cqedkit`` resolves its public names on first access, and they must stay
+the same names bound to the same objects.
 """
 
 import json
@@ -15,13 +17,16 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cqedkit
 from cqedkit import cli, cli_numeric
 
 ROOT = Path(__file__).resolve().parents[1]
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+ENV = {key: value for key, value in os.environ.items()
+       if key != "OPENBLAS_NUM_THREADS"}
+ENV["PYTHONPATH"] = str(ROOT / "src")
 
 # Which config each command runs on: configs/demo.cfg, or the fits.cfg
 # that scripts/make_demo_inputs.py writes.
@@ -31,9 +36,10 @@ NUMERIC = {"fit-kappa": "fits", "fit-qdiel": "fits", "budget-t1": "demo",
            "simulate-readout": "demo", "snr-sweep": "demo"}
 
 # Runs ``python -m cqedkit <argv>`` as runpy does for -m, then reports the
-# exit code and which of numpy and cqedkit's modules got loaded.
+# exit code, which of numpy and cqedkit's modules got loaded and how many
+# OS threads are alive at exit (None without /proc).
 PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv[0] = "cqedkit"
 try:
     runpy.run_module("cqedkit", run_name="__main__", alter_sys=True)
@@ -41,7 +47,9 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
     name for name in sys.modules
-    if name == "numpy" or name.startswith("cqedkit."))}))
+    if name == "numpy" or name.startswith("cqedkit.")),
+    "threads": len(os.listdir("/proc/self/task"))
+    if os.path.isdir("/proc/self/task") else None}))
 """
 
 PUBLIC_NAMES = [
@@ -77,14 +85,14 @@ def configs(tmp_path_factory):
     return {"demo": ROOT / "configs" / "demo.cfg", "fits": inputs / "fits.cfg"}
 
 
-def _run_command(command, config, out):
+def _run_command(command, config, out, env=ENV):
     done = subprocess.run(
         [sys.executable, "-c", PROBE, command, "--config", str(config),
          "--out", str(out), "--plots"],
-        env=ENV, capture_output=True, text=True, check=True, timeout=120)
+        env=env, capture_output=True, text=True, check=True, timeout=120)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["code"] == 0, done.stderr
-    return set(report["modules"])
+    return set(report["modules"]), report["threads"]
 
 
 def test_command_tables_cover_every_command():
@@ -103,7 +111,7 @@ def test_import_cqedkit_loads_no_submodule_and_no_numpy():
 
 @pytest.mark.parametrize("command", sorted(CLOSED_FORM))
 def test_closed_form_command_runs_without_numpy(command, configs, tmp_path):
-    modules = _run_command(command, configs[CLOSED_FORM[command]], tmp_path)
+    modules, _ = _run_command(command, configs[CLOSED_FORM[command]], tmp_path)
     assert "numpy" not in modules
     assert not {"cqedkit.coherence", "cqedkit.fitting",
                 "cqedkit.readout", "cqedkit.cli_numeric"} & modules
@@ -111,9 +119,32 @@ def test_closed_form_command_runs_without_numpy(command, configs, tmp_path):
 
 @pytest.mark.parametrize("command", sorted(NUMERIC))
 def test_numeric_command_loads_its_modules_together(command, configs, tmp_path):
-    modules = _run_command(command, configs[NUMERIC[command]], tmp_path)
+    modules, _ = _run_command(command, configs[NUMERIC[command]], tmp_path)
     assert {"numpy", "cqedkit.coherence", "cqedkit.fitting",
             "cqedkit.readout"} <= modules
+
+
+HAS_PROC = os.path.isdir("/proc/self/task")
+needs_openblas_threads = pytest.mark.skipif(
+    not HAS_PROC or "openblas" not in np.show_config(mode="dicts")[
+        "Build Dependencies"]["blas"]["name"],
+    reason="counts OpenBLAS threads in /proc/self/task")
+
+
+@needs_openblas_threads
+@pytest.mark.parametrize("command", sorted(NUMERIC))
+def test_numeric_command_ends_with_one_thread(command, configs, tmp_path):
+    _, threads = _run_command(command, configs[NUMERIC[command]], tmp_path)
+    assert threads == 1
+
+
+@needs_openblas_threads
+@pytest.mark.skipif(HAS_PROC and len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS caps its threads at the usable cores")
+def test_callers_openblas_thread_count_is_honoured(configs, tmp_path):
+    env = dict(ENV, OPENBLAS_NUM_THREADS="2")
+    _, threads = _run_command("budget-t1", configs["demo"], tmp_path, env=env)
+    assert threads == 2
 
 
 def test_public_names_are_unchanged():
