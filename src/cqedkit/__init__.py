@@ -44,16 +44,15 @@ _EXPORTS = {
         "DomainError",
         "FitFailureError",
         "InsufficientDataError",
+        "OutputError",
         "ToolError",
     ),
     "fitting": (
-        "FitModel",
         "FitResult",
         "GaussianEstimate",
         "erfc",
         "fit_gaussian_1d",
         "least_squares",
-        "numeric_jacobian",
     ),
     "readout": (
         "HistogramFit",

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import __version__, dataio, resonator
 from .config import RunConfig, parse_config, render_resolved
-from .errors import ConfigError, ToolError
+from .errors import ConfigError, OutputError, ToolError
 from .svgplot import SvgPlot
 
 
@@ -201,7 +201,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_dir = Path(args.out)
         outdir = config.output_dir
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot create output directory {outdir}: "
+                              f"{exc.strerror or exc}") from exc
         lines, artifacts = _command(args.command)(config)
         if not (args.plots or config.emit_plots):
             artifacts = {name: artifact for name, artifact in artifacts.items()

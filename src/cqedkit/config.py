@@ -283,6 +283,8 @@ def parse_config(path) -> RunConfig:
             parser.read_file(handle, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except configparser.ParsingError as exc:
         first = exc.errors[0] if getattr(exc, "errors", None) else None
         line = first[0] if first else "?"

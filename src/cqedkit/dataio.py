@@ -5,7 +5,9 @@ endings so identical inputs produce byte-identical files. Loaders accept
 exactly the documented columns (in any order, spaces around a name
 ignored) and report unknown, repeated or missing ones by name; a row
 with more cells than the header is reported by row, and a cell that is
-not a finite number by row and column.
+not a finite number by row and column. Rows are numbered by their line
+in the file, blank lines included. Files are read as UTF-8, with or
+without the byte-order mark that spreadsheets write.
 
 The writers need no numpy. The loaders that build arrays or records
 import numpy, ``coherence`` or ``readout`` when called, so writing the
@@ -45,9 +47,10 @@ def write_csv(path, header, rows) -> Path:
 
 
 def _read_rows(path, required, optional=()):
+    """The data rows as ``(line number, row)`` pairs, after the header checks."""
     path = Path(path)
     try:
-        with open(path, newline="", encoding="ascii") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 raise ConfigError(f"{path}: empty file, expected a CSV header")
@@ -68,12 +71,14 @@ def _read_rows(path, required, optional=()):
             if missing:
                 raise ConfigError(
                     f"{path}: missing required column(s) {', '.join(missing)}")
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    for number, row in enumerate(rows, start=2):
+    for number, row in rows:
         # DictReader files cells beyond the header under the key None
         if None in row:
             raise ConfigError(
@@ -102,9 +107,8 @@ def _parse_float(path, row_number, column, text):
 def _load_columns(path, columns):
     import numpy as np
 
-    rows = _read_rows(path, required=columns)
     out = []
-    for number, row in enumerate(rows, start=2):
+    for number, row in _read_rows(path, required=columns):
         values = []
         for column in columns:
             value = _parse_float(path, number, column, row[column])
@@ -138,7 +142,7 @@ def load_coherence_csv(path) -> list[CoherenceRecord]:
     rows = _read_rows(path, required=("f_q_ghz", "t1_us"),
                       optional=("t1_spread_us", "t2e_us"))
     records = []
-    for number, row in enumerate(rows, start=2):
+    for number, row in rows:
         f_q = _parse_float(path, number, "f_q_ghz", row["f_q_ghz"])
         t1 = _parse_float(path, number, "t1_us", row["t1_us"])
         if f_q is None or t1 is None:
@@ -183,9 +187,8 @@ def load_shots_csv(path, sigma: float = 1.0) -> ShotSet:
 
     from .readout import EXCITED, GROUND, ShotSet
 
-    rows = _read_rows(path, required=("state", "i", "q"))
     clouds = {GROUND: ([], []), EXCITED: ([], [])}
-    for number, row in enumerate(rows, start=2):
+    for number, row in _read_rows(path, required=("state", "i", "q")):
         state = (row["state"] or "").strip()
         if state not in clouds:
             raise ConfigError(

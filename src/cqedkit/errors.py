@@ -46,6 +46,12 @@ class FitFailureError(ToolError, RuntimeError):
     slug = "fit-failure"
 
 
+class OutputError(ToolError, OSError):
+    """The output directory cannot be created."""
+
+    slug = "output"
+
+
 def require_finite(**values) -> None:
     """Raise DomainError naming the first argument that holds a non-finite value.
 

@@ -2,10 +2,10 @@
 
 The least-squares solver is a damped Gauss-Newton iteration with a
 Levenberg-style additive damping term. It is deliberately small: dense
-normal equations, an optional analytic Jacobian, central-difference
-fallback, and textbook standard errors from the scaled inverse normal
-matrix. The ring-down and Q_diel fits run through it; the offset fit is
-a closed-form straight line in log kappa.
+normal equations, a required analytic Jacobian, and textbook standard
+errors from the scaled inverse normal matrix. The ring-down fit (through
+``exp_decay`` and ``exp_decay_jac``) and the Q_diel fit run through it;
+the offset fit is a closed-form straight line in log kappa.
 """
 
 from __future__ import annotations
@@ -48,57 +48,16 @@ class FitResult:
     cost_trace: list[float] = field(default_factory=list, repr=False)
 
 
-@dataclass(frozen=True)
-class FitModel:
-    """A model function with an optional analytic Jacobian.
-
-    ``fn(x, *theta)`` returns model values; ``jac(x, *theta)`` returns the
-    (n_points, n_params) derivative matrix.
-    """
-
-    fn: Callable
-    jac: Callable | None
-    n_params: int
-    name: str
-
-
-def _line(x, a, b):
-    return a * x + b
-
-
-def _line_jac(x, a, b):
-    x = np.asarray(x, dtype=float)
-    return np.column_stack([x, np.ones_like(x)])
-
-
-def _exp_decay(x, amp, rate, offset):
+def exp_decay(x, amp, rate, offset):
+    """The ring-down model amp * exp(-rate * x) + offset."""
     return amp * np.exp(-rate * np.asarray(x, dtype=float)) + offset
 
 
-def _exp_decay_jac(x, amp, rate, offset):
+def exp_decay_jac(x, amp, rate, offset):
+    """Derivatives of ``exp_decay`` in amp, rate and offset, one column each."""
     x = np.asarray(x, dtype=float)
     decay = np.exp(-rate * x)
     return np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
-
-
-LINE = FitModel(_line, _line_jac, 2, "line")
-EXP_DECAY = FitModel(_exp_decay, _exp_decay_jac, 3, "exp-decay")
-
-
-def numeric_jacobian(fn: Callable, x, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with per-parameter step sqrt(eps)*(1+|theta_j|)."""
-    theta = np.asarray(theta, dtype=float)
-    base_step = math.sqrt(np.finfo(float).eps)
-    cols = []
-    for j in range(theta.size):
-        step = base_step * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += step
-        dn[j] -= step
-        cols.append((np.asarray(fn(x, *up), dtype=float)
-                     - np.asarray(fn(x, *dn), dtype=float)) / (2.0 * step))
-    return np.column_stack(cols)
 
 
 def least_squares(
@@ -107,7 +66,8 @@ def least_squares(
     y,
     init: Sequence[float],
     weights=None,
-    jac: Callable | None = None,
+    *,
+    jac: Callable,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Weighted nonlinear least squares by damped Gauss-Newton iteration.
@@ -125,9 +85,8 @@ def least_squares(
         Parameter estimates are invariant under uniform rescaling of the
         weights, and so are the standard errors because the residual
         variance is rescaled by the same factor.
-    jac : callable, optional
-        ``jac(x, *theta) -> (n, p) ndarray``. Central differences are used
-        when omitted.
+    jac : callable
+        ``jac(x, *theta) -> (n, p) ndarray``, the derivative of the model.
     max_iterations : int
         Outer iteration cap; exceeding it returns a result flagged
         ``converged=False``.
@@ -163,11 +122,6 @@ def least_squares(
     if np.any(w < 0) or not np.any(w > 0):
         raise DomainError("weights must be nonnegative with at least one positive")
 
-    def jacobian(th):
-        if jac is not None:
-            return np.asarray(jac(x, *th), dtype=float)
-        return numeric_jacobian(model, x, th)
-
     def residual(th):
         return y - np.asarray(model(x, *th), dtype=float)
 
@@ -181,7 +135,7 @@ def least_squares(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        jmat = jacobian(theta)
+        jmat = np.asarray(jac(x, *theta), dtype=float)
         normal = jmat.T @ (w[:, None] * jmat)
         gradient = jmat.T @ (w * r)
         if damping is None:
@@ -218,7 +172,7 @@ def least_squares(
             converged = True
             break
 
-    jmat = jacobian(theta)
+    jmat = np.asarray(jac(x, *theta), dtype=float)
     normal = jmat.T @ (w[:, None] * jmat)
     dof = y.size - n_params
     if dof > 0 and cost > 0.0:

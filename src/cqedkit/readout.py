@@ -6,10 +6,12 @@ The closed-form signal-to-noise ratio is
 
 valid in the long-measurement limit. The Monte-Carlo path integrates the
 cavity pointer states (or jumps straight to their steady-state values),
-adds white Gaussian noise per quadrature, and recovers the SNR from
-Gaussian fits of the projected clouds, mirroring how measured IQ data is
-processed. ``simulate_shots`` and ``histogram_fit`` do this on arrays,
-for measured or in-memory clouds. The seeded paths hold no cloud:
+adds white Gaussian noise per quadrature, and recovers the SNR as the
+centroid separation over the pooled width along the centroid axis, from
+each cloud's centroid and covariance (``_snr_from_moments``), as measured
+IQ data is processed. Every path draws its sub-seeded blocks through one
+loop, ``_normal_blocks``. ``simulate_shots`` and ``histogram_fit`` work on
+arrays, for measured or in-memory clouds. The seeded paths hold no cloud:
 ``snr_monte_carlo`` (and so ``snr_sweep``) reduces each block of shots to
 its moments as it is drawn, and ``stream_shots`` adds a second pass that
 redraws the same blocks, divided by the fitted width, for ``shots.csv``.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
                      check_finite, require_finite)
-from .fitting import erfc, fit_gaussian_1d
+from .fitting import erfc
 from .transmon import dispersive_phase
 
 SHOT_BLOCK = 4096
@@ -41,6 +43,7 @@ BLOCKS_PER_WORKER = 64
 MIN_SHOTS = 100
 GROUND = "g"
 EXCITED = "e"
+STATES = (GROUND, EXCITED)
 _STATE_SIGN = {GROUND: -1.0, EXCITED: +1.0}
 
 
@@ -131,13 +134,9 @@ def _state_sign(state: str) -> float:
         raise DomainError(f"state must be '{GROUND}' or '{EXCITED}', got {state!r}") from None
 
 
-def dispersive_angle(config: ReadoutConfig) -> float:
-    return dispersive_phase(config.chi, config.kappa)
-
-
 def snr_asymptotic(config: ReadoutConfig) -> float:
     """Closed-form long-time SNR of the configured readout."""
-    phi = dispersive_angle(config)
+    phi = dispersive_phase(config.chi, config.kappa)
     return (2.0 * config.epsilon / config.kappa) \
         * math.sqrt(2.0 * config.kappa * config.tau_m) \
         * abs(math.sin(2.0 * phi))
@@ -224,11 +223,11 @@ def _run_chunks(jobs, partitions: int | None, work) -> None:
     ``BLOCKS_PER_WORKER`` jobs is used, up to the number of available
     cores. The first worker exception is re-raised after every join.
     """
-    if partitions is not None and partitions < 1:
-        raise DomainError("partitions must be at least 1")
     if partitions is None:
         partitions = min(_available_cores(),
                          max(1, len(jobs) // BLOCKS_PER_WORKER))
+    elif partitions < 1:
+        raise DomainError("partitions must be at least 1")
     size = math.ceil(len(jobs) / partitions)
     chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
     errors = []
@@ -250,23 +249,25 @@ def _run_chunks(jobs, partitions: int | None, work) -> None:
         raise errors[0]
 
 
-def _scale_shift(z, sigma: float, mean: complex) -> None:
-    """Turn the standard normals ``z`` (rows I, Q) into shots, in place.
+def _normal_blocks(config: ReadoutConfig, jobs):
+    """Yield ``(state index, block index, z)``: each job's standard normals.
 
-    Both the array and the streamed path apply exactly this, so their shots
-    are the same bits.
+    ``z`` has rows I and Q and lives in one reused (2, ``SHOT_BLOCK``)
+    buffer, valid until the next block is taken. Fortran order interleaves
+    each shot's (I, Q) pair, the order in which the stream is drawn.
     """
-    z *= sigma
-    z += ((mean.real,), (mean.imag,))
-
-
-def _fill_blocks(config: ReadoutConfig, means, sigma: float, outs, jobs) -> None:
-    """Draw each (state, index, count) job into its columns of ``outs[state]``."""
+    buffer = np.empty((2, SHOT_BLOCK), order="F")
     for state_index, index, count in jobs:
-        start = index * SHOT_BLOCK
-        view = outs[state_index][:, start:start + count]
-        _draw_block(config, state_index, index, view)
-        _scale_shift(view, sigma, means[state_index])
+        z = buffer[:, :count]
+        _draw_block(config, state_index, index, z)
+        yield state_index, index, z
+
+
+def _shot_map(config: ReadoutConfig) -> tuple[float, np.ndarray]:
+    """``(sigma, signals)``: a state's shots are ``z * sigma + signals[state]``,
+    an (I, Q) column, in this order on every path, so they are the same bits."""
+    means = [integrated_signal(state, config) for state in STATES]
+    return noise_sigma(config), np.array([[[m.real], [m.imag]] for m in means])
 
 
 def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> ShotSet:
@@ -277,76 +278,73 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
     any ``partitions`` count; partitions only group blocks onto threads
     (see ``_run_chunks`` for the default).
     """
-    sigma = noise_sigma(config)
-    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
-    # Rows are I and Q. Fortran order interleaves each shot's (I, Q) pair in
-    # memory, the order in which the sub-seeded streams are drawn, so a
-    # block's columns are one contiguous draw.
-    outs = [np.empty((2, config.n_shots), order="F") for _ in means]
-    _run_chunks(_shot_jobs(config.n_shots), partitions,
-                lambda chunk: _fill_blocks(config, means, sigma, outs, chunk))
+    sigma, signals = _shot_map(config)
+    # Fortran order, as the draw buffer: each block's copy is one contiguous run
+    outs = [np.empty((2, config.n_shots), order="F") for _ in STATES]
+
+    def fill(chunk):
+        for state_index, index, z in _normal_blocks(config, chunk):
+            start = index * SHOT_BLOCK
+            view = outs[state_index][:, start:start + z.shape[1]]
+            np.multiply(z, sigma, out=view)
+            view += signals[state_index]
+
+    _run_chunks(_shot_jobs(config.n_shots), partitions, fill)
     return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
                    i_excited=outs[1][0], q_excited=outs[1][1], sigma=sigma)
 
 
-def _reduce_blocks(config: ReadoutConfig, moments, jobs) -> None:
-    """Store each job's sums and raw second moments in ``moments[state, index]``.
-
-    The standard normals of every job are drawn into one reused buffer, so
-    a worker holds one block whatever the shot count. The five columns are
-    sum(i), sum(q), sum(i*i), sum(i*q) and sum(q*q).
-    """
-    buffer = np.empty((2, SHOT_BLOCK), order="F")
-    ones = np.ones(SHOT_BLOCK)
-    for state_index, index, count in jobs:
-        z = buffer[:, :count]
-        _draw_block(config, state_index, index, z)
-        second = z @ z.T
-        # a product with ones: z.sum(axis=1) walks this layout shot by shot
-        moments[state_index, index, :2] = z @ ones[:count]
-        moments[state_index, index, 2:] = second[0, 0], second[0, 1], second[1, 1]
-
-
-def _centroid_axis(centroid_g, centroid_e):
-    """Unit vector from the ground to the excited centroid, and their distance."""
-    axis = centroid_e - centroid_g
-    norm = float(np.hypot(*axis))
-    if norm == 0.0:
-        return np.array([1.0, 0.0]), norm  # arbitrary but fixed for identical clouds
-    return axis / norm, norm
-
-
-def _moment_fit(config: ReadoutConfig,
-                partitions: int | None = None) -> tuple[float, float]:
-    """The SNR of ``snr_monte_carlo`` and the pooled width it divides by.
-
-    The width is ``histogram_fit``'s ``sigma`` to rounding: the root mean
-    of the two states' variances along the centroid axis.
-    """
-    n = config.n_shots
-    if n < MIN_SHOTS:
+def _require_shots(*counts: int) -> None:
+    if min(counts) < MIN_SHOTS:
         raise InsufficientDataError(
-            f"need at least {MIN_SHOTS} shots per state, got {n}")
-    jobs = _shot_jobs(n)
-    moments = np.empty((2, len(jobs) // 2, 5))
-    _run_chunks(jobs, partitions,
-                lambda chunk: _reduce_blocks(config, moments, chunk))
-    totals = moments.sum(axis=1)
-    mean_z = totals[:, :2] / n
-    second = totals[:, [[2, 3], [3, 4]]]
-    # raw sums lose no digits here: z has mean near 0 and unit variance
-    cov_z = (second - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
-    sigma = noise_sigma(config)
-    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
-    centroids = sigma * mean_z + [(mean.real, mean.imag) for mean in means]
-    covariances = sigma**2 * cov_z
+            f"need at least {MIN_SHOTS} shots per state, "
+            f"got {' and '.join(map(str, counts))}")
+
+
+def _snr_from_moments(centroids, covariances) -> tuple[float, float, float, float]:
+    """SNR, pooled width, and ground and excited widths of two clouds.
+
+    Takes each state's (I, Q) centroid and 2x2 covariance, ground first.
+    The widths are taken along the centroid axis; the pooled width is
+    their root mean square, and the SNR the centroid distance over it.
+    """
     require_finite(centroids=centroids, covariances=covariances)
-    axis, norm = _centroid_axis(centroids[0], centroids[1])
+    axis = centroids[1] - centroids[0]
+    norm = float(np.hypot(*axis))
+    # identical centroids: any fixed axis serves, and the SNR is 0
+    axis = axis / norm if norm else np.array([1.0, 0.0])
     variances = np.einsum("i,sij,j->s", axis, covariances, axis)
     if np.any(variances <= 0.0):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
     width = math.sqrt(0.5 * float(variances.sum()))
-    return norm / width, width
+    return norm / width, width, *(math.sqrt(v) for v in variances)
+
+
+def _moment_fit(config: ReadoutConfig,
+                partitions: int | None = None) -> tuple[float, float]:
+    """The SNR of ``snr_monte_carlo`` and the pooled width it divides by."""
+    n = config.n_shots
+    _require_shots(n)
+    jobs = _shot_jobs(n)
+    sums = np.empty((2, len(jobs) // 2, 2))
+    seconds = np.empty((2, len(jobs) // 2, 2, 2))
+
+    def reduce(chunk):
+        ones = np.ones(SHOT_BLOCK)
+        for state_index, index, z in _normal_blocks(config, chunk):
+            # a product with ones: z.sum(axis=1) walks this layout shot by shot
+            sums[state_index, index] = z @ ones[:z.shape[1]]
+            seconds[state_index, index] = z @ z.T
+
+    _run_chunks(jobs, partitions, reduce)
+    mean_z = sums.sum(axis=1) / n
+    # raw sums lose no digits here: z has mean near 0 and unit variance
+    cov_z = (seconds.sum(axis=1)
+             - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
+    sigma, signals = _shot_map(config)
+    snr, width, _, _ = _snr_from_moments(sigma * mean_z + signals[..., 0],
+                                         sigma**2 * cov_z)
+    return snr, width
 
 
 def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> float:
@@ -354,12 +352,10 @@ def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> flo
 
     The same sub-seeded blocks are drawn, but each is reduced at once to
     its sums and raw second moments, so memory does not grow with
-    ``n_shots``. Per state, the standard-normal moments map to the cloud's
-    centroid sigma*mean(z) + signal and covariance sigma^2*cov(z); the SNR
-    is the centroid separation over the pooled width projected on the
-    centroid axis. Blocks are summed in a fixed order, so the result is
-    bitwise the same for any ``partitions``. Raises what ``histogram_fit``
-    raises: too few shots, non-finite clouds, zero variance.
+    ``n_shots``. Per state they give the centroid sigma*mean(z) + signal
+    and covariance sigma^2*cov(z), which feed ``histogram_fit``'s SNR core.
+    Blocks are summed in a fixed order, so the result is bitwise the same
+    for any ``partitions``. Raises what ``histogram_fit`` raises.
     """
     return _moment_fit(config, partitions)[0]
 
@@ -377,19 +373,16 @@ def stream_shots(config: ReadoutConfig
     until the next one and no cloud is ever held.
     """
     snr, width = _moment_fit(config)
-    return snr, _normalized_blocks(config, width)
+    sigma, signals = _shot_map(config)
 
+    def blocks():
+        for state_index, _, z in _normal_blocks(config, _shot_jobs(config.n_shots)):
+            z *= sigma
+            z += signals[state_index]
+            z /= width
+            yield STATES[state_index], z
 
-def _normalized_blocks(config: ReadoutConfig, width: float):
-    sigma = noise_sigma(config)
-    means = [integrated_signal(state, config) for state in (GROUND, EXCITED)]
-    buffer = np.empty((2, SHOT_BLOCK), order="F")
-    for state_index, index, count in _shot_jobs(config.n_shots):
-        block = buffer[:, :count]
-        _draw_block(config, state_index, index, block)
-        _scale_shift(block, sigma, means[state_index])
-        block /= width
-        yield (GROUND, EXCITED)[state_index], block
+    return snr, blocks()
 
 
 @dataclass
@@ -404,35 +397,26 @@ class HistogramFit:
     sigma_excited: float
 
 
-def histogram_fit(shots: ShotSet, min_shots: int = MIN_SHOTS) -> HistogramFit:
-    """Separation-over-width SNR from Gaussian fits along the centroid axis.
+def histogram_fit(shots: ShotSet) -> HistogramFit:
+    """Separation-over-width SNR of the clouds along their centroid axis.
 
-    Both clouds are projected onto the line joining their centroids, each
-    projection is fitted as a 1D Gaussian, and the SNR is the centroid
-    separation divided by the pooled width.
+    Each state's centroid and covariance are its centred sample moments
+    (``mean``, ``np.cov``), which keep their digits for measured clouds far
+    from the origin; ``snr_monte_carlo`` feeds the same SNR core from its
+    block sums. The SNR is the centroid separation over the pooled width.
     """
-    n_ground = len(shots.i_ground)
-    n_excited = len(shots.i_excited)
-    if n_ground < min_shots or n_excited < min_shots:
-        raise InsufficientDataError(
-            f"need at least {min_shots} shots per state, "
-            f"got {n_ground} and {n_excited}")
-    centroid_g = np.array([shots.i_ground.mean(), shots.q_ground.mean()])
-    centroid_e = np.array([shots.i_excited.mean(), shots.q_excited.mean()])
-    axis, _ = _centroid_axis(centroid_g, centroid_e)
-    proj_g = shots.i_ground * axis[0] + shots.q_ground * axis[1]
-    proj_e = shots.i_excited * axis[0] + shots.q_excited * axis[1]
-    fit_g = fit_gaussian_1d(proj_g, min_samples=min_shots)
-    fit_e = fit_gaussian_1d(proj_e, min_samples=min_shots)
-    pooled = math.sqrt(0.5 * (fit_g.sigma**2 + fit_e.sigma**2))
-    snr = abs(fit_e.mean - fit_g.mean) / pooled
+    clouds = ((shots.i_ground, shots.q_ground), (shots.i_excited, shots.q_excited))
+    _require_shots(*(len(i) for i, _ in clouds))
+    centroids = np.array([[i.mean(), q.mean()] for i, q in clouds])
+    covariances = np.array([np.cov(i, q) for i, q in clouds])
+    snr, pooled, sigma_g, sigma_e = _snr_from_moments(centroids, covariances)
     return HistogramFit(
         snr=snr,
-        mean_ground=(float(centroid_g[0]), float(centroid_g[1])),
-        mean_excited=(float(centroid_e[0]), float(centroid_e[1])),
+        mean_ground=(float(centroids[0, 0]), float(centroids[0, 1])),
+        mean_excited=(float(centroids[1, 0]), float(centroids[1, 1])),
         sigma=pooled,
-        sigma_ground=fit_g.sigma,
-        sigma_excited=fit_e.sigma,
+        sigma_ground=sigma_g,
+        sigma_excited=sigma_e,
     )
 
 

@@ -404,11 +404,11 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
         rate0 = 1.0 / float(t_shift[below[0]])
 
     result = fitting.least_squares(
-        fitting.EXP_DECAY.fn,
+        fitting.exp_decay,
         t_shift / span,
         v,
         init=[amp0, rate0 * span, offset0],
-        jac=fitting.EXP_DECAY.jac,
+        jac=fitting.exp_decay_jac,
     )
     amp, rate_scaled, offset = result.params
     if not result.converged or rate_scaled <= 0.0 or amp <= 0.0:

@@ -221,6 +221,14 @@ def test_dataclass_validators_reject_non_finite(cls, field, value):
         cls(**{**VALID_FIELDS[cls], field: value})
 
 
+def _line(x, a, b):
+    return a * np.asarray(x, dtype=float) + b
+
+
+def _line_jac(x, a, b):
+    return np.column_stack([x, np.ones_like(x)])
+
+
 LIBRARY_CALLS = {
     "t1_dielectric-f_q": (lambda v: t1_dielectric(v, 1e6), "f_q"),
     "t1_dielectric-q_diel": (lambda v: t1_dielectric(4e9, v), "q_diel"),
@@ -234,18 +242,19 @@ LIBRARY_CALLS = {
     "fit_gaussian_1d": (
         lambda v: fit_gaussian_1d(np.append(np.arange(200.0), v)), "samples"),
     "least_squares-x": (lambda v: least_squares(
-        fitting.LINE.fn, [0.0, 1.0, v, 3.0], [0.0, 1.0, 2.0, 3.0],
-        init=[1.0, 0.0]), "x"),
+        _line, [0.0, 1.0, v, 3.0], [0.0, 1.0, 2.0, 3.0],
+        init=[1.0, 0.0], jac=_line_jac), "x"),
     "least_squares-y": (lambda v: least_squares(
-        fitting.LINE.fn, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, v, 3.0],
-        init=[1.0, 0.0]), "y"),
+        _line, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, v, 3.0],
+        init=[1.0, 0.0], jac=_line_jac), "y"),
     "fit_kappa_offset-offsets": (lambda v: fit_kappa_offset(
         [5e-6, v, 2e-5], [1e6, 8e5, 6e5]), "offsets"),
     "fit_kappa_offset-kappas": (lambda v: fit_kappa_offset(
         [5e-6, 1e-5, 2e-5], [1e6, v, 6e5]), "kappas"),
     "least_squares-weights": (lambda v: least_squares(
-        fitting.LINE.fn, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
-        init=[1.0, 0.0], weights=[1.0, v, 1.0, 1.0]), "weights"),
+        _line, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
+        init=[1.0, 0.0], weights=[1.0, v, 1.0, 1.0], jac=_line_jac),
+        "weights"),
 }
 
 

@@ -667,3 +667,32 @@ coherence_csv = coherence.csv
         assert status == 1
         assert f"error: config: {tmp_path / 'coherence.csv'}: {error}" in (
             capsys.readouterr().err)
+
+
+def test_cli_undecodable_csv_or_config_fails_cleanly(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"t_s,v_amplitude\n0,1\n1e-7,0.5\xff\n")
+    config = write_config(tmp_path, FULL_CONFIG + """
+[kappa_fit]
+trace_csv = trace.csv
+""")
+    out = tmp_path / "out"
+    assert _run(["fit-kappa", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config: {trace}: not UTF-8 text")
+    config.write_bytes(FULL_CONFIG.encode("ascii") + b"# caf\xff\n")
+    assert _run(["design-resonator", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config: {config}: not UTF-8 text")
+
+
+def test_cli_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
+    config = write_config(tmp_path, FULL_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="ascii")
+    out = blocker / "out"
+    assert _run(["design-resonator", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: output: cannot create output directory {out}: ")

@@ -309,3 +309,49 @@ def test_shot_set_mismatched_arrays_rejected():
     with pytest.raises(Exception):
         ShotSet(i_ground=np.zeros(2), q_ground=np.zeros(2),
                 i_excited=np.zeros(2), q_excited=np.zeros(3), sigma=1.0)
+
+
+# Blank lines 2 and 5 count: the bad cell on line 6 is reported at line 6,
+# not as the third data row.
+BLANK_LINE_CASES = [
+    (load_resonator_csv, "spiral_length_um,f_measured_ghz", "800,5.1",
+     "900,nan", "f_measured_ghz"),
+    (load_kappa_offset_csv, "d_um,kappa_per_s", "2,4e6", "nan,3e6", "d_um"),
+    (load_ringdown_csv, "t_s,v_amplitude", "0,1", "2e-7,nan", "v_amplitude"),
+    (load_coherence_csv, "f_q_ghz,t1_us", "4.0,29.7", "4.4,nan", "t1_us"),
+    (load_shots_csv, "state,i,q", "g,0.1,0.2", "e,0.3,nan", "q"),
+    (load_sweep_csv, "tau_ns,snr_eq1,snr_mc,fidelity", "175,2.5,2.4,0.9",
+     "350,nan,3.4,0.95", "snr_eq1"),
+]
+
+
+@pytest.mark.parametrize("loader, header, good, bad, column", BLANK_LINE_CASES,
+                         ids=[case[0].__name__ for case in BLANK_LINE_CASES])
+def test_errors_name_the_file_line(tmp_path, loader, header, good, bad, column):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join([header, "", good, good, "", bad]) + "\n",
+                    encoding="ascii")
+    with pytest.raises(ConfigError, match=rf"row 6, column {column}: "):
+        loader(path)
+    path.write_text("\n".join([header, "", good, "", good + ",1"]) + "\n",
+                    encoding="ascii")
+    with pytest.raises(ConfigError, match=r"row 5: \d+ cells under a"):
+        loader(path)
+
+
+def test_byte_order_mark_loads_like_the_plain_file(tmp_path):
+    text = "t_s,v_amplitude\n0,1\n1e-7,0.5\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="ascii")
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert [col.tolist() for col in load_ringdown_csv(marked)] == [
+        col.tolist() for col in load_ringdown_csv(plain)]
+
+
+def test_undecodable_csv_names_the_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t_s,v_amplitude\n0,1\n1e-7,0.5\xff\n")
+    with pytest.raises(ConfigError, match=rf"^{path}: not UTF-8 text"):
+        load_ringdown_csv(path)

@@ -20,15 +20,23 @@ from cqedkit import (
     erfc,
     fit_gaussian_1d,
     least_squares,
-    numeric_jacobian,
 )
-from cqedkit.fitting import EXP_DECAY, LINE
+from cqedkit.fitting import exp_decay, exp_decay_jac
+
+
+def line(x, a, b):
+    return a * np.asarray(x, dtype=float) + b
+
+
+def line_jac(x, a, b):
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([x, np.ones_like(x)])
 
 
 def test_line_exact_points():
     x = np.array([0.0, 1.0, 2.0])
     y = 2.0 * x + 1.0
-    result = least_squares(LINE.fn, x, y, init=[0.5, 0.0], jac=LINE.jac)
+    result = least_squares(line, x, y, init=[0.5, 0.0], jac=line_jac)
     assert result.converged
     assert result.params == pytest.approx([2.0, 1.0], abs=1e-10)
     assert result.residual_norm < 1e-10
@@ -38,9 +46,9 @@ def test_line_exact_points():
 
 def test_exponential_round_trip():
     x = np.linspace(0.0, 5.0, 40)
-    y = EXP_DECAY.fn(x, 3.0, 1.3, 0.2)
-    result = least_squares(EXP_DECAY.fn, x, y, init=[2.0, 1.0, 0.0],
-                           jac=EXP_DECAY.jac)
+    y = exp_decay(x, 3.0, 1.3, 0.2)
+    result = least_squares(exp_decay, x, y, init=[2.0, 1.0, 0.0],
+                           jac=exp_decay_jac)
     assert result.converged
     assert result.params == pytest.approx([3.0, 1.3, 0.2], rel=1e-3 * 1e-3)
 
@@ -65,7 +73,10 @@ def test_matches_grid_search_oracle():
     def model(x, c):
         return (x - c) ** 2
 
-    result = least_squares(model, x, y, init=[0.4])
+    def jac(x, c):
+        return -2.0 * (x - c)[:, None]
+
+    result = least_squares(model, x, y, init=[0.4], jac=jac)
 
     def objective(c):
         r = y - model(x, c)
@@ -79,9 +90,9 @@ def test_matches_grid_search_oracle():
 def test_cost_trace_non_increasing():
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 4.0, 60)
-    y = EXP_DECAY.fn(x, 2.0, 0.9, 0.1) + 0.02 * rng.standard_normal(x.size)
-    result = least_squares(EXP_DECAY.fn, x, y, init=[1.0, 2.0, 0.0],
-                           jac=EXP_DECAY.jac)
+    y = exp_decay(x, 2.0, 0.9, 0.1) + 0.02 * rng.standard_normal(x.size)
+    result = least_squares(exp_decay, x, y, init=[1.0, 2.0, 0.0],
+                           jac=exp_decay_jac)
     trace = np.array(result.cost_trace)
     assert np.all(np.diff(trace) <= 0.0)
     assert trace[0] > trace[-1]
@@ -90,33 +101,34 @@ def test_cost_trace_non_increasing():
 def test_weight_rescaling_invariance():
     rng = np.random.default_rng(11)
     x = np.linspace(0.0, 3.0, 30)
-    y = LINE.fn(x, -1.2, 0.7) + 0.05 * rng.standard_normal(x.size)
+    y = line(x, -1.2, 0.7) + 0.05 * rng.standard_normal(x.size)
     w = rng.uniform(0.5, 2.0, x.size)
-    a = least_squares(LINE.fn, x, y, init=[0.0, 0.0], weights=w, jac=LINE.jac)
-    b = least_squares(LINE.fn, x, y, init=[0.0, 0.0], weights=1000.0 * w,
-                      jac=LINE.jac)
+    a = least_squares(line, x, y, init=[0.0, 0.0], weights=w, jac=line_jac)
+    b = least_squares(line, x, y, init=[0.0, 0.0], weights=1000.0 * w,
+                      jac=line_jac)
     assert a.params == pytest.approx(b.params, rel=1e-12)
     assert a.std_errors == pytest.approx(b.std_errors, rel=1e-9)
 
 
 def test_iteration_cap_flags_non_convergence():
     x = np.linspace(0.0, 5.0, 50)
-    y = EXP_DECAY.fn(x, 3.0, 1.3, 0.2)
-    result = least_squares(EXP_DECAY.fn, x, y, init=[0.1, 20.0, 5.0],
-                           jac=EXP_DECAY.jac, max_iterations=2)
+    y = exp_decay(x, 3.0, 1.3, 0.2)
+    result = least_squares(exp_decay, x, y, init=[0.1, 20.0, 5.0],
+                           jac=exp_decay_jac, max_iterations=2)
     assert not result.converged
     assert result.iterations == 2
 
 
 def test_insufficient_points():
     with pytest.raises(InsufficientDataError):
-        least_squares(EXP_DECAY.fn, [1.0, 2.0], [1.0, 2.0], init=[1.0, 1.0, 0.0])
+        least_squares(exp_decay, [1.0, 2.0], [1.0, 2.0], init=[1.0, 1.0, 0.0],
+                      jac=exp_decay_jac)
 
 
 def test_non_finite_init_rejected():
     with pytest.raises(FitFailureError):
-        least_squares(LINE.fn, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
-                      init=[math.nan, 0.0])
+        least_squares(line, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
+                      init=[math.nan, 0.0], jac=line_jac)
 
 
 def test_rank_deficient_model_fails():
@@ -125,27 +137,51 @@ def test_rank_deficient_model_fails():
     def model(x, a, b):
         return a * np.asarray(x, dtype=float)
 
+    def jac(x, a, b):
+        return np.column_stack([x, np.zeros_like(x)])
+
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 20)
     y = 2.0 * x + 0.01 * rng.standard_normal(x.size)
     with pytest.raises(FitFailureError):
-        least_squares(model, x, y, init=[1.0, 1.0])
+        least_squares(model, x, y, init=[1.0, 1.0], jac=jac)
 
 
 def test_bad_weights_rejected():
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(DomainError):
-        least_squares(LINE.fn, x, x, init=[1.0, 0.0], weights=[1.0, 1.0])
+        least_squares(line, x, x, init=[1.0, 0.0], weights=[1.0, 1.0],
+                      jac=line_jac)
     with pytest.raises(DomainError):
-        least_squares(LINE.fn, x, x, init=[1.0, 0.0], weights=[0.0, 0.0, 0.0])
+        least_squares(line, x, x, init=[1.0, 0.0], weights=[0.0, 0.0, 0.0],
+                      jac=line_jac)
 
 
-@pytest.mark.parametrize("model", [LINE, EXP_DECAY], ids=lambda m: m.name)
-def test_analytic_jacobians_match_central_differences(model):
+def central_differences(fn, x, theta):
+    """Jacobian of ``fn(x, *theta)`` by central differences, per-parameter
+    step sqrt(eps) * (1 + |theta_j|): the reference for analytic Jacobians."""
+    base_step = math.sqrt(np.finfo(float).eps)
+    cols = []
+    for j in range(theta.size):
+        step = base_step * (1.0 + abs(theta[j]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[j] += step
+        dn[j] -= step
+        cols.append((np.asarray(fn(x, *up), dtype=float)
+                     - np.asarray(fn(x, *dn), dtype=float)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("fn, jac, theta", [
+    (line, line_jac, [1.7, 0.8]),
+    (exp_decay, exp_decay_jac, [1.7, 0.8, 0.3]),
+], ids=["line", "exp-decay"])
+def test_analytic_jacobians_match_central_differences(fn, jac, theta):
     x = np.linspace(0.1, 4.0, 25)
-    theta = np.array([1.7, 0.8, 0.3][: model.n_params])
-    analytic = np.asarray(model.jac(x, *theta), dtype=float)
-    numeric = numeric_jacobian(model.fn, x, theta)
+    theta = np.array(theta)
+    analytic = np.asarray(jac(x, *theta), dtype=float)
+    numeric = central_differences(fn, x, theta)
     scale = max(1.0, float(np.max(np.abs(analytic))))
     assert float(np.max(np.abs(analytic - numeric))) / scale <= 1e-6
 

@@ -55,9 +55,9 @@ print(json.dumps({"code": code, "modules": sorted(
 PUBLIC_NAMES = [
     "CoherenceRecord", "ConfigError", "CpwTestStructure",
     "DegenerateDataError", "DispersiveCoupling", "DomainError",
-    "FilmProperties", "FitFailureError", "FitModel", "FitResult",
+    "FilmProperties", "FitFailureError", "FitResult",
     "GaussianEstimate", "HistogramFit", "InsufficientDataError", "LossModel",
-    "PurcellParams", "ReadoutConfig", "ResonatorMode", "RingdownFit",
+    "OutputError", "PurcellParams", "ReadoutConfig", "ResonatorMode", "RingdownFit",
     "ShotSet", "SpiralGeometry", "SweepPoint", "T2BoundCheck", "ToolError",
     "TransmonParams", "anharmonicity", "archimedean_spiral_length",
     "build_spiral", "calibrate_epsilon", "cavity_response",
@@ -67,7 +67,7 @@ PUBLIC_NAMES = [
     "fit_gaussian_1d", "fit_kappa_offset", "fit_kappa_ringdown",
     "fit_qdiel", "fitting", "flux_effective_ej", "frequency_band",
     "histogram_fit", "integrated_signal", "kappa_from_qc",
-    "kappa_offset_model", "least_squares", "noise_sigma", "numeric_jacobian",
+    "kappa_offset_model", "least_squares", "noise_sigma",
     "q_c_from_kappa", "readout", "resonance_frequency", "resonator",
     "separation_fidelity", "simulate_shots", "snr_asymptotic",
     "snr_monte_carlo", "snr_sweep", "squares", "stream_shots", "t1_budget",

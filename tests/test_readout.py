@@ -1,5 +1,6 @@
 """Tests for closed-form SNR, IQ shot simulation and histogram analysis."""
 
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -169,36 +170,65 @@ def test_simulate_shots_partition_independent():
         assert np.array_equal(base.q_excited, split.q_excited)
 
 
-def test_simulate_shots_default_partitions_match_serial(monkeypatch):
-    """130 jobs make two default workers (at most one per core); the arrays
-    are those drawn on one thread."""
+def _patch_blocks(monkeypatch, wrapper):
+    """Route every block loop through ``wrapper(blocks, config, jobs)``,
+    where ``blocks`` is the original generator."""
+    blocks = readout._normal_blocks
+    monkeypatch.setattr(readout, "_normal_blocks",
+                        lambda config, jobs: wrapper(blocks, config, jobs))
+
+
+def _shot_bytes(cfg, partitions):
+    shots = simulate_shots(cfg, partitions=partitions)
+    return [getattr(shots, name).tobytes()
+            for name in ("i_ground", "q_ground", "i_excited", "q_excited")]
+
+
+def _snr_hex(cfg, partitions):
+    return snr_monte_carlo(cfg, partitions=partitions).hex()
+
+
+def _check_default_partitions_match_serial(monkeypatch, run):
+    """130 jobs make two default workers (at most one per core); the result
+    is the one drawn on one thread, bit for bit."""
     cfg = _config(n_shots=64 * 4096 + 1)    # 65 blocks per state, 130 jobs
-    fill = readout._fill_blocks
     threads = []
 
-    def recording(*args):
+    def recording(blocks, config, jobs):
         threads.append(threading.get_ident())
-        fill(*args)
+        yield from blocks(config, jobs)
 
-    monkeypatch.setattr(readout, "_fill_blocks", recording)
-    threaded = simulate_shots(cfg)
+    _patch_blocks(monkeypatch, recording)
+    threaded = run(cfg, None)
     assert len(set(threads)) == min(readout._available_cores(), 2)
-    serial = simulate_shots(cfg, partitions=1)
-    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
-        assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+    assert threaded == run(cfg, 1)
+
+
+def _check_reraises_failure_in_other_thread(monkeypatch, run):
+    def failing(blocks, config, jobs):
+        if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
+            raise RuntimeError("stream failed")
+        yield from blocks(config, jobs)
+
+    _patch_blocks(monkeypatch, failing)
+    with pytest.raises(RuntimeError, match="stream failed"):
+        run(_config(n_shots=4097), 2)
+
+
+def test_simulate_shots_default_partitions_match_serial(monkeypatch):
+    _check_default_partitions_match_serial(monkeypatch, _shot_bytes)
+
+
+def test_snr_monte_carlo_default_partitions_match_serial(monkeypatch):
+    _check_default_partitions_match_serial(monkeypatch, _snr_hex)
 
 
 def test_simulate_shots_reraises_failure_in_other_thread(monkeypatch):
-    fill = readout._fill_blocks
+    _check_reraises_failure_in_other_thread(monkeypatch, _shot_bytes)
 
-    def failing(config, means, sigma, outs, jobs):
-        if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
-            raise RuntimeError("stream failed")
-        fill(config, means, sigma, outs, jobs)
 
-    monkeypatch.setattr(readout, "_fill_blocks", failing)
-    with pytest.raises(RuntimeError, match="stream failed"):
-        simulate_shots(_config(n_shots=4097), partitions=2)
+def test_snr_monte_carlo_reraises_failure_in_other_thread(monkeypatch):
+    _check_reraises_failure_in_other_thread(monkeypatch, _snr_hex)
 
 
 def test_simulate_shots_shapes_and_sigma():
@@ -286,6 +316,43 @@ def test_histogram_fit_errors():
         histogram_fit(constant)
 
 
+# The library draws at 3 * 4096 + 1 shots per state and seed 0, recorded with
+# numpy 2.4.6: sha256 of simulate_shots' four arrays, _moment_fit's SNR and
+# width at partitions 1 and 2, and sha256 of stream_shots' (state, block)
+# bytes. The golden corpus runs only the CLI, which never calls
+# simulate_shots; these pin the library paths bit for bit.
+BIT_PIN_NUMPY = "2.4.6"
+BIT_PINS = {
+    False: ("c4f05162f50ad49be74d39f7bd0f0ffd6fdd45a44f60c9770ac34b79c90607d8",
+            ["0x1.412cfaceffd73p+2", "0x1.5aaf05a2a8a8fp-22"],
+            "a45e22480d9e05bc07ef2fe5a04f11e6b803f9d5962de898813cea34a33f4145"),
+    True: ("13e7fccebd6a417f0c869bc56862344ef40236edd66be8c8c0ca81306a5771a7",
+           ["0x1.21471f6f2855bp+1", "0x1.5aafec958321cp-22"],
+           "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d"),
+}
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_library_draws_match_bit_pins(transient):
+    cfg = _config(n_shots=3 * 4096 + 1, transient=transient)
+    arrays_sha, fit_hex, stream_sha = BIT_PINS[transient]
+    drift = (f"drifted from the pin (recorded with numpy {BIT_PIN_NUMPY}, "
+             f"running numpy {np.__version__})")
+    shots = simulate_shots(cfg)
+    digest = hashlib.sha256()
+    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
+        digest.update(getattr(shots, name).tobytes())
+    assert digest.hexdigest() == arrays_sha, f"simulate_shots {drift}"
+    for partitions in (1, 2):
+        fit = readout._moment_fit(cfg, partitions=partitions)
+        assert [value.hex() for value in fit] == fit_hex, f"_moment_fit {drift}"
+    digest = hashlib.sha256()
+    for state, block in stream_shots(cfg)[1]:
+        digest.update(state.encode())
+        digest.update(block.tobytes())
+    assert digest.hexdigest() == stream_sha, f"stream_shots {drift}"
+
+
 def test_snr_monte_carlo_partition_independent():
     """The moment fit (SNR and pooled width) is bitwise the same whether its
     8 jobs run on 1, 2, 3 (chunks of 3, 3, 2) or 7 threads."""
@@ -295,23 +362,6 @@ def test_snr_monte_carlo_partition_independent():
     for partitions in (2, 3, 7):
         fit = readout._moment_fit(cfg, partitions=partitions)
         assert [value.hex() for value in fit] == base
-
-
-def test_snr_monte_carlo_default_partitions_match_serial(monkeypatch):
-    """130 jobs make two default workers (at most one per core); the SNR is
-    the one reduced on one thread, bit for bit."""
-    cfg = _config(n_shots=64 * 4096 + 1)    # 65 blocks per state, 130 jobs
-    reduce = readout._reduce_blocks
-    threads = []
-
-    def recording(*args):
-        threads.append(threading.get_ident())
-        reduce(*args)
-
-    monkeypatch.setattr(readout, "_reduce_blocks", recording)
-    threaded = snr_monte_carlo(cfg)
-    assert len(set(threads)) == min(readout._available_cores(), 2)
-    assert threaded.hex() == snr_monte_carlo(cfg, partitions=1).hex()
 
 
 @pytest.mark.parametrize("transient", [False, True])
@@ -337,19 +387,6 @@ def test_snr_monte_carlo_identical_clouds(monkeypatch):
     cfg = _config(chi=0.0, n_shots=500)
     assert snr_monte_carlo(cfg) == 0.0
     assert histogram_fit(simulate_shots(cfg)).snr == 0.0
-
-
-def test_snr_monte_carlo_reraises_failure_in_other_thread(monkeypatch):
-    reduce = readout._reduce_blocks
-
-    def failing(config, moments, jobs):
-        if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
-            raise RuntimeError("stream failed")
-        reduce(config, moments, jobs)
-
-    monkeypatch.setattr(readout, "_reduce_blocks", failing)
-    with pytest.raises(RuntimeError, match="stream failed"):
-        snr_monte_carlo(_config(n_shots=4097), partitions=2)
 
 
 def test_snr_monte_carlo_errors():
