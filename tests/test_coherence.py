@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cqedkit import (
     CoherenceRecord,
@@ -29,6 +30,7 @@ from cqedkit import (
     t2_bound_check,
     t2_from_t1,
 )
+from cqedkit.dataio import load_coherence_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,6 +333,29 @@ def test_fit_qdiel_raises_when_the_solver_does_not_converge(monkeypatch):
     records = _synthetic_records(1e6, np.linspace(3.5e9, 4.8e9, 4))
     with pytest.raises(FitFailureError, match="did not converge"):
         fit_qdiel(records)
+
+
+def test_fit_qdiel_intervals_are_calibrated(tmp_path, demo_inputs):
+    """The Q_diel fit's +-1 and +-2 sigma intervals cover the truth as stated.
+
+    Seeded coherence tables from the demo generator (12 records with a 5 %
+    ``t1_spread`` and the generator's Purcell channel, held fixed in the
+    fit) go through the CSV loader as in ``fit-qdiel``. Coverage must match
+    Student t's for n - 1 = 11 degrees of freedom within four binomial
+    standard deviations.
+    """
+    seeds = 400
+    z_scores = []
+    for seed in range(seeds):
+        path = demo_inputs.write_coherence(tmp_path, np.random.default_rng(seed))
+        fit = fit_qdiel(load_coherence_csv(path), purcell=demo_inputs.PURCELL)
+        z_scores.append(abs(fit.params[0] - demo_inputs.Q_DIEL) / fit.std_errors[0])
+    z_scores = np.array(z_scores)
+    for z in (1.0, 2.0):
+        nominal = 2.0 * stats.t.cdf(z, df=11) - 1.0
+        band = 4.0 * math.sqrt(nominal * (1.0 - nominal) / seeds)
+        coverage = float(np.mean(z_scores < z))
+        assert abs(coverage - nominal) < band, (z, nominal, coverage)
 
 
 def test_fit_qdiel_requires_two_records():

@@ -1,9 +1,7 @@
 """Tests for spiral resonator design and film-parameter extraction."""
 
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from cqedkit import (
     squares,
     total_inductance,
 )
-from cqedkit.dataio import load_kappa_offset_csv
+from cqedkit.dataio import load_kappa_offset_csv, load_ringdown_csv
 from cqedkit.resonator import HALF_WAVE, QUARTER_WAVE
 
 KAPPA_REF = 1.0 / 300e-9
@@ -212,15 +210,7 @@ def test_kappa_offset_fit_errors():
         fit_kappa_offset([1e-6, 2e-6, 3e-6], [1e6, 1.1e6, 1.2e6])
 
 
-def _demo_inputs_module():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "make_demo_inputs.py"
-    spec = importlib.util.spec_from_file_location("make_demo_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_kappa_offset_fit_intervals_are_calibrated(tmp_path):
+def test_kappa_offset_fit_intervals_are_calibrated(tmp_path, demo_inputs):
     """The +-1 and +-2 sigma intervals cover the truth as often as stated.
 
     Seeded tables from the demo generator (6 offsets, 2 % multiplicative
@@ -228,11 +218,10 @@ def test_kappa_offset_fit_intervals_are_calibrated(tmp_path):
     degrees of freedom the nominal coverage is Student t's, and the
     measured share must lie within four binomial standard deviations.
     """
-    demo = _demo_inputs_module()
     kappa0, d0, seeds = 2.5e7, 12e-6, 400
     z_scores = []
     for seed in range(seeds):
-        path = demo.write_kappa_offset(tmp_path, np.random.default_rng(seed),
+        path = demo_inputs.write_kappa_offset(tmp_path, np.random.default_rng(seed),
                                        kappa0=kappa0, d0=d0)
         d_um, kappas = load_kappa_offset_csv(path)
         fit = fit_kappa_offset(d_um * 1e-6, kappas)
@@ -350,6 +339,33 @@ def test_ringdown_degenerate_inputs():
     with pytest.raises(DomainError, match="decay times"):
         short = np.linspace(0.0, 0.1 / KAPPA_REF, 16)
         fit_kappa_ringdown(short, np.exp(-0.5 * KAPPA_REF * short) + 0.05)
+
+
+def test_ringdown_fit_intervals_are_calibrated(tmp_path, demo_inputs):
+    """The ring-down fit's +-1 and +-2 sigma intervals cover the truth as stated.
+
+    Seeded traces from the demo generator (256 points, 1 % additive noise)
+    go through the CSV loader as in ``fit-kappa``. Kappa, the amplitude and
+    the offset must each cover at Student t's rate for n - 3 = 253 degrees
+    of freedom, within four binomial standard deviations.
+    """
+    kappa, seeds = KAPPA_REF, 400
+    truth = np.array([kappa, 1.0, 0.05])
+    z_scores = []
+    for seed in range(seeds):
+        path = demo_inputs.write_ringdown(tmp_path, np.random.default_rng(seed),
+                                          kappa=kappa)
+        fit = fit_kappa_ringdown(*load_ringdown_csv(path))
+        estimate = np.array([fit.kappa, fit.amplitude, fit.offset])
+        errors = np.array([fit.kappa_std_error, fit.fit.std_errors[0],
+                           fit.fit.std_errors[2]])
+        z_scores.append(np.abs(estimate - truth) / errors)
+    z_scores = np.array(z_scores)
+    for z in (1.0, 2.0):
+        nominal = 2.0 * stats.t.cdf(z, df=253) - 1.0
+        band = 4.0 * math.sqrt(nominal * (1.0 - nominal) / seeds)
+        coverage = np.mean(z_scores < z, axis=0)
+        assert np.all(np.abs(coverage - nominal) < band), (z, nominal, coverage)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
