@@ -11,7 +11,7 @@ coherence
 readout
     Closed-form and Monte-Carlo dispersive readout SNR and fidelity.
 fitting
-    Damped least squares, Gaussian moment fits, erfc kernel.
+    One-parameter bracketed least squares, Gaussian moment fits, erfc.
 cli / config / dataio / svgplot
     Command-line front end, config files, CSV schemas, SVG plots.
 

@@ -15,8 +15,8 @@ only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
 report that echoes the resolved configuration, the seed and the tool
 version, then lists the results and the artifacts in map order; the
 report alone is enough to repeat the run. A command that fails writes no
-artifacts. Failures print a single ``error: <category>: <message>`` line
-and exit 1.
+artifacts, and a failed write removes the files the run wrote. Failures
+print a single ``error: <category>: <message>`` line and exit 1.
 
 The closed-form commands (design-resonator, sweep-spiral, fit-lk) live
 here and, with the parser, the writers and the report, run without
@@ -28,6 +28,7 @@ loads OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Iterator
@@ -176,6 +177,40 @@ def _command(name: str):
     return cli_numeric.COMMANDS[name]
 
 
+def _write_all(outdir: Path, files: dict) -> None:
+    """Write each file under a ``.partial`` name, then move all into place.
+
+    The shots still stream to disk. Any failure removes every file this
+    run wrote, so a failed run leaves no artifact behind; an OSError
+    becomes an OutputError naming the path.
+    """
+    written = []
+    path = outdir
+    try:
+        for name, artifact in files.items():
+            path = outdir / f"{name}.partial"
+            written.append(path)
+            if isinstance(artifact, str):
+                path.write_text(artifact, encoding="utf-8")
+            elif isinstance(artifact, SvgPlot):
+                artifact.write(path)
+            elif isinstance(artifact, Iterator):
+                dataio.write_shots_csv(path, artifact)
+            else:
+                dataio.write_csv(path, *artifact)
+        for name in files:
+            path = outdir / name
+            os.replace(outdir / f"{name}.partial", path)
+            written.append(path)
+    except BaseException as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                done.unlink()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cqedkit",
@@ -210,13 +245,6 @@ def main(argv=None) -> int:
         if not (args.plots or config.emit_plots):
             artifacts = {name: artifact for name, artifact in artifacts.items()
                          if not isinstance(artifact, SvgPlot)}
-        for name, artifact in artifacts.items():
-            if isinstance(artifact, SvgPlot):
-                artifact.write(outdir / name)
-            elif isinstance(artifact, Iterator):
-                dataio.write_shots_csv(outdir / name, artifact)
-            else:
-                dataio.write_csv(outdir / name, *artifact)
         names = [*artifacts, "report.txt"]
         report = [
             f"tool: cqedkit {__version__}",
@@ -233,8 +261,7 @@ def main(argv=None) -> int:
             "# artifacts",
             *names,
         ]
-        (outdir / "report.txt").write_text("\n".join(report) + "\n",
-                                           encoding="utf-8")
+        _write_all(outdir, {**artifacts, "report.txt": "\n".join(report) + "\n"})
     except ToolError as exc:
         print(f"error: {exc.slug}: {exc}", file=sys.stderr)
         return 1

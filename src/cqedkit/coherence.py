@@ -15,7 +15,6 @@ import numpy as np
 from . import fitting
 from .errors import (
     DomainError,
-    FitFailureError,
     InsufficientDataError,
     check_finite,
     require_finite,
@@ -115,24 +114,24 @@ def t1_purcell(g: float, delta: float, kappa: float) -> float:
     return delta * delta / (g * g * kappa)
 
 
-def _total_rate(f_q, model: LossModel):
-    """Summed decay rate at qubit frequency f_q; accepts scalars or arrays."""
+def _total_rate(f_q, q_diel, purcell: PurcellParams | None):
+    """Summed decay rate at qubit frequency f_q; f_q and q_diel broadcast."""
     f_q = np.asarray(f_q, dtype=float)
     require_finite(f_q=f_q)
     if np.any(f_q <= 0.0):
         raise DomainError("f_q must be positive")
-    rate = TWO_PI * f_q / model.q_diel
-    if model.purcell is not None:
-        delta = TWO_PI * (f_q - model.purcell.f_r)
+    rate = TWO_PI * f_q / q_diel
+    if purcell is not None:
+        delta = TWO_PI * (f_q - purcell.f_r)
         if np.any(delta == 0.0):
             raise DomainError("qubit on resonance with the readout mode")
-        rate = rate + model.purcell.g**2 * model.purcell.kappa / delta**2
+        rate = rate + purcell.g**2 * purcell.kappa / delta**2
     return rate
 
 
 def t1_total(f_q: float, model: LossModel) -> float:
     """Harmonic combination of all modelled T1 channels, seconds."""
-    return float(1.0 / _total_rate(f_q, model))
+    return float(1.0 / _total_rate(f_q, model.q_diel, model.purcell))
 
 
 def t1_budget(f_q, model: LossModel):
@@ -143,7 +142,7 @@ def t1_budget(f_q, model: LossModel):
     The Purcell limit is inf without a Purcell channel or with g = 0.
     """
     f_q = np.asarray(f_q, dtype=float)
-    total = 1.0 / _total_rate(f_q, model)
+    total = 1.0 / _total_rate(f_q, model.q_diel, model.purcell)
     t1_diel = model.q_diel / (TWO_PI * f_q)
     purcell = model.purcell
     if purcell is None or purcell.g == 0.0:
@@ -198,9 +197,10 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
 
     Weighted least squares with weights 1/t1_spread^2 when every record
     carries a spread, uniform weights otherwise. Any Purcell channel is
-    held fixed at the supplied parameters. Returns a FitResult whose
-    single parameter is q_diel; a solver that does not converge raises
-    FitFailureError.
+    held fixed at the supplied parameters. Q_diel is searched from a tenth
+    of the smallest omega_q * T1 (a record's Q under dielectric loss alone,
+    which Purcell loss only raises) to a thousand times the largest.
+    Returns a FitResult whose single parameter is q_diel.
     """
     records = list(records)
     if len(records) < 2:
@@ -211,40 +211,11 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
         weights = np.array([1.0 / r.t1_spread**2 for r in records])
     else:
         weights = None
+    diel = TWO_PI * f_q  # dielectric decay rate times q_diel
 
-    # seed from the pure-dielectric inversion; biased low with a Purcell
-    # channel present but well inside the basin
-    q_seed = float(np.median(TWO_PI * f_q * t1))
-    q_scale = q_seed
-    t_scale = float(np.median(t1))
+    def model(f, q):
+        t1_model = 1.0 / _total_rate(f, q, purcell)
+        return t1_model, diel / q**2 * t1_model**2
 
-    def model(f, q_scaled):
-        if q_scaled <= 0.0:
-            # non-finite residuals make the solver reject the trial step
-            return np.full(np.asarray(f).shape, np.inf)
-        trial = LossModel(q_diel=q_scaled * q_scale, purcell=purcell)
-        return 1.0 / _total_rate(f, trial) / t_scale
-
-    def jacobian(f, q_scaled):
-        q = q_scaled * q_scale
-        trial = LossModel(q_diel=q, purcell=purcell)
-        total = 1.0 / _total_rate(f, trial)
-        diel_rate = TWO_PI * np.asarray(f, dtype=float) / q
-        # d t1_total / d q = (diel_rate/q) * t1_total^2
-        return ((diel_rate / q) * total**2)[:, None] * q_scale / t_scale
-
-    scaled_weights = None if weights is None else weights * t_scale**2
-    result = fitting.least_squares(
-        model, f_q, t1 / t_scale, init=[1.0], weights=scaled_weights,
-        jac=jacobian)
-    if not result.converged:
-        raise FitFailureError("Q_diel fit did not converge")
-    return fitting.FitResult(
-        params=result.params * q_scale,
-        std_errors=result.std_errors * q_scale,
-        residual_norm=result.residual_norm * t_scale
-        if weights is None else result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        cost_trace=result.cost_trace,
-    )
+    bracket = (0.1 * np.min(diel * t1), 1e3 * np.max(diel * t1))
+    return fitting.least_squares(model, f_q, t1, bracket, weights)

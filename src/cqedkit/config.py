@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8
 
 ENV_OUTPUT_DIR = "CQEDKIT_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "cqedkit-out"
@@ -284,7 +284,7 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        raise not_utf8(path, exc) from exc
     except configparser.ParsingError as exc:
         first = exc.errors[0] if getattr(exc, "errors", None) else None
         line = first[0] if first else "?"

@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8
 
 if TYPE_CHECKING:
     from .coherence import CoherenceRecord
@@ -75,7 +75,7 @@ def _read_rows(path, required, optional=()):
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        raise not_utf8(path, exc) from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     for number, row in rows:

@@ -4,7 +4,8 @@ Every error the command-line front end reports maps to one of these; the
 ``slug`` attribute becomes the machine-parsable category in the single
 ``error: <slug>: <message>`` line printed on failure. ``require_finite``
 is the shared finiteness guard of library arguments, and ``check_finite``
-applies it to the fields of the dataclass validators.
+applies it to the fields of the dataclass validators. ``not_utf8`` turns
+a decode error in an input file into a ConfigError naming the file line.
 """
 
 import math
@@ -47,9 +48,26 @@ class FitFailureError(ToolError, RuntimeError):
 
 
 class OutputError(ToolError, OSError):
-    """The output directory cannot be created."""
+    """The output directory cannot be created or an artifact not written."""
 
     slug = "output"
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
+    """A ConfigError naming the file line of the first byte that is not UTF-8.
+
+    A text reader decodes ahead of its consumer in chunks, so the offset
+    in ``exc`` is not the file's; the raw bytes are decoded again to find it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.read().decode("utf-8")
+    except UnicodeDecodeError as first:
+        line = first.object.count(b"\n", 0, first.start) + 1
+        return ConfigError(f"{path}: not UTF-8 text at line {line}: {first.reason}")
+    except OSError:
+        pass
+    return ConfigError(f"{path}: not UTF-8 text: {exc.reason}")
 
 
 def require_finite(**values) -> None:

@@ -1,18 +1,18 @@
-"""Shared numerical kernels: damped least squares, Gaussian moment fits, erfc.
+"""Shared numerical kernels: one-parameter least squares, Gaussian moments, erfc.
 
-The least-squares solver is a damped Gauss-Newton iteration with a
-Levenberg-style additive damping term. It is deliberately small: dense
-normal equations, a required analytic Jacobian, and textbook standard
-errors from the scaled inverse normal matrix. The ring-down fit (through
-``exp_decay`` and ``exp_decay_jac``) and the Q_diel fit run through it;
-the offset fit is a closed-form straight line in log kappa.
+Each iterative fit has one nonlinear parameter: Q_diel, and the ring-down
+rate, once its amplitude and offset are solved in closed form for each
+rate (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+1973). ``least_squares`` searches that parameter within a bracket, and
+``standard_errors`` gives the scaled inverse normal matrix's errors at the
+optimum. The offset fit is a closed-form straight line in log kappa.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from .errors import (
     require_finite,
 )
 
-MAX_ITERATIONS = 200
-REL_REDUCTION_TOL = 1e-10
-GRADIENT_TOL = 1e-8
-_DAMPING_INIT_SCALE = 1e-3
+SCAN_POINTS = 64
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -35,161 +33,121 @@ class FitResult:
     """Outcome of a least-squares fit.
 
     ``params`` and ``std_errors`` are aligned; ``residual_norm`` is the
-    square root of the (weighted) sum of squared residuals at the optimum.
-    ``cost_trace`` records the objective at the start and after every
-    accepted step, so callers can verify monotone descent.
+    square root of the (weighted) sum of squared residuals at the optimum;
+    ``iterations`` counts the derivative evaluations of the refinement.
+    A fit that fails raises instead, so ``converged`` is True.
     """
 
     params: np.ndarray
     std_errors: np.ndarray
     residual_norm: float
-    converged: bool
     iterations: int
-    cost_trace: list[float] = field(default_factory=list, repr=False)
-
-
-def exp_decay(x, amp, rate, offset):
-    """The ring-down model amp * exp(-rate * x) + offset."""
-    return amp * np.exp(-rate * np.asarray(x, dtype=float)) + offset
+    converged: bool = True
 
 
 def exp_decay_jac(x, amp, rate, offset):
-    """Derivatives of ``exp_decay`` in amp, rate and offset, one column each."""
+    """Derivatives of amp * exp(-rate * x) + offset, the ring-down model, in
+    amp, rate and offset, one column each."""
     x = np.asarray(x, dtype=float)
     decay = np.exp(-rate * x)
     return np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
 
 
-def least_squares(
-    model: Callable,
-    x,
-    y,
-    init: Sequence[float],
-    weights=None,
-    *,
-    jac: Callable,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
-    """Weighted nonlinear least squares by damped Gauss-Newton iteration.
+def standard_errors(jmat, weights, cost: float) -> np.ndarray:
+    """Errors from ``s^2 * inv(J^T W J)``, ``s^2 = cost / dof``, J being (n, p).
 
-    Parameters
-    ----------
-    model : callable
-        ``model(x, *theta) -> ndarray`` evaluated at the abscissae.
-    x, y : array_like
-        Data points. ``y`` sets the residuals ``y - model(x, *theta)``.
-    init : sequence of float
-        Initial parameter vector.
-    weights : array_like, optional
-        Per-point weights multiplying squared residuals. Defaults to 1.
-        Parameter estimates are invariant under uniform rescaling of the
-        weights, and so are the standard errors because the residual
-        variance is rescaled by the same factor.
-    jac : callable
-        ``jac(x, *theta) -> (n, p) ndarray``, the derivative of the model.
-    max_iterations : int
-        Outer iteration cap; exceeding it returns a result flagged
-        ``converged=False``.
+    They are zero for an exactly saturated fit (``dof == 0`` or zero cost).
+    """
+    n_points, n_params = jmat.shape
+    dof = n_points - n_params
+    if dof <= 0 or cost == 0.0:
+        return np.zeros(n_params)
+    normal = jmat.T @ (weights[:, None] * jmat)
+    try:
+        covariance = (cost / dof) * np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        raise FitFailureError("normal matrix is singular at the optimum") from None
+    return np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
-    Returns
-    -------
-    FitResult
-        Standard errors come from ``s^2 * inv(J^T W J)`` with
-        ``s^2 = cost / (n - p)``; they are zero for an exactly saturated
-        fit (``n == p`` or zero residual).
 
-    Notes
-    -----
-    Damping starts at 1e-3 times the largest diagonal entry of the normal
-    matrix, grows tenfold on every rejected step and shrinks tenfold on
-    every accepted one. Iteration stops when the relative reduction of the
-    objective falls below 1e-10 or the gradient norm scaled by the current
-    objective falls below 1e-8.
+def least_squares(model: Callable, x, y, bracket: tuple[float, float],
+                  weights=None) -> FitResult:
+    """Weighted least squares in one parameter p, searched within ``bracket``.
+
+    ``model(x, p)`` returns the model values and their derivative in p, for
+    a float p and for an (m, 1) column of them. It may solve linear
+    coefficients for each p (variable projection) and hold them fixed in
+    the derivative, which stays the cost's exact derivative because the
+    residual is orthogonal to their columns.
+
+    The cost is scanned at ``SCAN_POINTS`` log-spaced points of the bracket
+    ``(low, high)``; between the neighbours of the smallest, Illinois regula
+    falsi finds the root of its derivative to within rounding. A smallest
+    cost at a bracket end, or a non-finite cost, raises FitFailureError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     require_finite(x=x, y=y, weights=w)
-    theta = np.array(init, dtype=float)
-    n_params = theta.size
-    if y.size < n_params:
-        raise InsufficientDataError(
-            f"{y.size} data points cannot constrain {n_params} parameters")
-    if not np.all(np.isfinite(theta)):
-        raise FitFailureError("initial guess contains non-finite values")
+    if y.size == 0:
+        raise InsufficientDataError("no data points to fit")
     if w.shape != y.shape:
         raise DomainError("weights must match the data length")
     if np.any(w < 0) or not np.any(w > 0):
         raise DomainError("weights must be nonnegative with at least one positive")
+    low, high = bracket
+    if not 0.0 < low < high < math.inf:
+        raise DomainError("bracket must satisfy 0 < low < high < inf")
 
-    def residual(th):
-        return y - np.asarray(model(x, *th), dtype=float)
+    def slope(p):
+        """The cost's derivative in p, and a bound on its rounding error."""
+        values, deriv = model(x, p)
+        value = -2.0 * float(np.dot(w * (y - values), deriv))
+        return value, 2.0 * EPS * float(np.dot(w * np.abs(y), np.abs(deriv)))
 
-    r = residual(theta)
-    if not np.all(np.isfinite(r)):
-        raise FitFailureError("model is non-finite at the initial guess")
-    cost = float(np.dot(w * r, r))
-    trace = [cost]
-    damping = None
-    converged = False
-    iterations = 0
+    grid = np.geomspace(low, high, SCAN_POINTS)
+    costs = np.sum(w * (y - model(x, grid[:, None])[0]) ** 2, axis=-1)
+    if not np.all(np.isfinite(costs)):
+        raise FitFailureError("least-squares cost is not finite across the bracket")
+    best = int(np.argmin(costs))
+    if best in (0, grid.size - 1):
+        raise FitFailureError("least-squares minimum lies at the edge of the bracket")
+    a, b = grid[best - 1], grid[best + 1]
+    (slope_a, _), (slope_b, _) = slope(a), slope(b)
+    if not slope_a < 0.0 < slope_b:
+        raise FitFailureError("least-squares cost has no bracketed minimum")
 
-    for iterations in range(1, max_iterations + 1):
-        jmat = np.asarray(jac(x, *theta), dtype=float)
-        normal = jmat.T @ (w[:, None] * jmat)
-        gradient = jmat.T @ (w * r)
-        if damping is None:
-            peak = float(np.max(np.diag(normal)))
-            if peak <= 0.0 or not math.isfinite(peak):
-                raise FitFailureError("normal matrix is degenerate at the initial guess")
-            damping = _DAMPING_INIT_SCALE * peak
-        if float(np.max(np.abs(gradient))) <= GRADIENT_TOL * (1.0 + cost):
-            converged = True
-            break
-
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(normal + damping * np.eye(n_params), gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial = theta + step
-            r_trial = residual(trial)
-            cost_trial = float(np.dot(w * r_trial, r_trial))
-            if math.isfinite(cost_trial) and cost_trial < cost:
-                rel_drop = (cost - cost_trial) / max(cost, np.finfo(float).tiny)
-                theta, r, cost = trial, r_trial, cost_trial
-                trace.append(cost)
-                damping /= 10.0
+    iterations = kept = 0
+    while True:
+        p = b - slope_b * (b - a) / (slope_b - slope_a)
+        if not a < p < b:
+            p = 0.5 * (a + b)
+            if not a < p < b:
                 break
-            damping *= 10.0
+        slope_p, rounding = slope(p)
+        iterations += 1
+        if abs(slope_p) <= rounding:
+            a = p
+            break
+        # Illinois: an end kept twice running has its slope halved
+        if slope_p < 0.0:
+            a, slope_a = p, slope_p
+            if kept < 0:
+                slope_b *= 0.5
+            kept = -1
         else:
-            # No downhill step exists at any damping: already at a minimum
-            # to working precision.
-            converged = True
-            break
-        if rel_drop < REL_REDUCTION_TOL:
-            converged = True
-            break
+            b, slope_b = p, slope_p
+            if kept > 0:
+                slope_a *= 0.5
+            kept = 1
 
-    jmat = np.asarray(jac(x, *theta), dtype=float)
-    normal = jmat.T @ (w[:, None] * jmat)
-    dof = y.size - n_params
-    if dof > 0 and cost > 0.0:
-        try:
-            covariance = (cost / dof) * np.linalg.inv(normal)
-        except np.linalg.LinAlgError:
-            raise FitFailureError("normal matrix is singular at the optimum") from None
-        std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    else:
-        std_errors = np.zeros(n_params)
+    values, deriv = model(x, a)
+    cost = float(np.dot(w * (y - values), y - values))
     return FitResult(
-        params=theta,
-        std_errors=std_errors,
+        params=np.array([a]),
+        std_errors=standard_errors(np.reshape(deriv, (-1, 1)), w, cost),
         residual_norm=math.sqrt(cost),
-        converged=converged,
         iterations=iterations,
-        cost_trace=trace,
     )
 
 

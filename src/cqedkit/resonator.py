@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -33,6 +33,8 @@ PH_PER_SQUARE = 1e-12  # one pH/square in H/square
 SPIRAL_LENGTH_TOLERANCE = 0.05
 RINGDOWN_MIN_SAMPLES = 8
 RINGDOWN_MIN_DECAY_SPANS = 2.0
+# searched decay times per span, reaching below RINGDOWN_MIN_DECAY_SPANS
+RINGDOWN_RATE_BRACKET = (1e-3, 1e3)
 
 QUARTER_WAVE = "quarter-wave"
 HALF_WAVE = "half-wave"
@@ -270,7 +272,6 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
         params=np.array([kappa0, d0]),
         std_errors=np.array([kappa0 * intercept_err, slope_err * d0 * d0]),
         residual_norm=float(np.linalg.norm(log_k - (slope * d + intercept))),
-        converged=True,
         iterations=0,
     )
 
@@ -365,7 +366,8 @@ class RingdownFit:
 def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     """Energy decay rate kappa from an amplitude ring-down trace.
 
-    Fits V(t) = V0 exp(-kappa t / 2) + offset. The trace must contain at
+    Fits V(t) = V0 exp(-kappa t / 2) + offset, with V0 and the offset
+    solved in closed form for each trial rate. The trace must contain at
     least 8 samples and span at least two amplitude decay times, and must
     actually decay.
     """
@@ -390,39 +392,28 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     if float(np.std(v)) == 0.0:
         raise FitFailureError("trace is constant; nothing decays")
 
-    t0 = float(t[0])
-    t_shift = t - t0
-    tail = v[3 * t.size // 4:]
-    offset0 = float(np.mean(tail))
-    amp0 = float(v[0] - offset0)
-    if amp0 <= 0.0:
-        amp0 = max(float(np.max(v) - offset0), float(np.std(v)))
-    rate0 = RINGDOWN_MIN_DECAY_SPANS / span
-    # crude half-life probe sharpens the seed when the trace is clean
-    below = np.nonzero(v - offset0 < amp0 / math.e)[0]
-    if below.size and t_shift[below[0]] > 0.0:
-        rate0 = 1.0 / float(t_shift[below[0]])
+    s = (t - t[0]) / span  # time in trace spans, the rate in decay times per span
 
-    result = fitting.least_squares(
-        fitting.exp_decay,
-        t_shift / span,
-        v,
-        init=[amp0, rate0 * span, offset0],
-        jac=fitting.exp_decay_jac,
-    )
-    amp, rate_scaled, offset = result.params
-    if not result.converged or rate_scaled <= 0.0 or amp <= 0.0:
+    def model(s, rate):
+        """Best-fitting V0 exp(-rate s) + offset at each rate, and its
+        derivative in the rate with V0 and the offset held."""
+        decay = np.exp(-rate * s)
+        mean = decay.mean(axis=-1, keepdims=True)
+        amp = (np.sum((decay - mean) * v, axis=-1, keepdims=True)
+               / np.sum((decay - mean) ** 2, axis=-1, keepdims=True))
+        return amp * (decay - mean) + v.mean(), -amp * s * decay
+
+    fit = fitting.least_squares(model, s, v, RINGDOWN_RATE_BRACKET)
+    rate = float(fit.params[0])
+    amp, offset = np.polyfit(np.exp(-rate * s), v, 1)
+    if amp <= 0.0:
         raise FitFailureError("trace does not fit a decaying exponential")
-    rate = rate_scaled / span
-    kappa = 2.0 * rate
-    kappa_err = 2.0 * result.std_errors[1] / span
-    if span * rate < RINGDOWN_MIN_DECAY_SPANS:
+    if rate < RINGDOWN_MIN_DECAY_SPANS:
         raise DomainError(
             "trace spans fewer than two amplitude decay times of the fitted rate")
-    return RingdownFit(
-        kappa=kappa,
-        kappa_std_error=kappa_err,
-        amplitude=float(amp),
-        offset=float(offset),
-        fit=result,
-    )
+    params = np.array([amp, rate, offset])
+    fit = replace(fit, params=params, std_errors=fitting.standard_errors(
+        fitting.exp_decay_jac(s, *params), np.ones_like(s), fit.residual_norm ** 2))
+    return RingdownFit(kappa=2.0 * rate / span,
+                       kappa_std_error=2.0 * fit.std_errors[1] / span,
+                       amplitude=amp, offset=offset, fit=fit)

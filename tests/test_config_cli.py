@@ -687,6 +687,16 @@ trace_csv = trace.csv
         f"error: config: {config}: not UTF-8 text")
 
 
+def test_undecodable_config_names_the_line(tmp_path):
+    config = write_config(tmp_path, FULL_CONFIG)
+    lines = config.read_bytes().split(b"\n")
+    lines[4] += b"  # caf\xe9"
+    config.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigError, match=rf"^{config}: not UTF-8 text at "
+                                          rf"line 5: invalid continuation byte$"):
+        parse_config(config)
+
+
 def test_cli_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
     config = write_config(tmp_path, FULL_CONFIG)
     blocker = tmp_path / "file"
@@ -696,3 +706,22 @@ def test_cli_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: output: cannot create output directory {out}: ")
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("design-resonator", "design.csv"),
+    ("design-resonator", "report.txt"),
+    ("sweep-spiral", "spiral_sweep.svg"),
+])
+def test_cli_artifact_write_failure_fails_cleanly(tmp_path, capsys, command,
+                                                  blocked):
+    """A directory where an artifact belongs fails the write: one error
+    line naming the path, and no file of this run is left behind."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert _run([command, "--config", str(DEMO_CONFIG), "--out", str(out),
+                 "--plots"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output: cannot write {out / blocked}: ")
+    assert err.count("\n") == 1
+    assert [path.name for path in out.iterdir()] == [blocked]

@@ -355,3 +355,16 @@ def test_undecodable_csv_names_the_file(tmp_path):
     path.write_bytes(b"t_s,v_amplitude\n0,1\n1e-7,0.5\xff\n")
     with pytest.raises(ConfigError, match=rf"^{path}: not UTF-8 text"):
         load_ringdown_csv(path)
+
+
+@pytest.mark.parametrize("bad_line", [3, 2000])
+def test_undecodable_csv_names_the_line(tmp_path, bad_line):
+    """The line of the first bad byte, also past the reader's 8 KB decode
+    chunk (line 2000 starts beyond byte 10000)."""
+    rows = [b"%d,0.5" % k for k in range(bad_line - 2)]
+    rows.append(b"1e-3,0.5\xff")
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t_s,v_amplitude\n" + b"\n".join(rows) + b"\n0,1\n")
+    with pytest.raises(ConfigError, match=rf"^{path}: not UTF-8 text at line "
+                                          rf"{bad_line}: invalid start byte$"):
+        load_ringdown_csv(path)

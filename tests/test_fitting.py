@@ -1,7 +1,8 @@
 """Tests for the shared numerical kernels.
 
-The least-squares solver is checked against cases with known exact optima
-and against a nested grid-search oracle; erfc is checked against the
+The one-parameter least-squares solver is checked against cases with
+known exact optima, a closed-form linear fit and a nested grid-search
+oracle; erfc is checked against the
 standard library implementation, which is computed by an unrelated method.
 """
 
@@ -21,7 +22,12 @@ from cqedkit import (
     fit_gaussian_1d,
     least_squares,
 )
-from cqedkit.fitting import exp_decay, exp_decay_jac
+from cqedkit.fitting import exp_decay_jac
+
+
+def exp_decay(x, amp, rate, offset):
+    """The ring-down model that ``exp_decay_jac`` differentiates."""
+    return amp * np.exp(-rate * np.asarray(x, dtype=float)) + offset
 
 
 def line(x, a, b):
@@ -33,24 +39,53 @@ def line_jac(x, a, b):
     return np.column_stack([x, np.ones_like(x)])
 
 
+def through_origin(x, a):
+    """The line a * x and its derivative in a."""
+    x = np.asarray(x, dtype=float)
+    return a * x, x
+
+
 def test_line_exact_points():
     x = np.array([0.0, 1.0, 2.0])
-    y = 2.0 * x + 1.0
-    result = least_squares(line, x, y, init=[0.5, 0.0], jac=line_jac)
+    y = 2.0 * x
+    result = least_squares(through_origin, x, y, (0.1, 10.0))
     assert result.converged
-    assert result.params == pytest.approx([2.0, 1.0], abs=1e-10)
+    assert result.params == pytest.approx([2.0], abs=1e-10)
     assert result.residual_norm < 1e-10
-    # saturated fit: no residual variance to propagate
-    assert np.all(result.std_errors == 0.0) or np.all(result.std_errors < 1e-10)
+    # exact data: no residual variance to propagate
+    assert np.all(result.std_errors < 1e-10)
+
+
+def test_linear_model_lands_on_the_closed_form_optimum():
+    """For a model linear in p the optimum and its error are closed-form."""
+    rng = np.random.default_rng(4)
+    x = np.linspace(0.5, 3.0, 30)
+    y = 1.2 * x + 0.05 * rng.standard_normal(x.size)
+    result = least_squares(through_origin, x, y, (0.1, 10.0))
+    best = np.dot(x, y) / np.dot(x, x)
+    cost = float(np.sum((y - best * x) ** 2))
+    assert result.params[0] == pytest.approx(best, rel=4 * np.finfo(float).eps)
+    assert result.residual_norm == pytest.approx(math.sqrt(cost), rel=1e-12)
+    assert result.std_errors[0] == pytest.approx(
+        math.sqrt(cost / (x.size - 1) / np.dot(x, x)), rel=1e-12)
 
 
 def test_exponential_round_trip():
+    """Variable projection: the amplitude is solved for each trial rate and
+    held fixed in the Jacobian, which still gives the cost's derivative."""
     x = np.linspace(0.0, 5.0, 40)
-    y = exp_decay(x, 3.0, 1.3, 0.2)
-    result = least_squares(exp_decay, x, y, init=[2.0, 1.0, 0.0],
-                           jac=exp_decay_jac)
+    y = exp_decay(x, 3.0, 1.3, 0.0)
+
+    def model(x, rate):
+        decay = np.exp(-rate * x)
+        amp = np.sum(decay * y, axis=-1, keepdims=True) / np.sum(
+            decay * decay, axis=-1, keepdims=True)
+        return amp * decay, -amp * x * decay
+
+    result = least_squares(model, x, y, (0.01, 100.0))
     assert result.converged
-    assert result.params == pytest.approx([3.0, 1.3, 0.2], rel=1e-3 * 1e-3)
+    assert result.params[0] == pytest.approx(1.3, rel=1e-12)
+    assert model(x, result.params[0])[0] == pytest.approx(y, abs=1e-12)
 
 
 def _grid_search_1d(objective, lo, hi, rounds=6, points=201):
@@ -71,15 +106,12 @@ def test_matches_grid_search_oracle():
     y = (x - 1.7) ** 2 + bumps
 
     def model(x, c):
-        return (x - c) ** 2
+        return (x - c) ** 2, -2.0 * (x - c)
 
-    def jac(x, c):
-        return -2.0 * (x - c)[:, None]
-
-    result = least_squares(model, x, y, init=[0.4], jac=jac)
+    result = least_squares(model, x, y, (0.1, 10.0))
 
     def objective(c):
-        r = y - model(x, c)
+        r = y - model(x, c)[0]
         return float(np.dot(r, r))
 
     oracle = _grid_search_1d(objective, 0.5, 3.0)
@@ -87,74 +119,53 @@ def test_matches_grid_search_oracle():
     assert abs(result.params[0] - oracle) < 1e-6
 
 
-def test_cost_trace_non_increasing():
-    rng = np.random.default_rng(5)
-    x = np.linspace(0.0, 4.0, 60)
-    y = exp_decay(x, 2.0, 0.9, 0.1) + 0.02 * rng.standard_normal(x.size)
-    result = least_squares(exp_decay, x, y, init=[1.0, 2.0, 0.0],
-                           jac=exp_decay_jac)
-    trace = np.array(result.cost_trace)
-    assert np.all(np.diff(trace) <= 0.0)
-    assert trace[0] > trace[-1]
-
-
 def test_weight_rescaling_invariance():
     rng = np.random.default_rng(11)
     x = np.linspace(0.0, 3.0, 30)
-    y = line(x, -1.2, 0.7) + 0.05 * rng.standard_normal(x.size)
+    y = 1.2 * x + 0.05 * rng.standard_normal(x.size)
     w = rng.uniform(0.5, 2.0, x.size)
-    a = least_squares(line, x, y, init=[0.0, 0.0], weights=w, jac=line_jac)
-    b = least_squares(line, x, y, init=[0.0, 0.0], weights=1000.0 * w,
-                      jac=line_jac)
+    a = least_squares(through_origin, x, y, (0.1, 10.0), weights=w)
+    b = least_squares(through_origin, x, y, (0.1, 10.0), weights=1000.0 * w)
     assert a.params == pytest.approx(b.params, rel=1e-12)
     assert a.std_errors == pytest.approx(b.std_errors, rel=1e-9)
 
 
-def test_iteration_cap_flags_non_convergence():
-    x = np.linspace(0.0, 5.0, 50)
-    y = exp_decay(x, 3.0, 1.3, 0.2)
-    result = least_squares(exp_decay, x, y, init=[0.1, 20.0, 5.0],
-                           jac=exp_decay_jac, max_iterations=2)
-    assert not result.converged
-    assert result.iterations == 2
+def test_minimum_at_the_bracket_edge_fails():
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(FitFailureError, match="edge of the bracket"):
+        least_squares(through_origin, x, 2.0 * x, (3.0, 10.0))
+    with pytest.raises(FitFailureError, match="edge of the bracket"):
+        least_squares(through_origin, x, 2.0 * x, (0.1, 1.0))
+
+
+def test_non_finite_cost_fails():
+    def model(x, a):
+        return np.log(a - 1.0) * np.asarray(x, dtype=float)
+
+    x = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(FitFailureError, match="not finite"), \
+            np.errstate(invalid="ignore", divide="ignore"):
+        least_squares(model, x, x, (0.1, 10.0))
 
 
 def test_insufficient_points():
     with pytest.raises(InsufficientDataError):
-        least_squares(exp_decay, [1.0, 2.0], [1.0, 2.0], init=[1.0, 1.0, 0.0],
-                      jac=exp_decay_jac)
+        least_squares(through_origin, [], [], (0.1, 10.0))
 
 
-def test_non_finite_init_rejected():
-    with pytest.raises(FitFailureError):
-        least_squares(line, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
-                      init=[math.nan, 0.0], jac=line_jac)
-
-
-def test_rank_deficient_model_fails():
-    """A parameter the model never uses leaves the normal matrix singular."""
-
-    def model(x, a, b):
-        return a * np.asarray(x, dtype=float)
-
-    def jac(x, a, b):
-        return np.column_stack([x, np.zeros_like(x)])
-
-    rng = np.random.default_rng(3)
-    x = np.linspace(0.0, 1.0, 20)
-    y = 2.0 * x + 0.01 * rng.standard_normal(x.size)
-    with pytest.raises(FitFailureError):
-        least_squares(model, x, y, init=[1.0, 1.0], jac=jac)
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
+def test_bad_bracket_rejected(bracket):
+    with pytest.raises(DomainError, match="bracket"):
+        least_squares(through_origin, [0.0, 1.0], [0.0, 1.0], bracket)
 
 
 def test_bad_weights_rejected():
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(DomainError):
-        least_squares(line, x, x, init=[1.0, 0.0], weights=[1.0, 1.0],
-                      jac=line_jac)
+        least_squares(through_origin, x, x, (0.1, 10.0), weights=[1.0, 1.0])
     with pytest.raises(DomainError):
-        least_squares(line, x, x, init=[1.0, 0.0], weights=[0.0, 0.0, 0.0],
-                      jac=line_jac)
+        least_squares(through_origin, x, x, (0.1, 10.0),
+                      weights=[0.0, 0.0, 0.0])
 
 
 def central_differences(fn, x, theta):
