@@ -712,6 +712,7 @@ def test_cli_unwritable_output_directory_fails_cleanly(tmp_path, capsys):
     ("design-resonator", "design.csv"),
     ("design-resonator", "report.txt"),
     ("sweep-spiral", "spiral_sweep.svg"),
+    ("simulate-readout", "readout_summary.csv"),
 ])
 def test_cli_artifact_write_failure_fails_cleanly(tmp_path, capsys, command,
                                                   blocked):

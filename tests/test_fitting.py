@@ -2,8 +2,8 @@
 
 The one-parameter least-squares solver is checked against cases with
 known exact optima, a closed-form linear fit and a nested grid-search
-oracle; erfc is checked against the
-standard library implementation, which is computed by an unrelated method.
+oracle; erfc is checked against the standard library implementation,
+which is computed by an unrelated method.
 """
 
 import math
@@ -72,7 +72,7 @@ def test_linear_model_lands_on_the_closed_form_optimum():
 
 def test_exponential_round_trip():
     """Variable projection: the amplitude is solved for each trial rate and
-    held fixed in the Jacobian, which still gives the cost's derivative."""
+    held fixed in the model's derivative, which is still the cost's."""
     x = np.linspace(0.0, 5.0, 40)
     y = exp_decay(x, 3.0, 1.3, 0.0)
 
@@ -140,7 +140,8 @@ def test_minimum_at_the_bracket_edge_fails():
 
 def test_non_finite_cost_fails():
     def model(x, a):
-        return np.log(a - 1.0) * np.asarray(x, dtype=float)
+        """Not a number for a < 1, the low part of the bracket."""
+        return np.log(a - 1.0) * x, x / (a - 1.0)
 
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(FitFailureError, match="not finite"), \
