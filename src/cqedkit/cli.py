@@ -12,10 +12,10 @@ artifact: a ``(header, rows)`` table, an ``SvgPlot``, or for
 ``readout.stream_shots`` returns, which draws the shots only as
 ``main`` writes them. ``main`` writes the tables and the shots, the plots
 only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
-report that echoes the resolved configuration, the seed and the tool
-version, then lists the results and the artifacts in map order; the
-report alone is enough to repeat the run. A command that fails writes no
-artifacts, and a failed write removes the files the run wrote. Failures
+report that echoes the resolved configuration, overrides included, and
+the tool version, then lists the results and the artifacts in map order;
+the report alone is enough to repeat the run. A command that fails writes
+no artifacts, and a failed write removes the files the run wrote. Failures
 print a single ``error: <category>: <message>`` line and exit 1.
 
 The closed-form commands (design-resonator, sweep-spiral, fit-lk) live
@@ -95,7 +95,7 @@ def cmd_design_resonator(config: RunConfig):
         kappa = resonator.kappa_from_qc(f_nominal, res["q_coupling"])
         lines.append(f"kappa_from_qc_per_s: {kappa:.6g}")
     if kappa is not None:
-        mode = resonator.ResonatorMode.from_quality_factors(
+        mode = resonator.ResonatorMode(
             f_nominal, resonator.q_c_from_kappa(f_nominal, kappa),
             res["q_internal"])
         lines.append(f"kappa_inv_ns: {1e9 / kappa:.6g}")
@@ -235,6 +235,8 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.output_dir = Path(args.out)
+        if args.plots:
+            config.emit_plots = True
         outdir = config.output_dir
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -242,7 +244,7 @@ def main(argv=None) -> int:
             raise OutputError(f"cannot create output directory {outdir}: "
                               f"{exc.strerror or exc}") from exc
         lines, artifacts = _command(args.command)(config)
-        if not (args.plots or config.emit_plots):
+        if not config.emit_plots:
             artifacts = {name: artifact for name, artifact in artifacts.items()
                          if not isinstance(artifact, SvgPlot)}
         names = [*artifacts, "report.txt"]

@@ -21,8 +21,6 @@ from .config import RunConfig
 from .errors import ConfigError
 from .svgplot import SvgPlot
 
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------- builders
 
@@ -54,11 +52,11 @@ def _build_purcell(values) -> coherence.PurcellParams | None:
     f_r = values["purcell_f_r_ghz"] * 1e9
     kappa = 1.0 / (values["purcell_kappa_inv_ns"] * 1e-9)
     if g_route:
-        g = TWO_PI * values["purcell_g_mhz"] * 1e6
+        g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
     else:
         chi = math.pi * values["purcell_two_chi_khz"] * 1e3
-        delta = TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
-        alpha = TWO_PI * values["anharmonicity_ghz"] * 1e9
+        delta = coherence.TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
+        alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
         g = transmon.coupling_from_chi(chi, delta, alpha)
     return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
 

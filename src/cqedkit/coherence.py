@@ -15,6 +15,7 @@ import numpy as np
 from . import fitting
 from .errors import (
     DomainError,
+    FitFailureError,
     InsufficientDataError,
     check_finite,
     require_finite,
@@ -87,23 +88,23 @@ class LossModel:
             raise DomainError("gamma_phi must be nonnegative")
 
 
-def t1_dielectric(f_q: float, q_diel: float) -> float:
-    """Dielectric-loss-limited T1 = Q_diel / omega_q, seconds."""
+def t1_dielectric(f_q, q_diel: float):
+    """Dielectric-loss-limited T1 = Q_diel / omega_q, seconds; f_q may be an array."""
     require_finite(f_q=f_q, q_diel=q_diel)
-    if f_q <= 0.0:
+    if np.any(f_q <= 0.0):
         raise DomainError("f_q must be positive")
     if q_diel <= 0.0:
         raise DomainError("q_diel must be positive")
     return q_diel / (TWO_PI * f_q)
 
 
-def t1_purcell(g: float, delta: float, kappa: float) -> float:
-    """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds.
+def t1_purcell(g: float, delta, kappa: float):
+    """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds; delta may be an array.
 
-    Decoupling (g -> 0) sends the limit to infinity.
+    Decoupling (g -> 0) sends the limit to infinity, returned as a scalar.
     """
     require_finite(g=g, delta=delta, kappa=kappa)
-    if delta == 0.0:
+    if np.any(delta == 0.0):
         raise DomainError("detuning must be nonzero for the dispersive Purcell rate")
     if kappa <= 0.0:
         raise DomainError("kappa must be positive")
@@ -137,20 +138,16 @@ def t1_total(f_q: float, model: LossModel) -> float:
 def t1_budget(f_q, model: LossModel):
     """T1 per channel over a frequency grid: (dielectric, Purcell, total), s.
 
-    Each array matches the scalar ``t1_dielectric``, ``t1_purcell`` and
-    ``t1_total`` bit for bit, as the operations run in the same order.
-    The Purcell limit is inf without a Purcell channel or with g = 0.
+    The channels are ``t1_dielectric`` and ``t1_purcell``, the total
+    ``t1_total``, each evaluated on the whole grid. The Purcell limit is
+    inf without a Purcell channel or with g = 0.
     """
     f_q = np.asarray(f_q, dtype=float)
     total = 1.0 / _total_rate(f_q, model.q_diel, model.purcell)
-    t1_diel = model.q_diel / (TWO_PI * f_q)
     purcell = model.purcell
-    if purcell is None or purcell.g == 0.0:
-        t1_p = np.full(f_q.shape, math.inf)
-    else:
-        delta = TWO_PI * (f_q - purcell.f_r)
-        t1_p = delta * delta / (purcell.g * purcell.g * purcell.kappa)
-    return t1_diel, t1_p, total
+    t1_p = np.full(f_q.shape, math.inf if purcell is None else t1_purcell(
+        purcell.g, TWO_PI * (f_q - purcell.f_r), purcell.kappa))
+    return t1_dielectric(f_q, model.q_diel), t1_p, total
 
 
 def t2_from_t1(t1, gamma_phi: float = 0.0):
@@ -170,26 +167,24 @@ def t2_from_t1(t1, gamma_phi: float = 0.0):
 
 @dataclass(frozen=True)
 class T2BoundCheck:
-    """Outcome of the t2e <= 2 t1 consistency check."""
+    """Outcome of the t2e <= 2 t1 consistency check: ``ratio`` is t2e / (2 t1),
+    None without t2e, which makes the check not applicable (and not failed)."""
 
-    applicable: bool
-    passed: bool
     ratio: float | None
 
+    @property
+    def applicable(self) -> bool:
+        return self.ratio is not None
 
-def t2_bound_check(record: CoherenceRecord,
-                   tolerance: float = T2_BOUND_TOLERANCE) -> T2BoundCheck:
-    """Check a record's echo time against the 2*T1 ceiling.
+    @property
+    def passed(self) -> bool:
+        return self.ratio is None or self.ratio <= 1.0 + T2_BOUND_TOLERANCE
 
-    Records without t2e come back not-applicable (and not failed). The
-    ratio reported is t2e / (2 t1).
-    """
-    if record.t2e is None:
-        return T2BoundCheck(applicable=False, passed=True, ratio=None)
-    ratio = record.t2e / (2.0 * record.t1)
-    return T2BoundCheck(applicable=True,
-                        passed=ratio <= 1.0 + tolerance,
-                        ratio=ratio)
+
+def t2_bound_check(record: CoherenceRecord) -> T2BoundCheck:
+    """Check a record's echo time against the 2*T1 ceiling."""
+    return T2BoundCheck(
+        None if record.t2e is None else record.t2e / (2.0 * record.t1))
 
 
 def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResult:
@@ -218,4 +213,8 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
         return t1_model, diel / q**2 * t1_model**2
 
     bracket = (0.1 * np.min(diel * t1), 1e3 * np.max(diel * t1))
-    return fitting.least_squares(model, f_q, t1, bracket, weights)
+    try:
+        return fitting.least_squares(model, f_q, t1, bracket, weights)
+    except FitFailureError as exc:
+        raise FitFailureError(f"Q_diel fit over 0.1 x the smallest to 1e3 x the "
+                              f"largest omega_q*T1: {exc}") from exc

@@ -181,7 +181,8 @@ def _parse_value(section: str, key: str, spec: Key, text: str):
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration: every present section with defaults filled."""
+    """Fully resolved configuration: every present section but ``[run]``,
+    whose keys are the last three fields, with defaults filled."""
 
     source: Path
     sections: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -301,17 +302,16 @@ def parse_config(path) -> RunConfig:
         _cross_validate(name, resolved)
         sections[name] = resolved
 
-    run = sections.get("run", {key: spec.default
-                               for key, spec in SCHEMA["run"].items()})
-    output_dir = run.get("output_dir")
+    run = sections.pop("run", None) or _resolve_section("run", {})
+    output_dir = run["output_dir"]
     if output_dir is None:
         output_dir = os.environ.get(ENV_OUTPUT_DIR, DEFAULT_OUTPUT_DIR)
     return RunConfig(
         source=path,
         sections=sections,
-        seed=run.get("seed", 0),
+        seed=run["seed"],
         output_dir=Path(output_dir),
-        emit_plots=bool(run.get("emit_plots", False)),
+        emit_plots=run["emit_plots"],
     )
 
 
@@ -321,20 +321,15 @@ def render_resolved(config: RunConfig) -> str:
     Floats are written in their shortest round-trip form (``str`` equals
     ``repr`` for floats), so parsing the text back gives equal values.
     """
+    sections = {**config.sections, "run": {
+        "seed": config.seed, "output_dir": str(config.output_dir),
+        "emit_plots": config.emit_plots}}
     lines = []
     for name in SCHEMA:
-        if name not in config.sections and name != "run":
+        if name not in sections:
             continue
         lines.append(f"[{name}]")
-        if name == "run":
-            values = dict(config.sections.get("run", {}))
-            values["seed"] = config.seed
-            values["output_dir"] = str(config.output_dir)
-            values["emit_plots"] = config.emit_plots
-        else:
-            values = config.sections[name]
-        for key in SCHEMA[name]:
-            value = values.get(key, SCHEMA[name][key].default)
+        for key, value in sections[name].items():   # in SCHEMA order
             if value is None:
                 continue
             if isinstance(value, bool):

@@ -181,8 +181,8 @@ def write_shots_csv(path, blocks) -> Path:
     return path
 
 
-def load_shots_csv(path, sigma: float = 1.0) -> ShotSet:
-    """Read a shot dump back into a ShotSet (assumed already normalized)."""
+def load_shots_csv(path) -> ShotSet:
+    """Read a shot dump back into a ShotSet."""
     import numpy as np
 
     from .readout import EXCITED, GROUND, ShotSet
@@ -205,7 +205,6 @@ def load_shots_csv(path, sigma: float = 1.0) -> ShotSet:
         q_ground=np.array(clouds[GROUND][1]),
         i_excited=np.array(clouds[EXCITED][0]),
         q_excited=np.array(clouds[EXCITED][1]),
-        sigma=sigma,
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 SCAN_POINTS = 64
+MIN_SAMPLES = 100  # fewest samples fit_gaussian_1d estimates from
 EPS = float(np.finfo(float).eps)
 
 
@@ -35,14 +36,14 @@ class FitResult:
     ``params`` and ``std_errors`` are aligned; ``residual_norm`` is the
     square root of the (weighted) sum of squared residuals at the optimum;
     ``iterations`` counts the derivative evaluations of the refinement.
-    A fit that fails raises instead, so ``converged`` is True.
+    A fit that fails raises instead, so ``converged`` is always True.
     """
 
     params: np.ndarray
     std_errors: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool = True
+    converged = True  # a class constant, not a field
 
 
 def exp_decay_jac(x, amp, rate, offset):
@@ -111,7 +112,9 @@ def least_squares(model: Callable, x, y, bracket: tuple[float, float],
         raise FitFailureError("least-squares cost is not finite across the bracket")
     best = int(np.argmin(costs))
     if best in (0, grid.size - 1):
-        raise FitFailureError("least-squares minimum lies at the edge of the bracket")
+        raise FitFailureError(
+            f"least-squares minimum lies at the {('lower', 'upper')[best > 0]} "
+            f"edge of the bracket ({grid[best]:.6g})")
     a, b = grid[best - 1], grid[best + 1]
     (slope_a, _), (slope_b, _) = slope(a), slope(b)
     if not slope_a < 0.0 < slope_b:
@@ -159,7 +162,7 @@ class GaussianEstimate:
     sigma_err: float
 
 
-def fit_gaussian_1d(samples, min_samples: int = 100) -> GaussianEstimate:
+def fit_gaussian_1d(samples) -> GaussianEstimate:
     """Gaussian location/width from sample moments.
 
     Mean is the sample mean, sigma the bias-corrected standard deviation;
@@ -169,9 +172,9 @@ def fit_gaussian_1d(samples, min_samples: int = 100) -> GaussianEstimate:
     if values.ndim != 1:
         raise DomainError("samples must be one-dimensional")
     require_finite(samples=values)
-    if values.size < min_samples:
+    if values.size < MIN_SAMPLES:
         raise InsufficientDataError(
-            f"need at least {min_samples} samples, got {values.size}")
+            f"need at least {MIN_SAMPLES} samples, got {values.size}")
     sigma = float(np.std(values, ddof=1))
     if sigma == 0.0:
         raise DegenerateDataError("samples have zero variance")

@@ -89,18 +89,12 @@ class ReadoutConfig:
 
 @dataclass
 class ShotSet:
-    """Single-shot IQ clouds for both prepared states.
-
-    ``sigma`` is the per-quadrature Gaussian width associated with the
-    arrays: the injected noise width for simulated sets, 1 after
-    normalization.
-    """
+    """Single-shot IQ clouds for both prepared states."""
 
     i_ground: np.ndarray
     q_ground: np.ndarray
     i_excited: np.ndarray
     q_excited: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         lengths = {len(self.i_ground), len(self.q_ground),
@@ -291,7 +285,7 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
 
     _run_chunks(_shot_jobs(config.n_shots), partitions, fill)
     return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
-                   i_excited=outs[1][0], q_excited=outs[1][1], sigma=sigma)
+                   i_excited=outs[1][0], q_excited=outs[1][1])
 
 
 def _require_shots(*counts: int) -> None:
@@ -347,7 +341,7 @@ def _moment_fit(config: ReadoutConfig,
     return snr, width
 
 
-def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> float:
+def snr_monte_carlo(config: ReadoutConfig) -> float:
     """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
 
     The same sub-seeded blocks are drawn, but each is reduced at once to
@@ -355,9 +349,9 @@ def snr_monte_carlo(config: ReadoutConfig, partitions: int | None = None) -> flo
     ``n_shots``. Per state they give the centroid sigma*mean(z) + signal
     and covariance sigma^2*cov(z), which feed ``histogram_fit``'s SNR core.
     Blocks are summed in a fixed order, so the result is bitwise the same
-    for any ``partitions``. Raises what ``histogram_fit`` raises.
+    for any number of drawing threads. Raises what ``histogram_fit`` raises.
     """
-    return _moment_fit(config, partitions)[0]
+    return _moment_fit(config)[0]
 
 
 def stream_shots(config: ReadoutConfig
@@ -443,8 +437,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def snr_sweep(config: ReadoutConfig, tau_values,
-              partitions: int | None = None) -> list[SweepPoint]:
+def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:
     """Closed-form and Monte-Carlo SNR over a list of integration times.
 
     Each point simulates afresh under a sub-seed derived from
@@ -461,7 +454,7 @@ def snr_sweep(config: ReadoutConfig, tau_values,
             raise DomainError("every tau must be positive")
         sub = replace(config, tau_m=float(tau), seed=derive_seed(config.seed, index))
         closed = snr_asymptotic(sub)
-        monte = snr_monte_carlo(sub, partitions=partitions)
+        monte = snr_monte_carlo(sub)
         points.append(SweepPoint(
             tau_m=float(tau),
             snr_closed_form=closed,

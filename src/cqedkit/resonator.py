@@ -146,22 +146,17 @@ class ResonatorMode:
     f_r: float
     q_coupling: float
     q_internal: float
-    kappa: float
 
     def __post_init__(self):
+        check_finite(self, "f_r", "q_coupling", "q_internal")
         if self.f_r <= 0.0:
             raise DomainError("f_r must be positive")
         if self.q_coupling <= 0.0 or self.q_internal <= 0.0:
             raise DomainError("quality factors must be positive")
-        expected = kappa_from_qc(self.f_r, self.q_coupling)
-        if not math.isclose(self.kappa, expected, rel_tol=1e-9):
-            raise DomainError("kappa is inconsistent with f_r and q_coupling")
 
-    @classmethod
-    def from_quality_factors(cls, f_r: float, q_coupling: float,
-                             q_internal: float) -> "ResonatorMode":
-        return cls(f_r=f_r, q_coupling=q_coupling, q_internal=q_internal,
-                   kappa=kappa_from_qc(f_r, q_coupling))
+    @property
+    def kappa(self) -> float:
+        return kappa_from_qc(self.f_r, self.q_coupling)
 
     @property
     def over_coupled(self) -> bool:

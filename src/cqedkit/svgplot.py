@@ -29,7 +29,7 @@ def _fmt(value: float) -> str:
 class SvgPlot:
     """Accumulates series, then writes one self-contained SVG file."""
 
-    def __init__(self, x_label: str, y_label: str, title: str = ""):
+    def __init__(self, x_label: str, y_label: str, title: str):
         self.x_label = x_label
         self.y_label = y_label
         self.title = title
@@ -61,8 +61,8 @@ class SvgPlot:
     def add_scatter(self, xs, ys, color: str | None = None):
         self._add("scatter", color, xs, ys)
 
-    def add_band(self, xs, y_low, y_high, color: str | None = None):
-        self._add("band", color, xs, y_low, y_high)
+    def add_band(self, xs, y_low, y_high):
+        self._add("band", None, xs, y_low, y_high)
 
     def _limits(self):
         xs, ys = [], []
@@ -101,11 +101,9 @@ class SvgPlot:
             f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
             f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
             f'height="{plot_h}" fill="none" stroke="#404040" stroke-width="1"/>',
+            f'<text x="{WIDTH / 2:g}" y="{MARGIN_TOP - 9}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{self.title}</text>',
         ]
-        if self.title:
-            parts.append(
-                f'<text x="{WIDTH / 2:g}" y="{MARGIN_TOP - 9}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="14">{self.title}</text>')
 
         for k in range(N_TICKS):
             frac = k / (N_TICKS - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, require_finite
 
 # Exact by definition since the 2019 SI redefinition (CODATA 2018).
 _ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -29,15 +29,13 @@ class TransmonParams:
     ej_total: float
     ec: float
     flux: float = 0.0
-    symmetric: bool = True
 
     def __post_init__(self):
+        check_finite(self, "ej_total", "ec", "flux")
         if self.ej_total <= 0.0:
             raise DomainError("ej_total must be positive")
         if self.ec <= 0.0:
             raise DomainError("ec must be positive")
-        if not self.symmetric:
-            raise DomainError("asymmetric junction loops are not supported")
 
 
 @dataclass(frozen=True)
@@ -47,22 +45,18 @@ class DispersiveCoupling:
     g: float
     delta: float
     alpha: float
-    chi: float
     kappa: float
-    phi: float
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise DomainError("kappa must be positive")
-        expected_phi = dispersive_phase(self.chi, self.kappa)
-        if abs(self.phi - expected_phi) > 1e-9 * max(1.0, abs(expected_phi)):
-            raise DomainError("phi is inconsistent with chi and kappa")
+        self.phi  # the relations reject non-finite or out-of-domain rates
 
-    @classmethod
-    def from_rates(cls, g: float, delta: float, alpha: float, kappa: float) -> "DispersiveCoupling":
-        chi = dispersive_shift(g, delta, alpha)
-        return cls(g=g, delta=delta, alpha=alpha, chi=chi, kappa=kappa,
-                   phi=dispersive_phase(chi, kappa))
+    @property
+    def chi(self) -> float:
+        return dispersive_shift(self.g, self.delta, self.alpha)
+
+    @property
+    def phi(self) -> float:
+        return dispersive_phase(self.chi, self.kappa)
 
 
 def charging_energy(shunt_capacitance: float) -> float:
@@ -73,6 +67,7 @@ def charging_energy(shunt_capacitance: float) -> float:
     shunt_capacitance : float
         Total shunt capacitance in farads.
     """
+    require_finite(shunt_capacitance=shunt_capacitance)
     if shunt_capacitance <= 0.0:
         raise DomainError("shunt capacitance must be positive")
     return _ELEMENTARY_CHARGE**2 / (2.0 * shunt_capacitance * _PLANCK) / 1e9
@@ -114,6 +109,7 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     The sign is carried through: a negative anharmonicity below the
     straddling point gives a negative chi.
     """
+    require_finite(g=g, delta=delta, alpha=alpha)
     if delta == 0.0:
         raise DomainError("qubit-resonator detuning must be nonzero")
     if delta + alpha == 0.0:
@@ -123,6 +119,7 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
 
 def coupling_from_chi(chi: float, delta: float, alpha: float) -> float:
     """Coupling magnitude |g| that reproduces a measured dispersive shift."""
+    require_finite(chi=chi, delta=delta, alpha=alpha)
     if delta == 0.0:
         raise DomainError("qubit-resonator detuning must be nonzero")
     if delta + alpha == 0.0:
@@ -140,6 +137,7 @@ def dispersive_phase(chi: float, kappa: float) -> float:
 
     Odd in chi and bounded by +-pi/2.
     """
+    require_finite(chi=chi, kappa=kappa)
     if kappa <= 0.0:
         raise DomainError("kappa must be positive")
     return math.atan2(2.0 * chi, kappa)

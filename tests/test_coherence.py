@@ -11,13 +11,20 @@ from scipy import stats
 from cqedkit import (
     CoherenceRecord,
     CpwTestStructure,
+    DispersiveCoupling,
     DomainError,
     FilmProperties,
     FitFailureError,
     InsufficientDataError,
     LossModel,
     PurcellParams,
+    ResonatorMode,
     SpiralGeometry,
+    TransmonParams,
+    charging_energy,
+    coupling_from_chi,
+    dispersive_phase,
+    dispersive_shift,
     fit_gaussian_1d,
     fit_kappa_offset,
     fit_qdiel,
@@ -209,6 +216,10 @@ VALID_FIELDS = {
                          feed_offset=20e-6, spiral_length=5e-3, turns=20.0),
     CpwTestStructure: dict(length=4e-3, l_per_length=4e-7,
                            c_per_length=1.6e-10),
+    ResonatorMode: dict(f_r=6e9, q_coupling=1e4, q_internal=1e6),
+    TransmonParams: dict(ej_total=9.8, ec=0.2278, flux=0.1),
+    DispersiveCoupling: dict(g=TWO_PI * 50e6, delta=TWO_PI * 1.5e9,
+                             alpha=-TWO_PI * 0.228e9, kappa=1.0 / 300e-9),
 }
 
 
@@ -229,6 +240,17 @@ def _line(x, a):
 
 
 LIBRARY_CALLS = {
+    "charging_energy": (lambda v: charging_energy(v), "shunt_capacitance"),
+    "dispersive_shift-g": (lambda v: dispersive_shift(v, 2e9, -3e8), "g"),
+    "dispersive_shift-delta": (lambda v: dispersive_shift(1e8, v, -3e8), "delta"),
+    "dispersive_shift-alpha": (lambda v: dispersive_shift(1e8, 2e9, v), "alpha"),
+    "coupling_from_chi-chi": (lambda v: coupling_from_chi(v, 2e9, -3e8), "chi"),
+    "coupling_from_chi-delta": (
+        lambda v: coupling_from_chi(-1e5, v, -3e8), "delta"),
+    "coupling_from_chi-alpha": (
+        lambda v: coupling_from_chi(-1e5, 2e9, v), "alpha"),
+    "dispersive_phase-chi": (lambda v: dispersive_phase(v, 3e6), "chi"),
+    "dispersive_phase-kappa": (lambda v: dispersive_phase(1e6, v), "kappa"),
     "t1_dielectric-f_q": (lambda v: t1_dielectric(v, 1e6), "f_q"),
     "t1_dielectric-q_diel": (lambda v: t1_dielectric(4e9, v), "q_diel"),
     "t1_purcell-g": (lambda v: t1_purcell(v, TWO_PI * 2e9, 3e6), "g"),
@@ -326,8 +348,13 @@ def test_fit_qdiel_raises_when_the_solver_does_not_converge():
     records = [CoherenceRecord(f_q=f, t1=t1_purcell(
                    purcell.g, TWO_PI * (f - purcell.f_r), purcell.kappa))
                for f in np.linspace(3.5e9, 4.8e9, 4)]
-    with pytest.raises(FitFailureError, match="edge of the bracket"):
+    largest = max(TWO_PI * r.f_q * r.t1 for r in records)
+    with pytest.raises(FitFailureError) as failure:
         fit_qdiel(records, purcell=purcell)
+    assert str(failure.value) == (
+        "Q_diel fit over 0.1 x the smallest to 1e3 x the largest omega_q*T1: "
+        f"least-squares minimum lies at the upper edge of the bracket "
+        f"({1e3 * largest:.6g})")
 
 
 def test_fit_qdiel_intervals_are_calibrated(tmp_path, demo_inputs):

@@ -237,12 +237,16 @@ def test_render_resolved_reparses_identically(tmp_path, monkeypatch):
     config = parse_config(source)
     rendered = write_config(tmp_path, render_resolved(config), "resolved.cfg")
     reparsed = parse_config(rendered)
+    assert "run" not in config.sections     # [run] lives in the fields only
+    assert reparsed.sections == config.sections
     # the rendered text pins the resolved output directory explicitly
-    expected = {name: dict(values) for name, values in config.sections.items()}
-    expected["run"]["output_dir"] = str(config.output_dir)
-    assert reparsed.sections == expected
-    assert reparsed.seed == config.seed
-    assert reparsed.output_dir == config.output_dir
+    assert _run_fields(reparsed) == _run_fields(config)
+
+
+def _run_fields(config):
+    """The [run] values of a RunConfig, as its fields hold them."""
+    return {"seed": config.seed, "output_dir": str(config.output_dir),
+            "emit_plots": config.emit_plots}
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -331,15 +335,15 @@ def test_any_valid_config_survives_render_and_reparse(sections):
         source = Path(tmp) / "drawn.cfg"
         source.write_text(_config_text(sections), encoding="utf-8")
         config = parse_config(source)
+        resolved = {**config.sections, "run": _run_fields(config)}
         for name, values in sections.items():
             for key, value in values.items():
-                assert config.sections[name][key] == value, (name, key)
+                assert resolved[name][key] == value, (name, key)
         rendered = Path(tmp) / "rendered.cfg"
         rendered.write_text(render_resolved(config), encoding="utf-8")
         reparsed = parse_config(rendered)
-    expected = {name: dict(values) for name, values in config.sections.items()}
-    expected["run"]["output_dir"] = str(config.output_dir)
-    assert reparsed.sections == expected
+    assert reparsed.sections == config.sections
+    assert _run_fields(reparsed) == _run_fields(config)
 
 
 def _run(args):
@@ -417,18 +421,21 @@ q_diel = 746123.7
         assert _run([command, "--config", str(path), "--out", str(out),
                      "--plots"]) == 0
         report = (out / "report.txt").read_text()
+        assert "emit_plots = true" in report
         start = report.index("[geometry]")
         end = report.index("# results")
         replay = write_config(tmp_path, report[start:end], "replay.cfg")
-        again = tmp_path / f"{command}-again"
-        assert _run([command, "--config", str(replay), "--out", str(again),
-                     "--plots"]) == 0
         written = sorted(p.name for p in out.iterdir() if p.name != "report.txt")
-        assert written == sorted(p.name for p in again.iterdir()
-                                 if p.name != "report.txt")
-        for name in written:
-            assert (again / name).read_bytes() == (out / name).read_bytes(), (
-                command, name)
+        # the report records --plots, so a replay without it plots as well
+        for flags in (["--plots"], []):
+            again = tmp_path / f"{command}-again{''.join(flags)}"
+            assert _run([command, "--config", str(replay), "--out", str(again),
+                         *flags]) == 0
+            assert written == sorted(p.name for p in again.iterdir()
+                                     if p.name != "report.txt"), flags
+            for name in written:
+                assert (again / name).read_bytes() == (out / name).read_bytes(), (
+                    command, name, flags)
 
 
 def test_cli_simulate_readout_seed_override(tmp_path, capsys):

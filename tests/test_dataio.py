@@ -103,8 +103,7 @@ def test_shots_csv_round_trip(tmp_path):
     shots = simulate_shots(config)
     path = tmp_path / "shots.csv"
     write_shots_csv(path, shots.blocks())
-    loaded = load_shots_csv(path, sigma=shots.sigma)
-    assert loaded.sigma == shots.sigma
+    loaded = load_shots_csv(path)
     assert loaded.i_ground == pytest.approx(shots.i_ground, rel=1e-8)
     assert loaded.q_excited == pytest.approx(shots.q_excited, rel=1e-8)
     # rewriting the loaded set reproduces the file byte for byte
@@ -120,8 +119,7 @@ def test_shots_csv_matches_row_writer(tmp_path):
                         9.999999995, 0.1234567895, 1.0000000005e-5,
                         -2.5e-7, 5e-324, -1.7976931348623157e308])
     shots = ShotSet(i_ground=awkward, q_ground=awkward[::-1].copy(),
-                    i_excited=-awkward[::-1], q_excited=awkward / 3.0,
-                    sigma=1.0)
+                    i_excited=-awkward[::-1], q_excited=awkward / 3.0)
     rows = [("g", i, q) for i, q in zip(shots.i_ground, shots.q_ground)]
     rows += [("e", i, q) for i, q in zip(shots.i_excited, shots.q_excited)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
@@ -135,8 +133,7 @@ def test_shots_csv_block_edges_match_row_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     i_g, q_g, i_e, q_e = rng.standard_normal((4, n)) * 10.0 ** rng.integers(
         -12, 12, size=(4, n))
-    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e,
-                    sigma=1.0)
+    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e)
     rows = [("g", i, q) for i, q in zip(i_g, q_g)]
     rows += [("e", i, q) for i, q in zip(i_e, q_e)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
@@ -147,8 +144,7 @@ def test_shots_csv_block_edges_match_row_writer(tmp_path, n):
 def test_shots_csv_memory_does_not_grow_with_shots(tmp_path):
     n = 100_000
     i_g, q_g, i_e, q_e = np.random.default_rng(5).standard_normal((4, n))
-    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e,
-                    sigma=1.0)
+    shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e)
     tracemalloc.start()
     try:
         write_shots_csv(tmp_path / "shots.csv", shots.blocks())
@@ -308,7 +304,7 @@ def test_empty_cell_in_required_column(tmp_path):
 def test_shot_set_mismatched_arrays_rejected():
     with pytest.raises(Exception):
         ShotSet(i_ground=np.zeros(2), q_ground=np.zeros(2),
-                i_excited=np.zeros(2), q_excited=np.zeros(3), sigma=1.0)
+                i_excited=np.zeros(2), q_excited=np.zeros(3))
 
 
 # Blank lines 2 and 5 count: the bad cell on line 6 is reported at line 6,

@@ -169,13 +169,16 @@ def test_kappa_qc_round_trip(f_r, q_c):
 
 
 def test_resonator_mode_coupling_classification():
-    over = ResonatorMode.from_quality_factors(6e9, 1e4, 1e6)
+    over = ResonatorMode(6e9, 1e4, 1e6)
     assert over.over_coupled
-    assert over.kappa == pytest.approx(kappa_from_qc(6e9, 1e4), rel=1e-12)
-    marginal = ResonatorMode.from_quality_factors(6e9, 1e4, 1e5)
+    assert over.kappa == kappa_from_qc(6e9, 1e4)
+    marginal = ResonatorMode(6e9, 1e4, 1e5)
     assert not marginal.over_coupled  # exactly 10x is not over-coupled
-    with pytest.raises(DomainError):
+    # kappa follows from f_r and q_coupling, so none that contradicts them is taken
+    with pytest.raises(TypeError):
         ResonatorMode(f_r=6e9, q_coupling=1e4, q_internal=1e6, kappa=1.0)
+    with pytest.raises(DomainError, match="quality factors"):
+        ResonatorMode(f_r=6e9, q_coupling=0.0, q_internal=1e6)
 
 
 def test_kappa_offset_model_landmarks():

@@ -75,8 +75,6 @@ def test_transmon_params_validation():
         TransmonParams(ej_total=0.0, ec=0.2)
     with pytest.raises(DomainError):
         TransmonParams(ej_total=10.0, ec=-0.2)
-    with pytest.raises(DomainError):
-        TransmonParams(ej_total=10.0, ec=0.2, symmetric=False)
 
 
 def test_flux_effective_ej_landmarks():
@@ -186,16 +184,21 @@ def test_dispersive_phase_domain():
 
 def test_dispersive_coupling_from_rates():
     two_pi = 2.0 * math.pi
-    coupling = DispersiveCoupling.from_rates(
+    coupling = DispersiveCoupling(
         g=two_pi * 50e6, delta=two_pi * 1.5e9, alpha=-two_pi * 0.228e9,
         kappa=1.0 / 300e-9)
-    assert coupling.chi == pytest.approx(
-        dispersive_shift(coupling.g, coupling.delta, coupling.alpha), rel=1e-15)
-    assert coupling.phi == pytest.approx(
-        dispersive_phase(coupling.chi, coupling.kappa), rel=1e-15)
+    assert coupling.chi == dispersive_shift(coupling.g, coupling.delta,
+                                            coupling.alpha)
+    assert coupling.phi == dispersive_phase(coupling.chi, coupling.kappa)
 
 
 def test_dispersive_coupling_rejects_inconsistent_phi():
-    with pytest.raises(DomainError):
-        DispersiveCoupling(g=1e8, delta=1e10, alpha=-1e9, chi=1e6,
-                           kappa=3e6, phi=0.1)
+    # chi and phi follow from the rates, so none that contradicts them is taken
+    with pytest.raises(TypeError):
+        DispersiveCoupling(g=1e8, delta=1e10, alpha=-1e9, chi=123.0,
+                           kappa=3e6, phi=dispersive_phase(123.0, 3e6))
+    with pytest.raises(DomainError, match="kappa must be positive"):
+        DispersiveCoupling(g=1e8, delta=1e10, alpha=-1e9, kappa=0.0)
+    with pytest.raises(DomainError, match="detuning"):
+        DispersiveCoupling(g=1e8, delta=0.0, alpha=-1e9, kappa=3e6)
+
