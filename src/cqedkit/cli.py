@@ -36,8 +36,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, dataio, resonator
-from .config import RunConfig, parse_config, render_resolved
-from .errors import ConfigError, OutputError, ToolError
+from .config import SCHEMA, RunConfig, check_value, parse_config, render_resolved
+from .errors import OutputError, ToolError
 from .svgplot import SvgPlot
 
 
@@ -230,9 +230,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            config.seed = args.seed
+            config.seed = check_value("--seed", SCHEMA["run"]["seed"], args.seed)
         if args.out is not None:
             config.output_dir = Path(args.out)
         if args.plots:

@@ -17,8 +17,9 @@ from .errors import (
     DomainError,
     FitFailureError,
     InsufficientDataError,
-    check_finite,
     require_finite,
+    require_nonnegative,
+    require_positive,
 )
 
 T2_BOUND_TOLERANCE = 0.05
@@ -39,15 +40,8 @@ class CoherenceRecord:
     t2e: float | None = None
 
     def __post_init__(self):
-        check_finite(self, "f_q", "t1", "t1_spread", "t2e")
-        if self.f_q <= 0.0:
-            raise DomainError("f_q must be positive")
-        if self.t1 <= 0.0:
-            raise DomainError("t1 must be positive")
-        if self.t1_spread is not None and self.t1_spread <= 0.0:
-            raise DomainError("t1_spread must be positive when given")
-        if self.t2e is not None and self.t2e <= 0.0:
-            raise DomainError("t2e must be positive when given")
+        require_positive(f_q=self.f_q, t1=self.t1, t1_spread=self.t1_spread,
+                         t2e=self.t2e)
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,8 @@ class PurcellParams:
     kappa: float   # resonator linewidth, 1/s
 
     def __post_init__(self):
-        check_finite(self, "g", "f_r", "kappa")
-        if self.g < 0.0:
-            raise DomainError("g must be nonnegative")
-        if self.f_r <= 0.0:
-            raise DomainError("f_r must be positive")
-        if self.kappa <= 0.0:
-            raise DomainError("kappa must be positive")
+        require_nonnegative(g=self.g)
+        require_positive(f_r=self.f_r, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -81,20 +70,13 @@ class LossModel:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "q_diel", "gamma_phi")
-        if self.q_diel <= 0.0:
-            raise DomainError("q_diel must be positive")
-        if self.gamma_phi < 0.0:
-            raise DomainError("gamma_phi must be nonnegative")
+        require_positive(q_diel=self.q_diel)
+        require_nonnegative(gamma_phi=self.gamma_phi)
 
 
 def t1_dielectric(f_q, q_diel: float):
     """Dielectric-loss-limited T1 = Q_diel / omega_q, seconds; f_q may be an array."""
-    require_finite(f_q=f_q, q_diel=q_diel)
-    if np.any(f_q <= 0.0):
-        raise DomainError("f_q must be positive")
-    if q_diel <= 0.0:
-        raise DomainError("q_diel must be positive")
+    require_positive(f_q=f_q, q_diel=q_diel)
     return q_diel / (TWO_PI * f_q)
 
 
@@ -106,21 +88,16 @@ def t1_purcell(g: float, delta, kappa: float):
     require_finite(g=g, delta=delta, kappa=kappa)
     if np.any(delta == 0.0):
         raise DomainError("detuning must be nonzero for the dispersive Purcell rate")
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive")
-    if g < 0.0:
-        raise DomainError("g must be nonnegative")
+    require_positive(kappa=kappa)
+    require_nonnegative(g=g)
     if g == 0.0:
         return math.inf
     return delta * delta / (g * g * kappa)
 
 
 def _total_rate(f_q, q_diel, purcell: PurcellParams | None):
-    """Summed decay rate at qubit frequency f_q; f_q and q_diel broadcast."""
+    """Summed decay rate at the caller-checked f_q; f_q and q_diel broadcast."""
     f_q = np.asarray(f_q, dtype=float)
-    require_finite(f_q=f_q)
-    if np.any(f_q <= 0.0):
-        raise DomainError("f_q must be positive")
     rate = TWO_PI * f_q / q_diel
     if purcell is not None:
         delta = TWO_PI * (f_q - purcell.f_r)
@@ -132,6 +109,7 @@ def _total_rate(f_q, q_diel, purcell: PurcellParams | None):
 
 def t1_total(f_q: float, model: LossModel) -> float:
     """Harmonic combination of all modelled T1 channels, seconds."""
+    require_positive(f_q=f_q)
     return float(1.0 / _total_rate(f_q, model.q_diel, model.purcell))
 
 
@@ -143,11 +121,12 @@ def t1_budget(f_q, model: LossModel):
     inf without a Purcell channel or with g = 0.
     """
     f_q = np.asarray(f_q, dtype=float)
+    t1_diel = t1_dielectric(f_q, model.q_diel)  # checks the grid
     total = 1.0 / _total_rate(f_q, model.q_diel, model.purcell)
     purcell = model.purcell
     t1_p = np.full(f_q.shape, math.inf if purcell is None else t1_purcell(
         purcell.g, TWO_PI * (f_q - purcell.f_r), purcell.kappa))
-    return t1_dielectric(f_q, model.q_diel), t1_p, total
+    return t1_diel, t1_p, total
 
 
 def t2_from_t1(t1, gamma_phi: float = 0.0):
@@ -155,11 +134,8 @@ def t2_from_t1(t1, gamma_phi: float = 0.0):
 
     ``t1`` may be a scalar or an array.
     """
-    require_finite(t1=t1, gamma_phi=gamma_phi)
-    if np.any(np.asarray(t1) <= 0.0):
-        raise DomainError("t1 must be positive")
-    if gamma_phi < 0.0:
-        raise DomainError("gamma_phi must be nonnegative")
+    require_positive(t1=t1)
+    require_nonnegative(gamma_phi=gamma_phi)
     if gamma_phi == 0.0:
         return 2.0 * t1  # exact, no division round-off at the ceiling
     return 1.0 / (0.5 / t1 + gamma_phi)

@@ -165,6 +165,12 @@ def _parse_value(section: str, key: str, spec: Key, text: str):
     except ValueError:
         raise ConfigError(
             f"{label}: cannot parse {text!r} as {spec.parse}") from None
+    return check_value(label, spec, value)
+
+
+def check_value(label: str, spec: Key, value):
+    """``value``, if it meets the key's finite and sign rules; otherwise a
+    ConfigError naming ``label``, the key or the option that set it."""
     if spec.parse in ("float", "float_list"):
         for item in value if spec.parse == "float_list" else (value,):
             if not math.isfinite(item):

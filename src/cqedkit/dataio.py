@@ -4,9 +4,10 @@ All numeric fields are written with 9 significant digits and '\n' line
 endings so identical inputs produce byte-identical files. Loaders accept
 exactly the documented columns (in any order, spaces around a name
 ignored) and report unknown, repeated or missing ones by name; a row
-with more cells than the header is reported by row, and a cell that is
-not a finite number by row and column. Rows are numbered by their line
-in the file, blank lines included. Files are read as UTF-8, with or
+with more cells than the header is reported by row, a cell that is not
+a finite number (or a kappa that is not positive) by row and column, and
+a coherence record out of its domain by row. Rows are numbered by their
+line in the file, blank lines included. Files are read as UTF-8, with or
 without the byte-order mark that spreadsheets write.
 
 The writers need no numpy. The loaders that build arrays or records
@@ -21,7 +22,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, not_utf8
+from .errors import ConfigError, DomainError, not_utf8
 
 if TYPE_CHECKING:
     from .coherence import CoherenceRecord
@@ -104,7 +105,7 @@ def _parse_float(path, row_number, column, text):
     return value
 
 
-def _load_columns(path, columns):
+def _load_columns(path, columns, positive=()):
     import numpy as np
 
     out = []
@@ -115,6 +116,9 @@ def _load_columns(path, columns):
             if value is None:
                 raise ConfigError(
                     f"{path}: row {number}, column {column}: empty value")
+            if column in positive and value <= 0.0:
+                raise ConfigError(f"{path}: row {number}, column {column}: "
+                                  f"must be positive, got {value}")
             values.append(value)
         out.append(values)
     return tuple(np.array(col) for col in zip(*out))
@@ -127,7 +131,7 @@ def load_resonator_csv(path):
 
 def load_kappa_offset_csv(path):
     """Measured coupling versus feed offset: d_um, kappa_per_s."""
-    return _load_columns(path, ("d_um", "kappa_per_s"))
+    return _load_columns(path, ("d_um", "kappa_per_s"), positive=("kappa_per_s",))
 
 
 def load_ringdown_csv(path):
@@ -151,12 +155,15 @@ def load_coherence_csv(path) -> list[CoherenceRecord]:
         spread = _parse_float(path, number, "t1_spread_us",
                               row.get("t1_spread_us"))
         t2e = _parse_float(path, number, "t2e_us", row.get("t2e_us"))
-        records.append(CoherenceRecord(
-            f_q=f_q * 1e9,
-            t1=t1 * 1e-6,
-            t1_spread=None if spread is None else spread * 1e-6,
-            t2e=None if t2e is None else t2e * 1e-6,
-        ))
+        try:
+            records.append(CoherenceRecord(
+                f_q=f_q * 1e9,
+                t1=t1 * 1e-6,
+                t1_spread=None if spread is None else spread * 1e-6,
+                t2e=None if t2e is None else t2e * 1e-6,
+            ))
+        except DomainError as exc:
+            raise ConfigError(f"{path}: row {number}: {exc}") from None
     return records
 
 

@@ -2,10 +2,15 @@
 
 Every error the command-line front end reports maps to one of these; the
 ``slug`` attribute becomes the machine-parsable category in the single
-``error: <slug>: <message>`` line printed on failure. ``require_finite``
-is the shared finiteness guard of library arguments, and ``check_finite``
-applies it to the fields of the dataclass validators. ``not_utf8`` turns
-a decode error in an input file into a ConfigError naming the file line.
+``error: <slug>: <message>`` line printed on failure.
+
+``require_finite``, ``require_positive`` and ``require_nonnegative`` are
+the one domain guard of library arguments and record fields: each takes
+the values by name and raises ``DomainError("<name> must be finite")``,
+then ``"... must be positive"`` or ``"... must be nonnegative"``, for
+the first value that breaks its rule. Rules that tie several values
+together stay with the relation that needs them. ``not_utf8`` turns a
+decode error in an input file into a ConfigError naming the file line.
 """
 
 import math
@@ -70,30 +75,36 @@ def not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
     return ConfigError(f"{path}: not UTF-8 text: {exc.reason}")
 
 
-def require_finite(**values) -> None:
-    """Raise DomainError naming the first argument that holds a non-finite value.
-
-    Each value may be a scalar or an array. Call it before any sign check:
-    NaN compares false both ways, so ``x <= 0`` lets it through. Python
-    ints and floats (``np.float64`` is one) are checked without numpy,
-    so the closed-form paths never import it.
-    """
+def _require(values, word: str, holds) -> None:
+    """Raise DomainError("<name> must be <word>") for the first value, not
+    None, that ``holds`` is not true of in every entry. Python ints and
+    floats (``np.float64`` is one) are tested without numpy, so the
+    closed-form paths never import it."""
     for name, value in values.items():
-        if isinstance(value, int):
+        if value is None:
             continue
-        if isinstance(value, float):
-            finite = math.isfinite(value)
+        if isinstance(value, (int, float)):
+            ok = holds(value)
         else:
             import numpy as np
-            finite = np.all(np.isfinite(value))
-        if not finite:
-            raise DomainError(f"{name} must be finite")
+            ok = np.all(holds(np.asarray(value)))
+        if not ok:
+            raise DomainError(f"{name} must be {word}")
 
 
-def check_finite(obj, *names: str) -> None:
-    """Raise DomainError naming the first field of ``obj`` that is not finite.
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first value, scalar or array, not finite."""
+    _require(values, "finite", lambda v: abs(v) < math.inf)
 
-    Fields set to None (optional and absent) pass.
-    """
-    require_finite(**{name: getattr(obj, name) for name in names
-                      if getattr(obj, name) is not None})
+
+def require_positive(**values) -> None:
+    """Each value is finite, and then positive; every value is tested for
+    finiteness first, so NaN and inf are reported as not finite."""
+    require_finite(**values)
+    _require(values, "positive", lambda v: v > 0)
+
+
+def require_nonnegative(**values) -> None:
+    """Each value is finite, and then nonnegative."""
+    require_finite(**values)
+    _require(values, "nonnegative", lambda v: v >= 0)

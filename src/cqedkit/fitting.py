@@ -22,6 +22,7 @@ from .errors import (
     FitFailureError,
     InsufficientDataError,
     require_finite,
+    require_nonnegative,
 )
 
 SCAN_POINTS = 64
@@ -89,13 +90,14 @@ def least_squares(model: Callable, x, y, bracket: tuple[float, float],
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    require_finite(x=x, y=y, weights=w)
+    require_finite(x=x, y=y)
+    require_nonnegative(weights=w)
     if y.size == 0:
         raise InsufficientDataError("no data points to fit")
     if w.shape != y.shape:
         raise DomainError("weights must match the data length")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise DomainError("weights must be nonnegative with at least one positive")
+    if not np.any(w > 0):
+        raise DomainError("weights must have a positive entry")
     low, high = bracket
     if not 0.0 < low < high < math.inf:
         raise DomainError("bracket must satisfy 0 < low < high < inf")
@@ -189,7 +191,5 @@ def fit_gaussian_1d(samples) -> GaussianEstimate:
 
 def erfc(x: float) -> float:
     """Complementary error function (``math.erfc``) of a finite argument."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("erfc requires a finite argument")
+    require_finite(x=x)
     return math.erfc(x)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
-                     check_finite, require_finite)
+                     require_finite, require_nonnegative, require_positive)
 from .fitting import erfc
 from .transmon import dispersive_phase
 
@@ -67,13 +67,9 @@ class ReadoutConfig:
 
     def __post_init__(self):
         # epsilon last: the CLI derives it from the other three
-        check_finite(self, "kappa", "chi", "tau_m", "epsilon")
-        if self.epsilon < 0.0:
-            raise DomainError("epsilon must be nonnegative")
-        if self.kappa <= 0.0:
-            raise DomainError("kappa must be positive")
-        if self.tau_m <= 0.0:
-            raise DomainError("tau_m must be positive")
+        require_positive(kappa=self.kappa, tau_m=self.tau_m)
+        require_finite(chi=self.chi)
+        require_nonnegative(epsilon=self.epsilon)
         for name in ("n_shots", "seed"):
             value = getattr(self, name)
             # numbers.Integral covers numpy's integer types; a bool is a flag
@@ -139,10 +135,8 @@ def snr_asymptotic(config: ReadoutConfig) -> float:
 def calibrate_epsilon(target_snr: float, kappa: float, chi: float,
                       tau_m: float) -> float:
     """Drive amplitude that yields ``target_snr`` at ``tau_m`` (closed form)."""
-    if target_snr < 0.0:
-        raise DomainError("target_snr must be nonnegative")
-    if tau_m <= 0.0:
-        raise DomainError("tau_m must be positive")
+    require_nonnegative(target_snr=target_snr)
+    require_positive(tau_m=tau_m)
     signal = abs(math.sin(2.0 * dispersive_phase(chi, kappa)))
     if signal == 0.0:
         raise DomainError("zero dispersive phase produces no signal to calibrate")
@@ -158,8 +152,7 @@ def cavity_response(state: str, config: ReadoutConfig, t):
     """
     sign = _state_sign(state)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("t must be nonnegative")
+    require_nonnegative(t=t_arr)
     pole = 0.5 * config.kappa + 1j * sign * config.chi
     steady = config.epsilon / pole
     out = steady * (1.0 - np.exp(-pole * t_arr))
@@ -386,7 +379,7 @@ class HistogramFit:
     snr: float
     mean_ground: tuple[float, float]
     mean_excited: tuple[float, float]
-    sigma: float
+    sigma: float  # stored: the rms of the two widths below differs in the last bit
     sigma_ground: float
     sigma_excited: float
 
@@ -416,8 +409,7 @@ def histogram_fit(shots: ShotSet) -> HistogramFit:
 
 def separation_fidelity(snr: float) -> float:
     """Two-Gaussian separation fidelity 1 - erfc(snr / 2)."""
-    if snr < 0.0:
-        raise DomainError("snr must be nonnegative")
+    require_nonnegative(snr=snr)
     return 1.0 - erfc(0.5 * snr)
 
 
@@ -428,7 +420,10 @@ class SweepPoint:
     tau_m: float
     snr_closed_form: float
     snr_monte_carlo: float
-    fidelity: float
+
+    @property
+    def fidelity(self) -> float:
+        return separation_fidelity(self.snr_closed_form)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -448,17 +443,12 @@ def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:
     tau_values = list(tau_values)
     if not tau_values:
         raise DomainError("tau_values must not be empty")
+    require_positive(tau_values=tau_values)
     points = []
     for index, tau in enumerate(tau_values):
-        if tau <= 0.0:
-            raise DomainError("every tau must be positive")
         sub = replace(config, tau_m=float(tau), seed=derive_seed(config.seed, index))
         closed = snr_asymptotic(sub)
         monte = snr_monte_carlo(sub)
-        points.append(SweepPoint(
-            tau_m=float(tau),
-            snr_closed_form=closed,
-            snr_monte_carlo=monte,
-            fidelity=separation_fidelity(closed),
-        ))
+        points.append(SweepPoint(tau_m=float(tau), snr_closed_form=closed,
+                                 snr_monte_carlo=monte))
     return points

@@ -22,8 +22,9 @@ from .errors import (
     DomainError,
     FitFailureError,
     InsufficientDataError,
-    check_finite,
     require_finite,
+    require_nonnegative,
+    require_positive,
 )
 
 if TYPE_CHECKING:
@@ -55,15 +56,12 @@ class FilmProperties:
     geometric_l_per_square: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "lk_nominal", "lk_low", "lk_high",
-                     "geometric_l_per_square")
-        if self.lk_low <= 0.0:
-            raise DomainError("lk_low must be positive")
+        require_positive(lk_nominal=self.lk_nominal, lk_low=self.lk_low,
+                         lk_high=self.lk_high)
+        require_nonnegative(geometric_l_per_square=self.geometric_l_per_square)
         if not (self.lk_low <= self.lk_nominal <= self.lk_high):
             raise DomainError(
                 "film band must satisfy lk_low <= lk_nominal <= lk_high")
-        if self.geometric_l_per_square < 0.0:
-            raise DomainError("geometric_l_per_square must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -78,21 +76,18 @@ class SpiralGeometry:
     turns: float
 
     def __post_init__(self):
-        check_finite(self, "disk_radius", "line_width", "gap", "feed_offset",
-                     "spiral_length", "turns")
-        for name in ("disk_radius", "line_width", "gap", "spiral_length"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
-        if self.feed_offset < 0.0:
-            raise DomainError("feed_offset must be nonnegative")
+        require_positive(disk_radius=self.disk_radius, line_width=self.line_width,
+                         gap=self.gap, spiral_length=self.spiral_length)
+        require_nonnegative(feed_offset=self.feed_offset)
+        require_finite(turns=self.turns)
         if self.turns < 1.0:
             raise DomainError("turns must be at least 1")
 
 
 def archimedean_spiral_length(start_radius: float, pitch: float, turns: float) -> float:
     """Arc length of r(t) = start_radius + pitch*t/(2 pi) over ``turns`` turns."""
-    if start_radius <= 0.0 or pitch <= 0.0:
-        raise DomainError("start_radius and pitch must be positive")
+    require_positive(start_radius=start_radius, pitch=pitch)
+    require_finite(turns=turns)
     if turns < 1.0:
         raise DomainError("turns must be at least 1")
     growth = pitch / (2.0 * math.pi)
@@ -148,11 +143,8 @@ class ResonatorMode:
     q_internal: float
 
     def __post_init__(self):
-        check_finite(self, "f_r", "q_coupling", "q_internal")
-        if self.f_r <= 0.0:
-            raise DomainError("f_r must be positive")
-        if self.q_coupling <= 0.0 or self.q_internal <= 0.0:
-            raise DomainError("quality factors must be positive")
+        require_positive(f_r=self.f_r, q_coupling=self.q_coupling,
+                         q_internal=self.q_internal)
 
     @property
     def kappa(self) -> float:
@@ -166,23 +158,20 @@ class ResonatorMode:
 
 def squares(spiral_length: float, line_width: float) -> float:
     """Number of film squares in a trace of the given length and width."""
-    if spiral_length <= 0.0 or line_width <= 0.0:
-        raise DomainError("spiral_length and line_width must be positive")
+    require_positive(spiral_length=spiral_length, line_width=line_width)
     return spiral_length / line_width
 
 
 def total_inductance(n_squares: float, film: FilmProperties) -> float:
     """Trace inductance in henries at the nominal sheet inductance."""
-    if n_squares <= 0.0:
-        raise DomainError("n_squares must be positive")
+    require_positive(n_squares=n_squares)
     per_square = film.lk_nominal + film.geometric_l_per_square
     return n_squares * per_square * PH_PER_SQUARE
 
 
 def resonance_frequency(inductance: float, capacitance: float) -> float:
     """LC resonance 1/(2 pi sqrt(LC)), SI in, Hz out."""
-    if inductance <= 0.0 or capacitance <= 0.0:
-        raise DomainError("inductance and capacitance must be positive")
+    require_positive(inductance=inductance, capacitance=capacitance)
     return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
 
@@ -204,15 +193,13 @@ def frequency_band(geometry: SpiralGeometry, film: FilmProperties,
 
 def kappa_from_qc(f_r: float, q_coupling: float) -> float:
     """Coupling-limited linewidth kappa = 2 pi f_r / Q_c, in 1/s."""
-    if f_r <= 0.0 or q_coupling <= 0.0:
-        raise DomainError("f_r and q_coupling must be positive")
+    require_positive(f_r=f_r, q_coupling=q_coupling)
     return 2.0 * math.pi * f_r / q_coupling
 
 
 def q_c_from_kappa(f_r: float, kappa: float) -> float:
     """Coupling quality factor implied by a measured linewidth."""
-    if f_r <= 0.0 or kappa <= 0.0:
-        raise DomainError("f_r and kappa must be positive")
+    require_positive(f_r=f_r, kappa=kappa)
     return 2.0 * math.pi * f_r / kappa
 
 
@@ -223,10 +210,8 @@ def kappa_offset_model(feed_offset: float, kappa0: float, d0: float) -> float:
     :func:`fit_kappa_offset`; treat extrapolation beyond the fitted offset
     range with suspicion.
     """
-    if kappa0 <= 0.0 or d0 <= 0.0:
-        raise DomainError("kappa0 and d0 must be positive")
-    if feed_offset < 0.0:
-        raise DomainError("feed_offset must be nonnegative")
+    require_positive(kappa0=kappa0, d0=d0)
+    require_nonnegative(feed_offset=feed_offset)
     return kappa0 * math.exp(-feed_offset / d0)
 
 
@@ -248,11 +233,8 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
         raise DomainError("offsets and kappas must have the same length")
     if d.size < 3:
         raise InsufficientDataError("need at least 3 (offset, kappa) pairs")
-    require_finite(offsets=d, kappas=k)
-    if np.any(k <= 0.0):
-        raise DomainError("measured kappas must be positive")
-    if np.any(d < 0.0):
-        raise DomainError("offsets must be nonnegative")
+    require_nonnegative(offsets=d)
+    require_positive(kappas=k)
     if np.ptp(d) == 0.0:
         raise DegenerateDataError("all offsets are equal")
 
@@ -281,13 +263,8 @@ class CpwTestStructure:
     termination: str = QUARTER_WAVE
 
     def __post_init__(self):
-        check_finite(self, "length", "l_per_length", "c_per_length")
-        if self.length <= 0.0:
-            raise DomainError("length must be positive")
-        if self.l_per_length < 0.0:
-            raise DomainError("l_per_length must be nonnegative")
-        if self.c_per_length <= 0.0:
-            raise DomainError("c_per_length must be positive")
+        require_positive(length=self.length, c_per_length=self.c_per_length)
+        require_nonnegative(l_per_length=self.l_per_length)
         if self.termination not in (QUARTER_WAVE, HALF_WAVE):
             raise DomainError(
                 f"termination must be '{QUARTER_WAVE}' or '{HALF_WAVE}'")
@@ -305,10 +282,9 @@ def cpw_mode_frequency(
     film's sheet terms (kinetic plus geometric, pH/square) divided by the
     centre-trace width.
     """
-    if line_width <= 0.0:
-        raise DomainError("line_width must be positive")
-    if lk_per_square < 0.0 or geometric_l_per_square < 0.0:
-        raise DomainError("sheet inductances must be nonnegative")
+    require_positive(line_width=line_width)
+    require_nonnegative(lk_per_square=lk_per_square,
+                        geometric_l_per_square=geometric_l_per_square)
     sheet = (lk_per_square + geometric_l_per_square) * PH_PER_SQUARE
     per_length = structure.l_per_length + sheet / line_width
     if per_length <= 0.0:
@@ -331,12 +307,8 @@ def extract_lk_cpw(
     """
     if structure.termination != QUARTER_WAVE:
         raise DomainError("extraction assumes a quarter-wave test structure")
-    if measured_f <= 0.0:
-        raise DomainError("measured frequency must be positive")
-    if line_width <= 0.0:
-        raise DomainError("line_width must be positive")
-    if geometric_l_per_square < 0.0:
-        raise DomainError("geometric_l_per_square must be nonnegative")
+    require_positive(measured_f=measured_f, line_width=line_width)
+    require_nonnegative(geometric_l_per_square=geometric_l_per_square)
     per_length = 1.0 / (16.0 * structure.length**2 * measured_f**2
                         * structure.c_per_length)
     lk = ((per_length - structure.l_per_length) * line_width / PH_PER_SQUARE
@@ -353,9 +325,15 @@ class RingdownFit:
 
     kappa: float
     kappa_std_error: float
-    amplitude: float
-    offset: float
-    fit: fitting.FitResult
+    fit: fitting.FitResult  # params: amplitude, rate in decay times per span, offset
+
+    @property
+    def amplitude(self) -> float:
+        return self.fit.params[0]
+
+    @property
+    def offset(self) -> float:
+        return self.fit.params[2]
 
 
 def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
@@ -410,5 +388,4 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     fit = replace(fit, params=params, std_errors=fitting.standard_errors(
         fitting.exp_decay_jac(s, *params), np.ones_like(s), fit.residual_norm ** 2))
     return RingdownFit(kappa=2.0 * rate / span,
-                       kappa_std_error=2.0 * fit.std_errors[1] / span,
-                       amplitude=amp, offset=offset, fit=fit)
+                       kappa_std_error=2.0 * fit.std_errors[1] / span, fit=fit)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_finite, require_finite
+from .errors import DomainError, require_finite, require_positive
 
 # Exact by definition since the 2019 SI redefinition (CODATA 2018).
 _ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -31,11 +31,8 @@ class TransmonParams:
     flux: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "ej_total", "ec", "flux")
-        if self.ej_total <= 0.0:
-            raise DomainError("ej_total must be positive")
-        if self.ec <= 0.0:
-            raise DomainError("ec must be positive")
+        require_positive(ej_total=self.ej_total, ec=self.ec)
+        require_finite(flux=self.flux)
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,7 @@ def charging_energy(shunt_capacitance: float) -> float:
     shunt_capacitance : float
         Total shunt capacitance in farads.
     """
-    require_finite(shunt_capacitance=shunt_capacitance)
-    if shunt_capacitance <= 0.0:
-        raise DomainError("shunt capacitance must be positive")
+    require_positive(shunt_capacitance=shunt_capacitance)
     return _ELEMENTARY_CHARGE**2 / (2.0 * shunt_capacitance * _PLANCK) / 1e9
 
 
@@ -137,7 +132,6 @@ def dispersive_phase(chi: float, kappa: float) -> float:
 
     Odd in chi and bounded by +-pi/2.
     """
-    require_finite(chi=chi, kappa=kappa)
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive")
+    require_finite(chi=chi)
+    require_positive(kappa=kappa)
     return math.atan2(2.0 * chi, kappa)

@@ -454,6 +454,22 @@ def test_cli_simulate_readout_seed_override(tmp_path, capsys):
     assert summary[0].startswith("snr_eq1,snr_mc")
 
 
+def test_cli_negative_seed_fails_like_the_key(tmp_path, capsys):
+    # one rule and one message for the --seed option and the [run] seed key
+    out = tmp_path / "out"
+    path = write_config(tmp_path, FULL_CONFIG)
+    assert _run(["design-resonator", "--config", str(path), "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: --seed: must be nonnegative, got -1\n")
+    assert not out.exists() or list(out.iterdir()) == []
+    path = write_config(tmp_path, FULL_CONFIG.replace("seed = 3", "seed = -1"))
+    assert _run(["design-resonator", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: [run] seed: must be nonnegative, got -1\n")
+
+
 def test_cli_snr_sweep_row_values(tmp_path, capsys):
     path = write_config(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
@@ -674,6 +690,24 @@ coherence_csv = coherence.csv
         assert status == 1
         assert f"error: config: {tmp_path / 'coherence.csv'}: {error}" in (
             capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, name, text, section, message", [
+    ("fit-qdiel", "coherence.csv", "f_q_ghz,t1_us\n3.5,20\n4.0,20\n4.4,-5\n",
+     "[loss]\ncoherence_csv = coherence.csv\n", "row 4: t1 must be positive"),
+    ("fit-kappa", "kappa_offset.csv", "d_um,kappa_per_s\n5,2e6\n10,0\n20,1e6\n",
+     "[kappa_fit]\noffset_csv = kappa_offset.csv\n",
+     "row 3, column kappa_per_s: must be positive, got 0.0"),
+], ids=["coherence", "kappa-offset"])
+def test_cli_out_of_domain_csv_value_names_the_file_line(
+        command, name, text, section, message, tmp_path, capsys):
+    (tmp_path / name).write_text(text, encoding="ascii")
+    config = write_config(tmp_path, FULL_CONFIG + section)
+    out = tmp_path / "out"
+    assert _run([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config: {tmp_path / name}: {message}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_undecodable_csv_or_config_fails_cleanly(tmp_path, capsys):

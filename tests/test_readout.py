@@ -575,7 +575,7 @@ def test_readout_config_accepts_numpy_integers(to_int):
 
 
 def test_snr_sweep_rejects_nan_tau():
-    with pytest.raises(DomainError, match="tau_m must be finite"):
+    with pytest.raises(DomainError, match="^tau_values must be finite$"):
         snr_sweep(_config(), [700e-9, math.nan])
 
 

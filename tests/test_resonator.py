@@ -177,7 +177,7 @@ def test_resonator_mode_coupling_classification():
     # kappa follows from f_r and q_coupling, so none that contradicts them is taken
     with pytest.raises(TypeError):
         ResonatorMode(f_r=6e9, q_coupling=1e4, q_internal=1e6, kappa=1.0)
-    with pytest.raises(DomainError, match="quality factors"):
+    with pytest.raises(DomainError, match="^q_coupling must be positive$"):
         ResonatorMode(f_r=6e9, q_coupling=0.0, q_internal=1e6)
 
 
