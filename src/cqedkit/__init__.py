@@ -61,7 +61,6 @@ _EXPORTS = {
         "SweepPoint",
         "calibrate_epsilon",
         "cavity_response",
-        "derive_seed",
         "histogram_fit",
         "integrated_signal",
         "noise_sigma",

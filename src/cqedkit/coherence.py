@@ -80,14 +80,18 @@ def t1_dielectric(f_q, q_diel: float):
     return q_diel / (TWO_PI * f_q)
 
 
+def _require_detuned(delta) -> None:
+    if np.any(delta == 0.0):
+        raise DomainError("qubit on resonance with the readout mode")
+
+
 def t1_purcell(g: float, delta, kappa: float):
     """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds; delta may be an array.
 
     Decoupling (g -> 0) sends the limit to infinity, returned as a scalar.
     """
     require_finite(g=g, delta=delta, kappa=kappa)
-    if np.any(delta == 0.0):
-        raise DomainError("detuning must be nonzero for the dispersive Purcell rate")
+    _require_detuned(delta)
     require_positive(kappa=kappa)
     require_nonnegative(g=g)
     if g == 0.0:
@@ -101,8 +105,7 @@ def _total_rate(f_q, q_diel, purcell: PurcellParams | None):
     rate = TWO_PI * f_q / q_diel
     if purcell is not None:
         delta = TWO_PI * (f_q - purcell.f_r)
-        if np.any(delta == 0.0):
-            raise DomainError("qubit on resonance with the readout mode")
+        _require_detuned(delta)
         rate = rate + purcell.g**2 * purcell.kappa / delta**2
     return rate
 

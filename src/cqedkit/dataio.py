@@ -5,14 +5,15 @@ endings so identical inputs produce byte-identical files. Loaders accept
 exactly the documented columns (in any order, spaces around a name
 ignored) and report unknown, repeated or missing ones by name; a row
 with more cells than the header is reported by row, a cell that is not
-a finite number (or a kappa that is not positive) by row and column, and
-a coherence record out of its domain by row. Rows are numbered by their
+a finite number (or a kappa that is not positive, or an offset that is
+negative) by row and column, and a coherence record out of its domain by
+row. Rows are numbered by their
 line in the file, blank lines included. Files are read as UTF-8, with or
 without the byte-order mark that spreadsheets write.
 
 The writers need no numpy. The loaders that build arrays or records
-import numpy, ``coherence`` or ``readout`` when called, so writing the
-closed-form commands' tables never loads them.
+import numpy or ``coherence`` when called, so writing the closed-form
+commands' tables never loads them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import ConfigError, DomainError, not_utf8
 
 if TYPE_CHECKING:
     from .coherence import CoherenceRecord
-    from .readout import ShotSet
 
 SIGNIFICANT_DIGITS = 9
 
@@ -105,9 +105,11 @@ def _parse_float(path, row_number, column, text):
     return value
 
 
-def _load_columns(path, columns, positive=()):
+def _load_columns(path, columns, bounds=None):
+    """The columns as arrays; ``bounds`` maps a column to its sign rule."""
     import numpy as np
 
+    bounds = bounds or {}
     out = []
     for number, row in _read_rows(path, required=columns):
         values = []
@@ -116,9 +118,11 @@ def _load_columns(path, columns, positive=()):
             if value is None:
                 raise ConfigError(
                     f"{path}: row {number}, column {column}: empty value")
-            if column in positive and value <= 0.0:
+            bound = bounds.get(column)
+            if (bound == "positive" and value <= 0.0
+                    or bound == "nonnegative" and value < 0.0):
                 raise ConfigError(f"{path}: row {number}, column {column}: "
-                                  f"must be positive, got {value}")
+                                  f"must be {bound}, got {value}")
             values.append(value)
         out.append(values)
     return tuple(np.array(col) for col in zip(*out))
@@ -131,7 +135,8 @@ def load_resonator_csv(path):
 
 def load_kappa_offset_csv(path):
     """Measured coupling versus feed offset: d_um, kappa_per_s."""
-    return _load_columns(path, ("d_um", "kappa_per_s"), positive=("kappa_per_s",))
+    return _load_columns(path, ("d_um", "kappa_per_s"),
+                         bounds={"d_um": "nonnegative", "kappa_per_s": "positive"})
 
 
 def load_ringdown_csv(path):
@@ -171,10 +176,9 @@ def write_shots_csv(path, blocks) -> Path:
     """Write ``(state, block)`` pairs as state,i,q rows, in the order given.
 
     Each block is a (2, count) array of I and Q rows, as
-    ``ShotSet.blocks()`` and ``readout.stream_shots`` yield them. A block
-    is formatted and written before the next is taken, so memory does not
-    grow with the number of shots. Same bytes as ``write_csv`` on the
-    (state, i, q) rows.
+    ``readout.stream_shots`` yields them. A block is formatted and written
+    before the next is taken, so memory does not grow with the number of
+    shots. Same bytes as ``write_csv`` on the (state, i, q) rows.
     """
     path = Path(path)
     number = f"%.{SIGNIFICANT_DIGITS}g"
@@ -186,35 +190,3 @@ def write_shots_csv(path, blocks) -> Path:
             handle.write((row * block.shape[1])
                          % tuple(block.T.ravel().tolist()))
     return path
-
-
-def load_shots_csv(path) -> ShotSet:
-    """Read a shot dump back into a ShotSet."""
-    import numpy as np
-
-    from .readout import EXCITED, GROUND, ShotSet
-
-    clouds = {GROUND: ([], []), EXCITED: ([], [])}
-    for number, row in _read_rows(path, required=("state", "i", "q")):
-        state = (row["state"] or "").strip()
-        if state not in clouds:
-            raise ConfigError(
-                f"{path}: row {number}: state must be "
-                f"'{GROUND}' or '{EXCITED}', got {state!r}")
-        i = _parse_float(path, number, "i", row["i"])
-        q = _parse_float(path, number, "q", row["q"])
-        if i is None or q is None:
-            raise ConfigError(f"{path}: row {number}: empty i or q value")
-        clouds[state][0].append(i)
-        clouds[state][1].append(q)
-    return ShotSet(
-        i_ground=np.array(clouds[GROUND][0]),
-        q_ground=np.array(clouds[GROUND][1]),
-        i_excited=np.array(clouds[EXCITED][0]),
-        q_excited=np.array(clouds[EXCITED][1]),
-    )
-
-
-def load_sweep_csv(path):
-    """Read back an SNR sweep table."""
-    return _load_columns(path, ("tau_ns", "snr_eq1", "snr_mc", "fidelity"))

@@ -10,8 +10,9 @@ adds white Gaussian noise per quadrature, and recovers the SNR as the
 centroid separation over the pooled width along the centroid axis, from
 each cloud's centroid and covariance (``_snr_from_moments``), as measured
 IQ data is processed. Every path draws its sub-seeded blocks through one
-loop, ``_normal_blocks``. ``simulate_shots`` and ``histogram_fit`` work on
-arrays, for measured or in-memory clouds. The seeded paths hold no cloud:
+loop, ``_normal_blocks``. ``simulate_shots`` draws the clouds as arrays,
+and ``histogram_fit`` reduces measured or drawn clouds to the SNR and the
+pooled width. The seeded paths hold no cloud:
 ``snr_monte_carlo`` (and so ``snr_sweep``) reduces each block of shots to
 its moments as it is drawn, and ``stream_shots`` adds a second pass that
 redraws the same blocks, divided by the fitted width, for ``shots.csv``.
@@ -97,24 +98,6 @@ class ShotSet:
                    len(self.i_excited), len(self.q_excited)}
         if len(lengths) != 1:
             raise DomainError("all four shot arrays must share one length")
-
-    def blocks(self) -> Iterator[tuple[str, np.ndarray]]:
-        """The clouds as ``(state, block)`` pairs, ground first.
-
-        Each block is a (2, count) array of I and Q rows, at most
-        ``SHOT_BLOCK`` shots, copied into one reused buffer: it is valid
-        until the next block is taken. ``dataio.write_shots_csv`` writes
-        them.
-        """
-        buffer = np.empty((2, SHOT_BLOCK), order="F")
-        for state, i, q in ((GROUND, self.i_ground, self.q_ground),
-                            (EXCITED, self.i_excited, self.q_excited)):
-            for start in range(0, len(i), SHOT_BLOCK):
-                stop = min(start + SHOT_BLOCK, len(i))
-                block = buffer[:, :stop - start]
-                block[0] = i[start:stop]
-                block[1] = q[start:stop]
-                yield state, block
 
 
 def _state_sign(state: str) -> float:
@@ -288,12 +271,12 @@ def _require_shots(*counts: int) -> None:
             f"got {' and '.join(map(str, counts))}")
 
 
-def _snr_from_moments(centroids, covariances) -> tuple[float, float, float, float]:
-    """SNR, pooled width, and ground and excited widths of two clouds.
+def _snr_from_moments(centroids, covariances) -> tuple[float, float]:
+    """SNR and pooled width of two clouds.
 
     Takes each state's (I, Q) centroid and 2x2 covariance, ground first.
-    The widths are taken along the centroid axis; the pooled width is
-    their root mean square, and the SNR the centroid distance over it.
+    The pooled width is the root mean square of the two widths along the
+    centroid axis, and the SNR the centroid distance over it.
     """
     require_finite(centroids=centroids, covariances=covariances)
     axis = centroids[1] - centroids[0]
@@ -304,7 +287,7 @@ def _snr_from_moments(centroids, covariances) -> tuple[float, float, float, floa
     if np.any(variances <= 0.0):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
     width = math.sqrt(0.5 * float(variances.sum()))
-    return norm / width, width, *(math.sqrt(v) for v in variances)
+    return norm / width, width
 
 
 def _moment_fit(config: ReadoutConfig,
@@ -329,9 +312,7 @@ def _moment_fit(config: ReadoutConfig,
     cov_z = (seconds.sum(axis=1)
              - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
     sigma, signals = _shot_map(config)
-    snr, width, _, _ = _snr_from_moments(sigma * mean_z + signals[..., 0],
-                                         sigma**2 * cov_z)
-    return snr, width
+    return _snr_from_moments(sigma * mean_z + signals[..., 0], sigma**2 * cov_z)
 
 
 def snr_monte_carlo(config: ReadoutConfig) -> float:
@@ -354,10 +335,11 @@ def stream_shots(config: ReadoutConfig
     Returns ``(snr, blocks)``. ``snr`` is ``snr_monte_carlo(config)``; the
     moment fit runs here and raises here. ``blocks`` yields the shots of
     ``simulate_shots(config)`` divided by the fitted pooled width as
-    ``(state, block)`` pairs, ground first, the form ``ShotSet.blocks``
-    gives. They are redrawn from the same sub-seeded streams as they are
-    taken, into one reused (2, ``SHOT_BLOCK``) buffer, so a block is valid
-    until the next one and no cloud is ever held.
+    ``(state, block)`` pairs, ground first, the form that
+    ``dataio.write_shots_csv`` takes. They are redrawn from the same
+    sub-seeded streams as they are taken, into one reused (2,
+    ``SHOT_BLOCK``) buffer, so a block is valid until the next one and no
+    cloud is ever held.
     """
     snr, width = _moment_fit(config)
     sigma, signals = _shot_map(config)
@@ -374,14 +356,10 @@ def stream_shots(config: ReadoutConfig
 
 @dataclass
 class HistogramFit:
-    """SNR and Gaussian parameters recovered from IQ clouds."""
+    """SNR of two IQ clouds and the pooled width along their centroid axis."""
 
     snr: float
-    mean_ground: tuple[float, float]
-    mean_excited: tuple[float, float]
-    sigma: float  # stored: the rms of the two widths below differs in the last bit
-    sigma_ground: float
-    sigma_excited: float
+    sigma: float
 
 
 def histogram_fit(shots: ShotSet) -> HistogramFit:
@@ -396,15 +374,7 @@ def histogram_fit(shots: ShotSet) -> HistogramFit:
     _require_shots(*(len(i) for i, _ in clouds))
     centroids = np.array([[i.mean(), q.mean()] for i, q in clouds])
     covariances = np.array([np.cov(i, q) for i, q in clouds])
-    snr, pooled, sigma_g, sigma_e = _snr_from_moments(centroids, covariances)
-    return HistogramFit(
-        snr=snr,
-        mean_ground=(float(centroids[0, 0]), float(centroids[0, 1])),
-        mean_excited=(float(centroids[1, 0]), float(centroids[1, 1])),
-        sigma=pooled,
-        sigma_ground=sigma_g,
-        sigma_excited=sigma_e,
-    )
+    return HistogramFit(*_snr_from_moments(centroids, covariances))
 
 
 def separation_fidelity(snr: float) -> float:
@@ -426,7 +396,7 @@ class SweepPoint:
         return separation_fidelity(self.snr_closed_form)
 
 
-def derive_seed(seed: int, index: int) -> int:
+def _derive_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit sub-seed for sweep point ``index``."""
     seq = np.random.SeedSequence([int(seed), int(index)])
     return int(seq.generate_state(1, dtype=np.uint64)[0])
@@ -446,7 +416,7 @@ def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:
     require_positive(tau_values=tau_values)
     points = []
     for index, tau in enumerate(tau_values):
-        sub = replace(config, tau_m=float(tau), seed=derive_seed(config.seed, index))
+        sub = replace(config, tau_m=float(tau), seed=_derive_seed(config.seed, index))
         closed = snr_asymptotic(sub)
         monte = snr_monte_carlo(sub)
         points.append(SweepPoint(tau_m=float(tau), snr_closed_form=closed,

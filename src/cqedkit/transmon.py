@@ -98,6 +98,13 @@ def anharmonicity(params: TransmonParams) -> float:
     return -params.ec
 
 
+def _require_off_pole(delta: float, alpha: float) -> None:
+    if delta == 0.0:
+        raise DomainError("qubit-resonator detuning must be nonzero")
+    if delta + alpha == 0.0:
+        raise DomainError("detuning sits on the two-level straddling pole")
+
+
 def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     """Dispersive pull chi = (g^2/delta) * alpha/(delta+alpha), rad/s in, rad/s out.
 
@@ -105,20 +112,14 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     straddling point gives a negative chi.
     """
     require_finite(g=g, delta=delta, alpha=alpha)
-    if delta == 0.0:
-        raise DomainError("qubit-resonator detuning must be nonzero")
-    if delta + alpha == 0.0:
-        raise DomainError("detuning sits on the two-level straddling pole")
+    _require_off_pole(delta, alpha)
     return (g * g / delta) * (alpha / (delta + alpha))
 
 
 def coupling_from_chi(chi: float, delta: float, alpha: float) -> float:
     """Coupling magnitude |g| that reproduces a measured dispersive shift."""
     require_finite(chi=chi, delta=delta, alpha=alpha)
-    if delta == 0.0:
-        raise DomainError("qubit-resonator detuning must be nonzero")
-    if delta + alpha == 0.0:
-        raise DomainError("detuning sits on the two-level straddling pole")
+    _require_off_pole(delta, alpha)
     if alpha == 0.0:
         raise DomainError("zero anharmonicity produces no dispersive shift")
     g_squared = chi * delta * (delta + alpha) / alpha

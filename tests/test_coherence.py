@@ -103,8 +103,13 @@ def test_t1_total_equal_rates_halves():
 def test_t1_total_on_resonance_rejected():
     model = LossModel(q_diel=1e6,
                       purcell=PurcellParams(g=1e8, f_r=6e9, kappa=3e6))
-    with pytest.raises(DomainError):
-        t1_total(6e9, model)
+    # one rule, one message, whichever relation meets the readout mode
+    for on_resonance in (lambda: t1_total(6e9, model),
+                         lambda: t1_purcell(1e8, 0.0, 3e6),
+                         lambda: t1_budget(np.array([5e9, 6e9]), model)):
+        with pytest.raises(DomainError, match=(
+                "^qubit on resonance with the readout mode$")):
+            on_resonance()
 
 
 @given(q_diel=st.floats(min_value=1e4, max_value=1e8),

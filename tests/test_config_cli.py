@@ -698,7 +698,10 @@ coherence_csv = coherence.csv
     ("fit-kappa", "kappa_offset.csv", "d_um,kappa_per_s\n5,2e6\n10,0\n20,1e6\n",
      "[kappa_fit]\noffset_csv = kappa_offset.csv\n",
      "row 3, column kappa_per_s: must be positive, got 0.0"),
-], ids=["coherence", "kappa-offset"])
+    ("fit-kappa", "kappa_offset.csv", "d_um,kappa_per_s\n5,2e6\n-10,1e6\n20,5e5\n",
+     "[kappa_fit]\noffset_csv = kappa_offset.csv\n",
+     "row 3, column d_um: must be nonnegative, got -10.0"),
+], ids=["coherence", "kappa-offset", "kappa-offset-d"])
 def test_cli_out_of_domain_csv_value_names_the_file_line(
         command, name, text, section, message, tmp_path, capsys):
     (tmp_path / name).write_text(text, encoding="ascii")

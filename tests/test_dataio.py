@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the CSV schemas."""
 
+import csv
 import math
 import tracemalloc
 
@@ -13,12 +14,12 @@ from cqedkit.dataio import (
     load_kappa_offset_csv,
     load_resonator_csv,
     load_ringdown_csv,
-    load_shots_csv,
-    load_sweep_csv,
     write_csv,
     write_shots_csv,
 )
 from cqedkit.readout import SHOT_BLOCK
+
+from conftest import shot_blocks
 
 
 def test_format_number_nine_significant_digits():
@@ -102,13 +103,20 @@ def test_shots_csv_round_trip(tmp_path):
                            chi=math.pi * 930e3, tau_m=700e-9, n_shots=500)
     shots = simulate_shots(config)
     path = tmp_path / "shots.csv"
-    write_shots_csv(path, shots.blocks())
-    loaded = load_shots_csv(path)
-    assert loaded.i_ground == pytest.approx(shots.i_ground, rel=1e-8)
-    assert loaded.q_excited == pytest.approx(shots.q_excited, rel=1e-8)
-    # rewriting the loaded set reproduces the file byte for byte
+    write_shots_csv(path, shot_blocks(shots))
+    with open(path, newline="", encoding="ascii") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["state", "i", "q"]
+    assert [row[0] for row in rows] == ["g"] * 500 + ["e"] * 500
+    values = np.array([row[1:] for row in rows], dtype=float)
+    loaded = ShotSet(i_ground=values[:500, 0], q_ground=values[:500, 1],
+                     i_excited=values[500:, 0], q_excited=values[500:, 1])
+    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
+        assert getattr(loaded, name) == pytest.approx(
+            getattr(shots, name), rel=1e-8)
+    # rewriting the values read back reproduces the file byte for byte
     again = tmp_path / "again.csv"
-    write_shots_csv(again, loaded.blocks())
+    write_shots_csv(again, shot_blocks(loaded))
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -123,7 +131,7 @@ def test_shots_csv_matches_row_writer(tmp_path):
     rows = [("g", i, q) for i, q in zip(shots.i_ground, shots.q_ground)]
     rows += [("e", i, q) for i, q in zip(shots.i_excited, shots.q_excited)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
-    written = write_shots_csv(tmp_path / "shots.csv", shots.blocks())
+    written = write_shots_csv(tmp_path / "shots.csv", shot_blocks(shots))
     assert written.read_bytes() == reference.read_bytes()
 
 
@@ -137,7 +145,7 @@ def test_shots_csv_block_edges_match_row_writer(tmp_path, n):
     rows = [("g", i, q) for i, q in zip(i_g, q_g)]
     rows += [("e", i, q) for i, q in zip(i_e, q_e)]
     reference = write_csv(tmp_path / "rows.csv", ("state", "i", "q"), rows)
-    written = write_shots_csv(tmp_path / "shots.csv", shots.blocks())
+    written = write_shots_csv(tmp_path / "shots.csv", shot_blocks(shots))
     assert written.read_bytes() == reference.read_bytes()
 
 
@@ -147,30 +155,12 @@ def test_shots_csv_memory_does_not_grow_with_shots(tmp_path):
     shots = ShotSet(i_ground=i_g, q_ground=q_g, i_excited=i_e, q_excited=q_e)
     tracemalloc.start()
     try:
-        write_shots_csv(tmp_path / "shots.csv", shots.blocks())
+        write_shots_csv(tmp_path / "shots.csv", shot_blocks(shots))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the file is about 5 MB; writing it whole would peak far above that
     assert peak < 4e6
-
-
-def test_shots_csv_rejects_unknown_state(tmp_path):
-    path = tmp_path / "shots.csv"
-    path.write_text("state,i,q\ng,0.1,0.2\nz,0.3,0.4\n", encoding="ascii")
-    with pytest.raises(ConfigError, match="state"):
-        load_shots_csv(path)
-
-
-def test_sweep_csv_round_trip(tmp_path):
-    path = tmp_path / "sweep.csv"
-    rows = [(175.0, 2.5, 2.4995, 0.9229), (700.0, 5.0, 4.98, 0.99959)]
-    write_csv(path, ("tau_ns", "snr_eq1", "snr_mc", "fidelity"), rows)
-    tau, eq1, mc, fid = load_sweep_csv(path)
-    assert tau == pytest.approx([175.0, 700.0])
-    assert eq1 == pytest.approx([2.5, 5.0])
-    assert mc == pytest.approx([2.4995, 4.98])
-    assert fid == pytest.approx([0.9229, 0.99959])
 
 
 def test_unknown_column_named(tmp_path):
@@ -192,8 +182,6 @@ SPACED_HEADERS = [
     (load_kappa_offset_csv, " d_um , kappa_per_s", "2,4e6"),
     (load_ringdown_csv, "t_s,  v_amplitude", "0,1"),
     (load_coherence_csv, "f_q_ghz, t1_us, t2e_us", "4.0,29.7,40"),
-    (load_shots_csv, "state, i, q", "g,0.1,0.2\ne,0.3,0.4"),
-    (load_sweep_csv, "tau_ns, snr_eq1, snr_mc, fidelity", "175,2.5,2.4,0.9"),
 ]
 
 
@@ -207,8 +195,6 @@ def test_header_names_with_spaces_load(tmp_path, loader, header, row):
     loaded, expected = loader(path), loader(tight)
     if loader is load_coherence_csv:
         assert loaded == expected
-    elif loader is load_shots_csv:
-        assert loaded.i_excited.tolist() == expected.i_excited.tolist() == [0.3]
     else:
         assert [col.tolist() for col in loaded] == [
             col.tolist() for col in expected]
@@ -270,16 +256,6 @@ def test_coherence_rejects_non_finite_cell(tmp_path, text):
         load_coherence_csv(path)
 
 
-@pytest.mark.parametrize("text", NON_FINITE)
-def test_shots_rejects_non_finite_cell(tmp_path, text):
-    path = tmp_path / "shots.csv"
-    path.write_text(f"state,i,q\ng,0.1,0.2\ne,0.3,{text}\n",
-                    encoding="ascii")
-    with pytest.raises(ConfigError, match=(
-            rf"row 3, column q: not finite: '{text}'")):
-        load_shots_csv(path)
-
-
 def test_empty_inputs_rejected(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="ascii")
@@ -315,9 +291,6 @@ BLANK_LINE_CASES = [
     (load_kappa_offset_csv, "d_um,kappa_per_s", "2,4e6", "nan,3e6", "d_um"),
     (load_ringdown_csv, "t_s,v_amplitude", "0,1", "2e-7,nan", "v_amplitude"),
     (load_coherence_csv, "f_q_ghz,t1_us", "4.0,29.7", "4.4,nan", "t1_us"),
-    (load_shots_csv, "state,i,q", "g,0.1,0.2", "e,0.3,nan", "q"),
-    (load_sweep_csv, "tau_ns,snr_eq1,snr_mc,fidelity", "175,2.5,2.4,0.9",
-     "350,nan,3.4,0.95", "snr_eq1"),
 ]
 
 

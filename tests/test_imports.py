@@ -62,7 +62,7 @@ PUBLIC_NAMES = [
     "TransmonParams", "anharmonicity", "archimedean_spiral_length",
     "build_spiral", "calibrate_epsilon", "cavity_response",
     "charging_energy", "coherence", "coupling_from_chi",
-    "cpw_mode_frequency", "derive_seed", "dispersive_phase",
+    "cpw_mode_frequency", "dispersive_phase",
     "dispersive_shift", "erfc", "errors", "extract_lk_cpw",
     "fit_gaussian_1d", "fit_kappa_offset", "fit_kappa_ringdown",
     "fit_qdiel", "fitting", "flux_effective_ej", "frequency_band",
