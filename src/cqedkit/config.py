@@ -61,8 +61,7 @@ _REQUIRED = object()
 class Key:
     parse: str                      # float | int | bool | str | float_list
     default: Any = _REQUIRED
-    positive: bool = False
-    nonnegative: bool = False
+    bound: str | None = None        # positive | nonnegative, every entry
 
     @property
     def required(self) -> bool:
@@ -71,39 +70,39 @@ class Key:
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "geometry": {
-        "disk_radius_um": Key("float", positive=True),
-        "line_width_um": Key("float", positive=True),
-        "gap_um": Key("float", positive=True),
-        "feed_offset_um": Key("float", default=20.0, nonnegative=True),
-        "turns": Key("float", positive=True),
-        "spiral_length_um": Key("float", default=None, positive=True),
+        "disk_radius_um": Key("float", bound="positive"),
+        "line_width_um": Key("float", bound="positive"),
+        "gap_um": Key("float", bound="positive"),
+        "feed_offset_um": Key("float", default=20.0, bound="nonnegative"),
+        "turns": Key("float", bound="positive"),
+        "spiral_length_um": Key("float", default=None, bound="positive"),
     },
     "film": {
-        "lk_nominal_ph_sq": Key("float", default=2.0, positive=True),
-        "lk_low_ph_sq": Key("float", default=None, positive=True),
-        "lk_high_ph_sq": Key("float", default=None, positive=True),
-        "geometric_l_per_square_ph_sq": Key("float", default=0.0, nonnegative=True),
+        "lk_nominal_ph_sq": Key("float", default=2.0, bound="positive"),
+        "lk_low_ph_sq": Key("float", default=None, bound="positive"),
+        "lk_high_ph_sq": Key("float", default=None, bound="positive"),
+        "geometric_l_per_square_ph_sq": Key("float", default=0.0, bound="nonnegative"),
     },
     "resonator": {
-        "c_total_ff": Key("float", positive=True),
-        "q_coupling": Key("float", default=None, positive=True),
-        "q_internal": Key("float", default=1e6, positive=True),
-        "kappa0_per_s": Key("float", default=None, positive=True),
-        "d0_um": Key("float", default=None, positive=True),
+        "c_total_ff": Key("float", bound="positive"),
+        "q_coupling": Key("float", default=None, bound="positive"),
+        "q_internal": Key("float", default=1e6, bound="positive"),
+        "kappa0_per_s": Key("float", default=None, bound="positive"),
+        "d0_um": Key("float", default=None, bound="positive"),
     },
     "sweep": {
-        "length_min_um": Key("float", positive=True),
-        "length_max_um": Key("float", positive=True),
-        "points": Key("int", default=25, positive=True),
+        "length_min_um": Key("float", bound="positive"),
+        "length_max_um": Key("float", bound="positive"),
+        "points": Key("int", default=25, bound="positive"),
         "measured_csv": Key("str", default=None),
     },
     "lk": {
-        "cpw_length_um": Key("float", positive=True),
-        "l_per_m_nh": Key("float", nonnegative=True),
-        "c_per_m_pf": Key("float", positive=True),
-        "measured_f_ghz": Key("float", positive=True),
-        "line_width_um": Key("float", positive=True),
-        "geometric_l_per_square_ph_sq": Key("float", default=0.0, nonnegative=True),
+        "cpw_length_um": Key("float", bound="positive"),
+        "l_per_m_nh": Key("float", bound="nonnegative"),
+        "c_per_m_pf": Key("float", bound="positive"),
+        "measured_f_ghz": Key("float", bound="positive"),
+        "line_width_um": Key("float", bound="positive"),
+        "geometric_l_per_square_ph_sq": Key("float", default=0.0, bound="nonnegative"),
         "termination": Key("str", default="quarter-wave"),
     },
     "kappa_fit": {
@@ -111,39 +110,40 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "offset_csv": Key("str", default=None),
     },
     "loss": {
-        "q_diel": Key("float", default=None, positive=True),
-        "f_q_min_ghz": Key("float", default=3.5, positive=True),
-        "f_q_max_ghz": Key("float", default=4.8, positive=True),
-        "points": Key("int", default=25, positive=True),
-        "gamma_phi_per_s": Key("float", default=0.0, nonnegative=True),
+        "q_diel": Key("float", default=None, bound="positive"),
+        "f_q_min_ghz": Key("float", default=3.5, bound="positive"),
+        "f_q_max_ghz": Key("float", default=4.8, bound="positive"),
+        "points": Key("int", default=25, bound="positive"),
+        "gamma_phi_per_s": Key("float", default=0.0, bound="nonnegative"),
         "coherence_csv": Key("str", default=None),
-        "purcell_g_mhz": Key("float", default=None, nonnegative=True),
-        "purcell_f_r_ghz": Key("float", default=None, positive=True),
-        "purcell_kappa_inv_ns": Key("float", default=None, positive=True),
+        "purcell_g_mhz": Key("float", default=None, bound="nonnegative"),
+        "purcell_f_r_ghz": Key("float", default=None, bound="positive"),
+        "purcell_kappa_inv_ns": Key("float", default=None, bound="positive"),
         "purcell_two_chi_khz": Key("float", default=None),
-        "purcell_ref_f_q_ghz": Key("float", default=None, positive=True),
+        "purcell_ref_f_q_ghz": Key("float", default=None, bound="positive"),
         "anharmonicity_ghz": Key("float", default=None),
     },
     "readout": {
-        "kappa_inv_ns": Key("float", default=300.0, positive=True),
+        "kappa_inv_ns": Key("float", default=300.0, bound="positive"),
         "two_chi_khz": Key("float", default=930.0),
-        "tau_m_ns": Key("float", default=700.0, positive=True),
-        "epsilon_per_s": Key("float", default=None, nonnegative=True),
-        "target_snr": Key("float", default=5.0, nonnegative=True),
-        "n_shots": Key("int", default=10_000, positive=True),
+        "tau_m_ns": Key("float", default=700.0, bound="positive"),
+        "epsilon_per_s": Key("float", default=None, bound="nonnegative"),
+        "target_snr": Key("float", default=5.0, bound="nonnegative"),
+        "n_shots": Key("int", default=10_000, bound="positive"),
         "transient": Key("bool", default=False),
-        "tau_list_ns": Key("float_list",
+        "tau_list_ns": Key("float_list", bound="positive",
                            default=(175.0, 350.0, 700.0, 1400.0, 2800.0)),
     },
     "run": {
-        "seed": Key("int", default=0, nonnegative=True),
+        "seed": Key("int", default=0, bound="nonnegative"),
         "output_dir": Key("str", default=None),
         "emit_plots": Key("bool", default=False),
     },
 }
 
-def _parse_value(section: str, key: str, spec: Key, text: str):
-    label = f"[{section}] {key}"
+def parse_value(label: str, spec: Key, text: str):
+    """``text`` parsed as the key's type and checked by ``check_value``;
+    errors name ``label``, a config key or a CSV cell."""
     text = text.strip()
     try:
         if spec.parse == "float":
@@ -169,19 +169,15 @@ def _parse_value(section: str, key: str, spec: Key, text: str):
 
 
 def check_value(label: str, spec: Key, value):
-    """``value``, if it meets the key's finite and sign rules; otherwise a
-    ConfigError naming ``label``, the key or the option that set it."""
-    if spec.parse in ("float", "float_list"):
-        for item in value if spec.parse == "float_list" else (value,):
-            if not math.isfinite(item):
-                raise ConfigError(f"{label}: must be finite, got {item}")
-    if spec.parse in ("float", "int"):
-        if spec.positive and value <= 0:
-            raise ConfigError(f"{label}: must be positive, got {value}")
-        if spec.nonnegative and value < 0:
-            raise ConfigError(f"{label}: must be nonnegative, got {value}")
-    if spec.parse == "float_list" and any(v <= 0 for v in value):
-        raise ConfigError(f"{label}: all entries must be positive")
+    """``value``, if every entry is finite (floats only: ``math.isfinite``
+    overflows on a huge int) and within the key's bound; otherwise a
+    ConfigError naming ``label``, the key, option or cell that set it."""
+    for item in value if spec.parse == "float_list" else (value,):
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{label}: must be finite, got {item}")
+        if (spec.bound == "positive" and item <= 0
+                or spec.bound == "nonnegative" and item < 0):
+            raise ConfigError(f"{label}: must be {spec.bound}, got {item}")
     return value
 
 
@@ -218,7 +214,7 @@ def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, Any]:
     resolved: dict[str, Any] = {}
     for key, spec in schema.items():
         if key in raw:
-            resolved[key] = _parse_value(name, key, spec, raw[key])
+            resolved[key] = parse_value(f"[{name}] {key}", spec, raw[key])
         elif spec.required:
             raise ConfigError(f"[{name}]: missing required key {key}")
         else:

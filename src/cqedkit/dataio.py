@@ -1,15 +1,15 @@
 """CSV schemas shared by the library and the command-line front end.
 
 All numeric fields are written with 9 significant digits and '\n' line
-endings so identical inputs produce byte-identical files. Loaders accept
-exactly the documented columns (in any order, spaces around a name
-ignored) and report unknown, repeated or missing ones by name; a row
-with more cells than the header is reported by row, a cell that is not
-a finite number (or a kappa that is not positive, or an offset that is
-negative) by row and column, and a coherence record out of its domain by
-row. Rows are numbered by their
-line in the file, blank lines included. Files are read as UTF-8, with or
-without the byte-order mark that spreadsheets write.
+endings so identical inputs produce byte-identical files. A loaded file
+is declared as a ``{column: config.Key}`` map. Loaders accept exactly
+those columns (in any order, spaces around a name ignored), report
+unnamed, unknown, repeated or missing ones, and a row with more cells
+than the header, and parse each cell with the config's ``parse_value``:
+a cell that is empty, not a finite number or outside its column's bound
+fails naming the row and column. Rows are numbered by their line in the
+file, blank lines included. Files are read as UTF-8, with or without the
+byte-order mark that spreadsheets write.
 
 The writers need no numpy. The loaders that build arrays or records
 import numpy or ``coherence`` when called, so writing the closed-form
@@ -19,10 +19,10 @@ commands' tables never loads them.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import Key, parse_value
 from .errors import ConfigError, DomainError, not_utf8
 
 if TYPE_CHECKING:
@@ -47,8 +47,19 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _read_rows(path, required, optional=()):
-    """The data rows as ``(line number, row)`` pairs, after the header checks."""
+RESONATOR = {"spiral_length_um": Key("float"), "f_measured_ghz": Key("float")}
+KAPPA_OFFSET = {"d_um": Key("float", bound="nonnegative"),
+                "kappa_per_s": Key("float", bound="positive")}
+RINGDOWN = {"t_s": Key("float"), "v_amplitude": Key("float")}
+COHERENCE = {"f_q_ghz": Key("float", bound="positive"),
+             "t1_us": Key("float", bound="positive"),
+             "t1_spread_us": Key("float", default=None, bound="positive"),
+             "t2e_us": Key("float", default=None, bound="positive")}
+
+
+def _read_rows(path, columns):
+    """The data rows as ``(line number, {column: value})`` pairs, after the
+    header checks, each cell parsed by its entry in ``columns``."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -58,8 +69,11 @@ def _read_rows(path, required, optional=()):
             # rows are keyed by the stripped names, as the checks see them
             fields = reader.fieldnames = [
                 name.strip() for name in reader.fieldnames]
-            known = set(required) | set(optional)
-            unknown = [name for name in fields if name not in known]
+            unnamed = [str(n) for n, name in enumerate(fields, 1) if not name]
+            if unnamed:
+                raise ConfigError(f"{path}: column {', '.join(unnamed)} "
+                                  "of the header has no name")
+            unknown = [name for name in fields if name not in columns]
             if unknown:
                 raise ConfigError(
                     f"{path}: unknown column(s) {', '.join(unknown)}")
@@ -68,7 +82,8 @@ def _read_rows(path, required, optional=()):
             if repeated:
                 raise ConfigError(
                     f"{path}: repeated column(s) {', '.join(repeated)}")
-            missing = [name for name in required if name not in fields]
+            missing = [name for name, spec in columns.items()
+                       if spec.required and name not in fields]
             if missing:
                 raise ConfigError(
                     f"{path}: missing required column(s) {', '.join(missing)}")
@@ -79,91 +94,63 @@ def _read_rows(path, required, optional=()):
         raise not_utf8(path, exc) from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
+    parsed = []
     for number, row in rows:
         # DictReader files cells beyond the header under the key None
         if None in row:
             raise ConfigError(
                 f"{path}: row {number}: {len(fields) + len(row[None])} "
                 f"cells under a {len(fields)}-column header")
-    return rows
+        values = {}
+        for column, spec in columns.items():
+            label = f"{path}: row {number}, column {column}"
+            # a short row, or an absent optional column, reads as None
+            text = (row.get(column) or "").strip()
+            if text:
+                values[column] = parse_value(label, spec, text)
+            elif spec.required:
+                raise ConfigError(f"{label}: empty value")
+            else:
+                values[column] = spec.default
+        parsed.append((number, values))
+    return parsed
 
 
-def _parse_float(path, row_number, column, text):
-    text = (text or "").strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(
-            f"{path}: row {row_number}, column {column}: "
-            f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(
-            f"{path}: row {row_number}, column {column}: "
-            f"not finite: {text!r}")
-    return value
-
-
-def _load_columns(path, columns, bounds=None):
-    """The columns as arrays; ``bounds`` maps a column to its sign rule."""
+def _load_columns(path, columns):
+    """The columns as arrays, in the order of ``columns``."""
     import numpy as np
 
-    bounds = bounds or {}
-    out = []
-    for number, row in _read_rows(path, required=columns):
-        values = []
-        for column in columns:
-            value = _parse_float(path, number, column, row[column])
-            if value is None:
-                raise ConfigError(
-                    f"{path}: row {number}, column {column}: empty value")
-            bound = bounds.get(column)
-            if (bound == "positive" and value <= 0.0
-                    or bound == "nonnegative" and value < 0.0):
-                raise ConfigError(f"{path}: row {number}, column {column}: "
-                                  f"must be {bound}, got {value}")
-            values.append(value)
-        out.append(values)
-    return tuple(np.array(col) for col in zip(*out))
+    rows = _read_rows(path, columns)
+    return tuple(np.array([row[column] for _, row in rows]) for column in columns)
 
 
 def load_resonator_csv(path):
     """Measured spiral resonators: spiral_length_um, f_measured_ghz."""
-    return _load_columns(path, ("spiral_length_um", "f_measured_ghz"))
+    return _load_columns(path, RESONATOR)
 
 
 def load_kappa_offset_csv(path):
     """Measured coupling versus feed offset: d_um, kappa_per_s."""
-    return _load_columns(path, ("d_um", "kappa_per_s"),
-                         bounds={"d_um": "nonnegative", "kappa_per_s": "positive"})
+    return _load_columns(path, KAPPA_OFFSET)
 
 
 def load_ringdown_csv(path):
     """Ring-down trace: t_s, v_amplitude."""
-    return _load_columns(path, ("t_s", "v_amplitude"))
+    return _load_columns(path, RINGDOWN)
 
 
 def load_coherence_csv(path) -> list[CoherenceRecord]:
     """Coherence records: f_q_ghz, t1_us and optional t1_spread_us, t2e_us."""
     from .coherence import CoherenceRecord
 
-    rows = _read_rows(path, required=("f_q_ghz", "t1_us"),
-                      optional=("t1_spread_us", "t2e_us"))
     records = []
-    for number, row in rows:
-        f_q = _parse_float(path, number, "f_q_ghz", row["f_q_ghz"])
-        t1 = _parse_float(path, number, "t1_us", row["t1_us"])
-        if f_q is None or t1 is None:
-            raise ConfigError(
-                f"{path}: row {number}: f_q_ghz and t1_us must be set")
-        spread = _parse_float(path, number, "t1_spread_us",
-                              row.get("t1_spread_us"))
-        t2e = _parse_float(path, number, "t2e_us", row.get("t2e_us"))
+    for number, row in _read_rows(path, COHERENCE):
+        spread, t2e = row["t1_spread_us"], row["t2e_us"]
         try:
+            # scaling can still leave the domain: 1e-320 us is 0.0 s
             records.append(CoherenceRecord(
-                f_q=f_q * 1e9,
-                t1=t1 * 1e-6,
+                f_q=row["f_q_ghz"] * 1e9,
+                t1=row["t1_us"] * 1e-6,
                 t1_spread=None if spread is None else spread * 1e-6,
                 t2e=None if t2e is None else t2e * 1e-6,
             ))

@@ -119,8 +119,7 @@ def test_non_finite_values_name_the_key(tmp_path, section, key, text):
 
 CONSTRAINED_KEYS = [(section, key) for section, keys in SCHEMA.items()
                     for key, spec in keys.items()
-                    if spec.positive or spec.nonnegative
-                    or spec.parse == "float_list"]
+                    if spec.bound is not None]
 
 
 @pytest.mark.parametrize("section,key", CONSTRAINED_KEYS)
@@ -130,8 +129,8 @@ def test_out_of_domain_values_name_the_key(tmp_path, section, key):
     values[key] = "-1"
     body = "\n".join(f"{name} = {value}" for name, value in values.items())
     path = write_config(tmp_path, f"[{section}]\n{body}\n")
-    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: (all entries )?"
-                       r"must be (positive|nonnegative)"):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "
+                       r"must be (positive|nonnegative), got -1"):
         parse_config(path)
 
 
@@ -260,14 +259,15 @@ def _valid_value(spec):
     if spec.parse == "bool":
         return st.booleans()
     if spec.parse == "int":
-        return st.integers(min_value=1 if spec.positive else 0, max_value=10**9)
+        return st.integers(min_value=1 if spec.bound == "positive" else 0,
+                           max_value=10**9)
     if spec.parse == "str":
         return st.sampled_from(["inputs.csv", "data/trace.csv"])
     if spec.parse == "float_list":
         return st.lists(POSITIVE, min_size=1, max_size=4).map(tuple)
-    if spec.positive:
+    if spec.bound == "positive":
         return POSITIVE
-    return st.floats(min_value=0.0 if spec.nonnegative else None,
+    return st.floats(min_value=0.0 if spec.bound == "nonnegative" else None,
                      allow_nan=False, allow_infinity=False)
 
 
@@ -694,14 +694,18 @@ coherence_csv = coherence.csv
 
 @pytest.mark.parametrize("command, name, text, section, message", [
     ("fit-qdiel", "coherence.csv", "f_q_ghz,t1_us\n3.5,20\n4.0,20\n4.4,-5\n",
-     "[loss]\ncoherence_csv = coherence.csv\n", "row 4: t1 must be positive"),
+     "[loss]\ncoherence_csv = coherence.csv\n",
+     "row 4, column t1_us: must be positive, got -5.0"),
+    # in range as read, but 1e-320 us is 0.0 s once scaled to SI
+    ("fit-qdiel", "coherence.csv", "f_q_ghz,t1_us\n3.5,20\n4.0,1e-320\n4.4,20\n",
+     "[loss]\ncoherence_csv = coherence.csv\n", "row 3: t1 must be positive"),
     ("fit-kappa", "kappa_offset.csv", "d_um,kappa_per_s\n5,2e6\n10,0\n20,1e6\n",
      "[kappa_fit]\noffset_csv = kappa_offset.csv\n",
      "row 3, column kappa_per_s: must be positive, got 0.0"),
     ("fit-kappa", "kappa_offset.csv", "d_um,kappa_per_s\n5,2e6\n-10,1e6\n20,5e5\n",
      "[kappa_fit]\noffset_csv = kappa_offset.csv\n",
      "row 3, column d_um: must be nonnegative, got -10.0"),
-], ids=["coherence", "kappa-offset", "kappa-offset-d"])
+], ids=["coherence", "coherence-underflow", "kappa-offset", "kappa-offset-d"])
 def test_cli_out_of_domain_csv_value_names_the_file_line(
         command, name, text, section, message, tmp_path, capsys):
     (tmp_path / name).write_text(text, encoding="ascii")

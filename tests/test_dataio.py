@@ -205,7 +205,10 @@ def test_header_names_with_spaces_load(tmp_path, loader, header, row):
     ("t_s,t_s,v_amplitude\n0,1,1\n", r"repeated column\(s\) t_s$"),
     ("t_s,v_amplitude\n0,1\n1e-7,0.5,9\n",
      r"trace\.csv: row 3: 3 cells under a 2-column header"),
-], ids=["spaced-header", "repeated-column", "extra-cell"])
+    # a spreadsheet export's trailing comma
+    ("t_s,v_amplitude,\n0,1,\n",
+     r"trace\.csv: column 3 of the header has no name$"),
+], ids=["spaced-header", "repeated-column", "extra-cell", "unnamed-column"])
 def test_malformed_header_or_row(tmp_path, text, error):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="ascii")
@@ -233,7 +236,7 @@ def test_ringdown_rejects_non_finite_cell(tmp_path, text):
     path.write_text(f"t_s,v_amplitude\n0,1\n1e-7,{text}\n",
                     encoding="ascii")
     with pytest.raises(ConfigError, match=(
-            rf"row 3, column v_amplitude: not finite: '{text}'")):
+            rf"row 3, column v_amplitude: must be finite, got {float(text)}$")):
         load_ringdown_csv(path)
 
 
@@ -242,7 +245,7 @@ def test_kappa_offset_rejects_non_finite_cell(tmp_path, text):
     path = tmp_path / "kappa.csv"
     path.write_text(f"d_um,kappa_per_s\n{text},2e6\n", encoding="ascii")
     with pytest.raises(ConfigError, match=(
-            rf"row 2, column d_um: not finite: '{text}'")):
+            rf"row 2, column d_um: must be finite, got {float(text)}$")):
         load_kappa_offset_csv(path)
 
 
@@ -252,7 +255,7 @@ def test_coherence_rejects_non_finite_cell(tmp_path, text):
     path.write_text(f"f_q_ghz,t1_us,t1_spread_us\n4.0,29.7,1\n"
                     f"4.4,26.0,{text}\n", encoding="ascii")
     with pytest.raises(ConfigError, match=(
-            rf"row 3, column t1_spread_us: not finite: '{text}'")):
+            rf"row 3, column t1_spread_us: must be finite, got {float(text)}$")):
         load_coherence_csv(path)
 
 
@@ -272,9 +275,14 @@ def test_empty_inputs_rejected(tmp_path):
 
 def test_empty_cell_in_required_column(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t_s,v_amplitude\n0.0,\n", encoding="ascii")
-    with pytest.raises(ConfigError, match="empty value"):
-        load_ringdown_csv(path)
+    for loader, text, column in [
+            (load_ringdown_csv, "t_s,v_amplitude\n0.0,\n", "v_amplitude"),
+            (load_coherence_csv,
+             "f_q_ghz,t1_us,t2e_us\n4.0,29.7,40\n4.4, ,40\n", "t1_us")]:
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ConfigError,
+                           match=rf"row \d, column {column}: empty value$"):
+            loader(path)
 
 
 def test_shot_set_mismatched_arrays_rejected():
