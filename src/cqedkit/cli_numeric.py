@@ -18,30 +18,39 @@ import numpy as np
 
 from . import coherence, dataio, readout, resonator, transmon
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .svgplot import SvgPlot
 
 
 # ---------------------------------------------------------------- builders
 
+# The keys each value comes from (kappa_inv_ns = 1e-300 makes kappa inf)
+_READOUT_KEYS = {"kappa": "[readout] kappa_inv_ns", "chi": "[readout] two_chi_khz",
+                 "tau_m": "[readout] tau_m_ns", "seed": "[run] seed",
+                 "epsilon": "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns"}
+
+
 def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     values = config.require("readout")
+    if values["n_shots"] < readout.MIN_SHOTS:
+        raise ConfigError(f"[readout] n_shots: need at least {readout.MIN_SHOTS} "
+                          f"shots per state, got {values['n_shots']}")
     kappa = 1.0 / (values["kappa_inv_ns"] * 1e-9)
     chi = math.pi * values["two_chi_khz"] * 1e3   # two_chi in kHz -> chi rad/s
     tau_m = values["tau_m_ns"] * 1e-9
     epsilon = values["epsilon_per_s"]
-    if epsilon is None:
-        epsilon = readout.calibrate_epsilon(
-            values["target_snr"], kappa, chi, tau_m)
-    return readout.ReadoutConfig(
-        epsilon=epsilon,
-        kappa=kappa,
-        chi=chi,
-        tau_m=tau_m,
-        n_shots=values["n_shots"],
-        seed=config.seed,
-        transient=values["transient"],
-    )
+    try:
+        if epsilon is None:
+            epsilon = readout.calibrate_epsilon(
+                values["target_snr"], kappa, chi, tau_m)
+        return readout.ReadoutConfig(
+            epsilon=epsilon, kappa=kappa, chi=chi, tau_m=tau_m,
+            n_shots=values["n_shots"], seed=config.seed,
+            transient=values["transient"])
+    except DomainError as exc:
+        # a text naming no value is the dispersive phase's
+        keys = _READOUT_KEYS.get(str(exc).split()[0], "[readout] two_chi_khz, kappa_inv_ns")
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _build_purcell(values) -> coherence.PurcellParams | None:

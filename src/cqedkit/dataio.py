@@ -47,7 +47,8 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-RESONATOR = {"spiral_length_um": Key("float"), "f_measured_ghz": Key("float")}
+RESONATOR = {"spiral_length_um": Key("float", bound="positive"),
+             "f_measured_ghz": Key("float", bound="positive")}
 KAPPA_OFFSET = {"d_um": Key("float", bound="nonnegative"),
                 "kappa_per_s": Key("float", bound="positive")}
 RINGDOWN = {"t_s": Key("float"), "v_amplitude": Key("float")}
@@ -103,15 +104,15 @@ def _read_rows(path, columns):
                 f"cells under a {len(fields)}-column header")
         values = {}
         for column, spec in columns.items():
-            label = f"{path}: row {number}, column {column}"
             # a short row, or an absent optional column, reads as None
             text = (row.get(column) or "").strip()
-            if text:
-                values[column] = parse_value(label, spec, text)
-            elif spec.required:
-                raise ConfigError(f"{label}: empty value")
-            else:
-                values[column] = spec.default
+            try:
+                if not text and spec.required:
+                    raise ConfigError(f"{column}: empty value")
+                values[column] = parse_value(column, spec, text) if text else spec.default
+            except ConfigError as exc:
+                # the file and row join the column's label only on an error
+                raise ConfigError(f"{path}: row {number}, column {exc}") from None
         parsed.append((number, values))
     return parsed
 

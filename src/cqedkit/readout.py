@@ -9,14 +9,14 @@ cavity pointer states (or jumps straight to their steady-state values),
 adds white Gaussian noise per quadrature, and recovers the SNR as the
 centroid separation over the pooled width along the centroid axis, from
 each cloud's centroid and covariance (``_snr_from_moments``), as measured
-IQ data is processed. Every path draws its sub-seeded blocks through one
-loop, ``_normal_blocks``. ``simulate_shots`` draws the clouds as arrays,
-and ``histogram_fit`` reduces measured or drawn clouds to the SNR and the
-pooled width. The seeded paths hold no cloud:
-``snr_monte_carlo`` (and so ``snr_sweep``) reduces each block of shots to
-its moments as it is drawn, and ``stream_shots`` adds a second pass that
-redraws the same blocks, divided by the fitted width, for ``shots.csv``.
-Their memory does not grow with ``n_shots``.
+IQ data is processed. The shot paths draw their sub-seeded blocks through
+one loop, ``_normal_blocks``: ``simulate_shots`` draws the clouds as
+arrays for ``histogram_fit``, and ``stream_shots`` fits the SNR and the
+pooled width from each block's moments, then redraws the same blocks,
+divided by the width, for ``shots.csv``; its memory does not grow with
+``n_shots``. ``snr_monte_carlo`` (and so ``snr_sweep``) draws no shots:
+it samples each state's centroid and covariance from their exact laws,
+so its SNR has the distribution of ``histogram_fit``'s on drawn shots.
 """
 
 from __future__ import annotations
@@ -292,7 +292,8 @@ def _snr_from_moments(centroids, covariances) -> tuple[float, float]:
 
 def _moment_fit(config: ReadoutConfig,
                 partitions: int | None = None) -> tuple[float, float]:
-    """The SNR of ``snr_monte_carlo`` and the pooled width it divides by."""
+    """``histogram_fit(simulate_shots(config))``'s SNR and pooled width to
+    rounding, from block moments summed in a fixed order for any thread count."""
     n = config.n_shots
     _require_shots(n)
     jobs = _shot_jobs(n)
@@ -316,24 +317,33 @@ def _moment_fit(config: ReadoutConfig,
 
 
 def snr_monte_carlo(config: ReadoutConfig) -> float:
-    """The SNR of ``histogram_fit(simulate_shots(config))``, without the clouds.
+    """An SNR with the distribution of ``histogram_fit(simulate_shots(config)).snr``.
 
-    The same sub-seeded blocks are drawn, but each is reduced at once to
-    its sums and raw second moments, so memory does not grow with
-    ``n_shots``. Per state they give the centroid sigma*mean(z) + signal
-    and covariance sigma^2*cov(z), which feed ``histogram_fit``'s SNR core.
-    Blocks are summed in a fixed order, so the result is bitwise the same
-    for any number of drawing threads. Raises what ``histogram_fit`` raises.
+    No shot is drawn: over n Gaussian shots a state's mean z_mean ~ N(0, I/n)
+    and scatter S ~ Wishart_2(n - 1, I) are independent, and both come from
+    one generator seeded by ``config.seed``, S = L L^T by Bartlett's
+    L11^2 ~ chi2(n - 1), L22^2 ~ chi2(n - 2), L21 ~ N(0, 1). The centroid
+    sigma*z_mean + signal and covariance sigma^2*S/(n - 1) feed the SNR core
+    of ``histogram_fit``, and it raises what ``histogram_fit`` raises.
     """
-    return _moment_fit(config)[0]
+    n = config.n_shots
+    _require_shots(n)
+    rng = np.random.default_rng(config.seed)
+    mean_z = rng.standard_normal((2, 2)) / math.sqrt(n)
+    factor = np.zeros((2, 2, 2))    # each state's L
+    factor[:, [0, 1], [0, 1]] = np.sqrt(rng.chisquare([n - 1, n - 2], size=(2, 2)))
+    factor[:, 1, 0] = rng.standard_normal(2)
+    sigma, signals = _shot_map(config)
+    return _snr_from_moments(sigma * mean_z + signals[..., 0],
+                             sigma**2 * (factor @ factor.transpose(0, 2, 1)) / (n - 1))[0]
 
 
 def stream_shots(config: ReadoutConfig
                  ) -> tuple[float, Iterator[tuple[str, np.ndarray]]]:
     """SNR of the simulated shots and the shots over their pooled width.
 
-    Returns ``(snr, blocks)``. ``snr`` is ``snr_monte_carlo(config)``; the
-    moment fit runs here and raises here. ``blocks`` yields the shots of
+    Returns ``(snr, blocks)``. ``snr`` is ``_moment_fit``'s, the SNR of
+    these shots, which runs and raises here. ``blocks`` yields the shots of
     ``simulate_shots(config)`` divided by the fitted pooled width as
     ``(state, block)`` pairs, ground first, the form that
     ``dataio.write_shots_csv`` takes. They are redrawn from the same
@@ -405,10 +415,10 @@ def _derive_seed(seed: int, index: int) -> int:
 def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:
     """Closed-form and Monte-Carlo SNR over a list of integration times.
 
-    Each point simulates afresh under a sub-seed derived from
-    (config.seed, point index) through ``snr_monte_carlo``, so no shot
-    clouds are held; the fidelity column applies the separation-fidelity
-    map to the closed-form SNR.
+    Each point samples afresh under a sub-seed derived from
+    (config.seed, point index) through ``snr_monte_carlo``, so no shot is
+    drawn; the fidelity column applies the separation-fidelity map to the
+    closed-form SNR.
     """
     tau_values = list(tau_values)
     if not tau_values:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqedkit import ConfigError
+from cqedkit import ConfigError, readout
 from cqedkit.cli import main
 from cqedkit.config import (
     DEFAULT_OUTPUT_DIR,
@@ -560,17 +561,19 @@ coherence_csv = coherence.csv
     assert float(row["q_diel"]) == pytest.approx(1e6, rel=1e-4)
 
 
-def test_cli_sweep_spiral_with_measurements(tmp_path, capsys):
-    write_csv(tmp_path / "measured.csv", ("spiral_length_um", "f_measured_ghz"),
-              [(900.0, 2.4), (1200.0, 2.1)])
-    config_text = FULL_CONFIG + """
+MEASURED_SWEEP = FULL_CONFIG + """
 [sweep]
 length_min_um = 800
 length_max_um = 1400
 points = 7
 measured_csv = measured.csv
 """
-    path = write_config(tmp_path, config_text)
+
+
+def test_cli_sweep_spiral_with_measurements(tmp_path, capsys):
+    write_csv(tmp_path / "measured.csv", ("spiral_length_um", "f_measured_ghz"),
+              [(900.0, 2.4), (1200.0, 2.1)])
+    path = write_config(tmp_path, MEASURED_SWEEP)
     out = tmp_path / "out"
     assert _run(["sweep-spiral", "--config", str(path), "--out", str(out),
                  "--plots"]) == 0
@@ -580,7 +583,56 @@ measured_csv = measured.csv
     assert svg.startswith("<svg") or svg.startswith("<?xml")
 
 
+def test_cli_sweep_spiral_measurements_must_be_positive(tmp_path, capsys):
+    # +-1e308 used to pass the load, overflow the plot's y span and write
+    # nan coordinates; positive extremes still plot
+    path = write_config(tmp_path, MEASURED_SWEEP)
+    out = tmp_path / "out"
+    header = ("spiral_length_um", "f_measured_ghz")
+    write_csv(tmp_path / "measured.csv", header, [(900.0, 1e308), (1200.0, -1e308)])
+    assert _run(["sweep-spiral", "--config", str(path), "--out", str(out),
+                 "--plots"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config: {tmp_path / 'measured.csv'}: row 3, column "
+        "f_measured_ghz: must be positive, got -1e+308\n")
+    assert list(out.iterdir()) == []
+    write_csv(tmp_path / "measured.csv", header, [(900.0, 1e308), (1200.0, 1e-300)])
+    assert _run(["sweep-spiral", "--config", str(path), "--out", str(out),
+                 "--plots"]) == 0
+    svg = (out / "spiral_sweep.svg").read_text(encoding="utf-8")
+    assert svg.count("<circle") == 2
+    assert re.findall(r"\bnan\b", svg) == []    # the title says "resonance"
+
+
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+
+
+def _unreached(*counts):
+    raise AssertionError("the library's shot-count check was reached")
+
+
+@pytest.mark.parametrize("command", ["simulate-readout", "snr-sweep"])
+@pytest.mark.parametrize("line, message", [
+    ("kappa_inv_ns = 1e-300", "[readout] kappa_inv_ns: kappa must be finite"),
+    ("two_chi_khz = 0", "[readout] two_chi_khz, kappa_inv_ns: "
+     "zero dispersive phase produces no signal to calibrate"),
+    ("n_shots = 5", "[readout] n_shots: need at least 100 shots per state, got 5"),
+    ("seed = 18446744073709551616",
+     "[run] seed: seed must fit an unsigned 64-bit integer"),
+], ids=["kappa-overflow", "zero-phase", "few-shots", "seed-overflow"])
+def test_cli_readout_value_errors_name_the_keys(command, line, message, tmp_path,
+                                                capsys, monkeypatch):
+    # a value the key's bound lets through but the readout model rejects; the
+    # config is checked before the library's own check, and before any draw
+    monkeypatch.setattr(readout, "_require_shots", _unreached)
+    key = line.split()[0]
+    config = write_config(tmp_path, re.sub(
+        rf"^{key} = .*$", line, DEMO_CONFIG.read_text(encoding="utf-8"),
+        flags=re.MULTILINE))
+    out = tmp_path / "out"
+    assert _run([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def _report_artifacts(out):

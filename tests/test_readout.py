@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cqedkit import (
     DegenerateDataError,
@@ -186,6 +187,7 @@ def _shot_bytes(cfg, partitions):
 
 
 def _snr_hex(cfg, partitions):
+    # the moment fit of simulate-readout; snr_monte_carlo draws no blocks
     return readout._moment_fit(cfg, partitions)[0].hex()
 
 
@@ -314,24 +316,27 @@ def test_histogram_fit_errors():
 
 # The library draws at 3 * 4096 + 1 shots per state and seed 0, recorded with
 # numpy 2.4.6: sha256 of simulate_shots' four arrays, _moment_fit's SNR and
-# width at partitions 1 and 2, and sha256 of stream_shots' (state, block)
-# bytes. The golden corpus runs only the CLI, which never calls
-# simulate_shots; these pin the library paths bit for bit.
+# width at partitions 1 and 2, sha256 of stream_shots' (state, block)
+# bytes, and snr_monte_carlo's sampled SNR (chisquare and standard_normal).
+# The golden corpus runs only the CLI, which never calls simulate_shots;
+# these pin the library paths bit for bit.
 BIT_PIN_NUMPY = "2.4.6"
 BIT_PINS = {
     False: ("c4f05162f50ad49be74d39f7bd0f0ffd6fdd45a44f60c9770ac34b79c90607d8",
             ["0x1.412cfaceffd73p+2", "0x1.5aaf05a2a8a8fp-22"],
-            "a45e22480d9e05bc07ef2fe5a04f11e6b803f9d5962de898813cea34a33f4145"),
+            "a45e22480d9e05bc07ef2fe5a04f11e6b803f9d5962de898813cea34a33f4145",
+            "0x1.3f2521dddfcadp+2"),
     True: ("13e7fccebd6a417f0c869bc56862344ef40236edd66be8c8c0ca81306a5771a7",
            ["0x1.21471f6f2855bp+1", "0x1.5aafec958321cp-22"],
-           "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d"),
+           "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d",
+           "0x1.1f45c7ea6ea7fp+1"),
 }
 
 
 @pytest.mark.parametrize("transient", [False, True])
 def test_library_draws_match_bit_pins(transient):
     cfg = _config(n_shots=3 * 4096 + 1, transient=transient)
-    arrays_sha, fit_hex, stream_sha = BIT_PINS[transient]
+    arrays_sha, fit_hex, stream_sha, sampled_hex = BIT_PINS[transient]
     drift = (f"drifted from the pin (recorded with numpy {BIT_PIN_NUMPY}, "
              f"running numpy {np.__version__})")
     shots = simulate_shots(cfg)
@@ -347,6 +352,7 @@ def test_library_draws_match_bit_pins(transient):
         digest.update(state.encode())
         digest.update(block.tobytes())
     assert digest.hexdigest() == stream_sha, f"stream_shots {drift}"
+    assert snr_monte_carlo(cfg).hex() == sampled_hex, f"snr_monte_carlo {drift}"
 
 
 def test_snr_monte_carlo_partition_independent():
@@ -354,35 +360,88 @@ def test_snr_monte_carlo_partition_independent():
     8 jobs run on 1, 2, 3 (chunks of 3, 3, 2) or 7 threads."""
     cfg = _config(n_shots=3 * 4096 + 1)
     base = [value.hex() for value in readout._moment_fit(cfg, partitions=1)]
-    assert snr_monte_carlo(cfg).hex() == base[0]
     for partitions in (2, 3, 7):
         fit = readout._moment_fit(cfg, partitions=partitions)
         assert [value.hex() for value in fit] == base
 
 
 @pytest.mark.parametrize("transient", [False, True])
-def test_snr_monte_carlo_matches_histogram_fit(transient):
-    """The moment path reproduces the array path to rounding, and so the
-    .9g cells that snr_sweep.csv writes, over 100 seeds and three sizes."""
+def test_moment_fit_matches_histogram_fit(transient):
+    """The moment path of simulate-readout reproduces the array path to
+    rounding, and so the .9g SNR it reports, over 100 seeds and three sizes."""
     for seed in range(100):
         cfg = _config(n_shots=(100, 4097, 10_000)[seed % 3], seed=seed,
                       tau_m=TAU_REF * (1 + seed % 5), transient=transient)
         expected = histogram_fit(simulate_shots(cfg)).snr
-        actual = snr_monte_carlo(cfg)
+        actual = readout._moment_fit(cfg)[0]
         assert actual == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert f"{actual:.9g}" == f"{expected:.9g}"
 
 
+def _variance_error(x):
+    """Squared standard error of a sample variance, (m4 - m2^2) / n."""
+    d = x - x.mean()
+    return ((d**4).mean() - (d**2).mean() ** 2) / len(x)
+
+
+@pytest.mark.parametrize("n_shots, transient", [
+    (100, False), (100, True), (4097, False), (10_000, False)])
+def test_snr_monte_carlo_matches_shot_path_in_distribution(n_shots, transient):
+    """The sampled SNR has the distribution of the SNR fitted to drawn
+    shots: over 2000 seeds each, from disjoint ranges, a two-sample KS test
+    does not reject at p < 0.001, and the means and the variances agree
+    within 4 standard errors. About 6 s on a 2-core VM, all four cases."""
+    def snrs(fit, seeds):
+        return np.array([fit(_config(n_shots=n_shots, seed=seed,
+                                     transient=transient)) for seed in seeds])
+
+    sampled = snrs(snr_monte_carlo, range(2000))
+    drawn = snrs(lambda cfg: readout._moment_fit(cfg)[0], range(2000, 4000))
+    assert stats.ks_2samp(sampled, drawn).pvalue >= 1e-3
+    mean_error = math.sqrt((sampled.var() + drawn.var()) / 2000)
+    assert abs(sampled.mean() - drawn.mean()) < 4 * mean_error
+    variance_error = math.sqrt(_variance_error(sampled) + _variance_error(drawn))
+    assert abs(sampled.var() - drawn.var()) < 4 * variance_error
+
+
+def test_snr_monte_carlo_samples_the_exact_moment_laws(monkeypatch):
+    """Over 10 000 seeds at n = 100, each state's centroid is signal +
+    sigma*z with z ~ N(0, I/n), and its covariance sigma^2*C with
+    E[C] = I, var(C_11) = var(C_22) = 2/(n - 1) and var(C_12) = 1/(n - 1),
+    the laws of Gaussian shots' sample moments, within 4 standard errors.
+    A bias of order 1/n, which the SNR gate above cannot see, shows here."""
+    moments = []
+    monkeypatch.setattr(readout, "_snr_from_moments",
+                        lambda centroids, covariances:
+                        moments.append((centroids, covariances)) or (1.0, 1.0))
+    n = 100
+    sigma, signals = readout._shot_map(_config(n_shots=n))
+    for seed in range(10_000):
+        snr_monte_carlo(_config(n_shots=n, seed=seed))
+    z = np.array([c for c, _ in moments]) - signals[..., 0]
+    cov = np.array([v for _, v in moments]) / sigma**2
+    draws = {"z_i": (z[..., 0] / sigma, 0.0, 1 / n),
+             "z_q": (z[..., 1] / sigma, 0.0, 1 / n),
+             "c_11": (cov[..., 0, 0], 1.0, 2 / (n - 1)),
+             "c_22": (cov[..., 1, 1], 1.0, 2 / (n - 1)),
+             "c_12": (cov[..., 0, 1], 0.0, 1 / (n - 1))}
+    for name, (x, mean, variance) in draws.items():
+        x = x.ravel()
+        assert abs(x.mean() - mean) < 4 * math.sqrt(variance / len(x)), name
+        assert abs(x.var() - variance) < 4 * math.sqrt(_variance_error(x)), name
+
+
 def test_snr_monte_carlo_identical_clouds(monkeypatch):
-    """With both states drawn from one stream around one signal, the
-    centroids coincide and both paths report zero separation."""
+    """Coinciding centroids give zero separation, along a fixed axis: in the
+    SNR core directly, and for both states drawn from one stream."""
+    covariances = np.array([np.eye(2), 2.0 * np.eye(2)])
+    assert readout._snr_from_moments(np.ones((2, 2)), covariances) \
+        == (0.0, math.sqrt(1.5))
     draw = readout._draw_block
     monkeypatch.setattr(readout, "_draw_block",
                         lambda config, state_index, index, out:
                         draw(config, 0, index, out))
-    cfg = _config(chi=0.0, n_shots=500)
-    assert snr_monte_carlo(cfg) == 0.0
-    assert histogram_fit(simulate_shots(cfg)).snr == 0.0
+    assert histogram_fit(simulate_shots(_config(chi=0.0, n_shots=500))).snr == 0.0
 
 
 def test_snr_monte_carlo_errors():
@@ -401,8 +460,8 @@ def test_snr_monte_carlo_errors():
 
 
 def test_snr_sweep_memory_does_not_grow_with_shots():
-    """3e5 shots per state would take 9.6 MB as clouds; the streamed
-    moments hold one block per worker."""
+    """3e5 shots per state would take 9.6 MB as clouds; the sampled
+    moments hold no shot at all."""
     tracemalloc.start()
     try:
         snr_sweep(_config(n_shots=300_000), [175e-9, 700e-9])
@@ -476,7 +535,7 @@ def test_stream_shots_fits_before_drawing():
     with pytest.raises(InsufficientDataError):
         stream_shots(_config(n_shots=99))
     snr, blocks = stream_shots(_config(n_shots=4097))
-    assert snr == snr_monte_carlo(_config(n_shots=4097))
+    assert snr == readout._moment_fit(_config(n_shots=4097))[0]
     counts = [(state, block.shape) for state, block in blocks]
     assert counts == [("g", (2, 4096)), ("g", (2, 1)),
                       ("e", (2, 4096)), ("e", (2, 1))]
