@@ -33,6 +33,7 @@ def main() -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(args.f_min_ghz * 1e9, args.f_max_ghz * 1e9, args.points)
+    f_ghz = grid / 1e9
     q_values = [0.5e6, 746e3, 1.0e6]
 
     tables = []
@@ -41,13 +42,14 @@ def main() -> int:
     print(f"{'q_diel':>9} {'t1_us at f_min':>14} {'t1_us at f_max':>14} "
           f"{'purcell dominates above':>24}")
     for q_diel in q_values:
-        *_, t1_bare = t1_budget(grid, LossModel(q_diel=q_diel))
-        t1_diel, t1_purcell, t1_loaded = t1_budget(
-            grid, LossModel(q_diel=q_diel, purcell=PURCELL))
-        tables.append(np.column_stack([np.full(grid.size, q_diel), grid / 1e9,
+        # t1_budget returns tuples of floats; as arrays they scale in one step
+        *_, t1_bare = map(np.array, t1_budget(grid, LossModel(q_diel=q_diel)))
+        t1_diel, t1_purcell, t1_loaded = map(np.array, t1_budget(
+            grid, LossModel(q_diel=q_diel, purcell=PURCELL)))
+        tables.append(np.column_stack([np.full(grid.size, q_diel), f_ghz,
                                        t1_bare * 1e6, t1_loaded * 1e6]))
-        plot.add_line(grid / 1e9, t1_bare * 1e6, color="#999999")
-        plot.add_line(grid / 1e9, t1_loaded * 1e6)
+        plot.add_line(f_ghz, t1_bare * 1e6, color="#999999")
+        plot.add_line(f_ghz, t1_loaded * 1e6)
         # lowest grid frequency where Purcell loss exceeds dielectric loss
         purcell_wins = np.nonzero(t1_purcell < t1_diel)[0]
         label = (f"{grid[purcell_wins[0]] / 1e9:.2f} GHz" if purcell_wins.size

@@ -11,13 +11,16 @@ coherence
 readout
     Closed-form and Monte-Carlo dispersive readout SNR and fidelity.
 fitting
-    One-parameter bracketed least squares, Gaussian moment fits, erfc.
-cli / config / dataio / svgplot
+    One-parameter bracketed least squares, closed-form straight line,
+    Gaussian moment fits, erfc.
+cli / cli_numeric / config / dataio / svgplot
     Command-line front end, config files, CSV schemas, SVG plots.
 
-The names below are imported from their module on first access
-(PEP 562), so ``import cqedkit`` loads no submodule and the closed-form
-paths never load numpy.
+Only ``readout`` (and ``fitting.fit_gaussian_1d``, when called) imports
+numpy; everything else computes on plain Python floats, so six of the
+eight commands run without it and only simulate-readout and snr-sweep
+load it. The names below are imported from their module on first access
+(PEP 562), so ``import cqedkit`` loads no submodule.
 """
 
 from importlib import import_module

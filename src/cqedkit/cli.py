@@ -18,49 +18,113 @@ the report alone is enough to repeat the run. A command that fails writes
 no artifacts, and a failed write removes the files the run wrote. Failures
 print a single ``error: <category>: <message>`` line and exit 1.
 
-The closed-form commands (design-resonator, sweep-spiral, fit-lk) live
-here and, with the parser, the writers and the report, run without
-numpy. The numeric ones live in ``cli_numeric``, which ``main`` imports
-only to run one of them. If that import is the first to load numpy, it
-loads OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+Six commands live here and, with the parser, the writers and the
+report, run on plain Python floats without numpy: design-resonator,
+sweep-spiral, fit-lk, fit-kappa, fit-qdiel and budget-t1. A command
+imports ``coherence`` (and through it ``fitting``) only if it uses it,
+so the closed-form ones compile no more source than before. Only the two
+readout commands, simulate-readout and snr-sweep, load numpy, for its
+PCG64 streams; they live in ``cli_numeric``, which ``main`` imports only
+to run one of them. If that import is the first to load numpy, it loads
+OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__, dataio, resonator
-from .config import SCHEMA, RunConfig, check_value, parse_config, render_resolved
-from .errors import OutputError, ToolError
+from .config import (SCHEMA, RunConfig, check_value, key_error, parse_config,
+                     render_resolved)
+from .errors import ConfigError, DomainError, OutputError, ToolError
 from .svgplot import SvgPlot
+
+if TYPE_CHECKING:
+    from . import coherence
 
 
 # ---------------------------------------------------------------- builders
 
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """The bits of np.linspace: i * step + start, the last point exactly stop."""
+    step = (stop - start) / (points - 1)
+    return [*(i * step + start for i in range(points - 1)), stop]
+
+
 def _build_film(values) -> resonator.FilmProperties:
-    return resonator.FilmProperties(
-        lk_nominal=values["lk_nominal_ph_sq"],
-        lk_low=values["lk_low_ph_sq"],
-        lk_high=values["lk_high_ph_sq"],
-        geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
-    )
+    try:
+        return resonator.FilmProperties(
+            lk_nominal=values["lk_nominal_ph_sq"],
+            lk_low=values["lk_low_ph_sq"],
+            lk_high=values["lk_high_ph_sq"],
+            geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
+        )
+    except DomainError as exc:
+        raise key_error({"": "[film] lk_low_ph_sq, lk_nominal_ph_sq, "
+                             "lk_high_ph_sq"}, exc) from None
+
+
+# The keys each geometry value comes from, by the library's name for it;
+# the other values derive from several keys
+_GEOMETRY_KEYS = {"turns": "[geometry] turns",
+                  "": "[geometry] disk_radius_um, line_width_um, gap_um, "
+                      "turns, spiral_length_um"}
 
 
 def _build_geometry(values) -> resonator.SpiralGeometry:
     length = values["spiral_length_um"]
-    return resonator.build_spiral(
-        disk_radius=values["disk_radius_um"] * 1e-6,
-        line_width=values["line_width_um"] * 1e-6,
-        gap=values["gap_um"] * 1e-6,
-        feed_offset=values["feed_offset_um"] * 1e-6,
-        turns=values["turns"],
-        spiral_length=None if length is None else length * 1e-6,
+    try:
+        return resonator.build_spiral(
+            disk_radius=values["disk_radius_um"] * 1e-6,
+            line_width=values["line_width_um"] * 1e-6,
+            gap=values["gap_um"] * 1e-6,
+            feed_offset=values["feed_offset_um"] * 1e-6,
+            turns=values["turns"],
+            spiral_length=None if length is None else length * 1e-6,
+        )
+    except DomainError as exc:
+        raise key_error(_GEOMETRY_KEYS, exc) from None
+
+
+def _build_purcell(values) -> coherence.PurcellParams | None:
+    from . import coherence
+
+    g_route = values["purcell_g_mhz"] is not None
+    chi_route = values["purcell_two_chi_khz"] is not None
+    if not g_route and not chi_route:
+        return None
+    f_r = values["purcell_f_r_ghz"] * 1e9
+    kappa = 1.0 / (values["purcell_kappa_inv_ns"] * 1e-9)
+    if g_route:
+        g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
+    else:
+        from . import transmon
+
+        chi = math.pi * values["purcell_two_chi_khz"] * 1e3
+        delta = coherence.TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
+        alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
+        g = transmon.coupling_from_chi(chi, delta, alpha)
+    return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
+
+
+def _loss_model(config: RunConfig) -> coherence.LossModel:
+    from . import coherence
+
+    values = config.require("loss")
+    if values["q_diel"] is None:
+        raise ConfigError("[loss]: missing required key q_diel")
+    return coherence.LossModel(
+        q_diel=values["q_diel"],
+        purcell=_build_purcell(values),
+        gamma_phi=values["gamma_phi_per_s"],
     )
 
 
@@ -109,11 +173,8 @@ def cmd_sweep_spiral(config: RunConfig):
     film = _build_film(config.require("film"))
     c_total = config.require("resonator")["c_total_ff"] * 1e-15
     sweep = config.require("sweep")
-    start, stop = sweep["length_min_um"], sweep["length_max_um"]
-    # the bits of np.linspace: i * step + start, the last point exactly stop
-    step = (stop - start) / (sweep["points"] - 1)
-    lengths_um = [i * step + start for i in range(sweep["points"] - 1)]
-    lengths_um.append(stop)
+    lengths_um = _linspace(sweep["length_min_um"], sweep["length_max_um"],
+                           sweep["points"])
     rows = []
     for length_um in lengths_um:
         geometry = replace(base_geometry, spiral_length=length_um * 1e-6)
@@ -155,14 +216,136 @@ def cmd_fit_lk(config: RunConfig):
     return [f"lk_ph_sq: {lk:.6g}"], {"lk_extraction.csv": table}
 
 
+def cmd_fit_kappa(config: RunConfig):
+    values = config.require("kappa_fit")
+    lines = []
+    artifacts = {}
+    if values["trace_csv"] is not None:
+        t, v = dataio.load_ringdown_csv(
+            config.input_path(values["trace_csv"]))
+        ring = resonator.fit_kappa_ringdown(t, v)
+        artifacts["kappa_ringdown.csv"] = (
+            ["kappa_per_s", "kappa_std_error_per_s", "kappa_inv_ns",
+             "amplitude", "offset"],
+            [[ring.kappa, ring.kappa_std_error, 1e9 / ring.kappa,
+              ring.amplitude, ring.offset]])
+        lines += [f"ringdown_kappa_per_s: {ring.kappa:.6g}",
+                  f"ringdown_kappa_std_error_per_s: {ring.kappa_std_error:.6g}",
+                  f"ringdown_kappa_inv_ns: {1e9 / ring.kappa:.6g}"]
+    if values["offset_csv"] is not None:
+        d_um, kappas = dataio.load_kappa_offset_csv(
+            config.input_path(values["offset_csv"]))
+        fit = resonator.fit_kappa_offset([d * 1e-6 for d in d_um], kappas)
+        kappa0, d0 = fit.params
+        kappa0_err, d0_err = fit.std_errors
+        artifacts["kappa_offset.csv"] = (
+            ["kappa0_per_s", "kappa0_std_error_per_s", "d0_um",
+             "d0_std_error_um"],
+            [[kappa0, kappa0_err, d0 * 1e6, d0_err * 1e6]])
+        lines += [f"offset_kappa0_per_s: {kappa0:.6g}",
+                  f"offset_d0_um: {d0 * 1e6:.6g}"]
+    return lines, artifacts
+
+
+def cmd_fit_qdiel(config: RunConfig):
+    from . import coherence
+
+    values = config.require("loss")
+    if values["coherence_csv"] is None:
+        raise ConfigError("[loss]: fit-qdiel needs coherence_csv")
+    records = dataio.load_coherence_csv(
+        config.input_path(values["coherence_csv"]))
+    purcell = _build_purcell(values)
+    fit = coherence.fit_qdiel(records, purcell=purcell)
+    q_diel, = fit.params
+    q_err, = fit.std_errors
+    model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
+                                gamma_phi=values["gamma_phi_per_s"])
+
+    f_q = [r.f_q for r in records]
+    t1 = [r.t1 for r in records]
+    *_, t1_model = coherence.t1_budget(f_q, model)
+    checked = [check for check in map(coherence.t2_bound_check, records)
+               if check.applicable]
+    lines = [
+        f"q_diel: {q_diel:.6g}",
+        f"q_diel_std_error: {q_err:.6g}",
+        f"converged: {str(fit.converged).lower()}",
+        f"t2_bound_checked: {len(checked)}",
+        f"t2_bound_passed: {sum(check.passed for check in checked)}",
+    ]
+
+    grid = _linspace(min(f_q), max(f_q), 101)
+    *_, curve = coherence.t1_budget(grid, model)
+    plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
+                   "relaxation budget fit")
+    plot.add_line([f / 1e9 for f in grid], [t * 1e6 for t in curve])
+    plot.add_scatter([f / 1e9 for f in f_q], [t * 1e6 for t in t1],
+                     color="#b5512d")
+    return lines, {
+        "qdiel_fit.csv": (
+            ["f_q_ghz", "t1_us", "t1_model_us", "residual_us"],
+            [[f / 1e9, t * 1e6, m * 1e6, (t - m) * 1e6]
+             for f, t, m in zip(f_q, t1, t1_model)]),
+        "qdiel_params.csv": (
+            ["q_diel", "q_diel_std_error", "converged", "iterations",
+             "residual_norm"],
+            [[q_diel, q_err, float(fit.converged), float(fit.iterations),
+              fit.residual_norm]]),
+        "t1_budget.svg": plot,
+    }
+
+
+# The keys the budget's frequency grid comes from, by the library's name
+_GRID_KEYS = {"qubit": "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points",
+              "": "[loss] f_q_min_ghz, f_q_max_ghz"}
+
+
+def cmd_budget_t1(config: RunConfig):
+    from . import coherence
+
+    values = config.require("loss")
+    model = _loss_model(config)
+    f_min = values["f_q_min_ghz"] * 1e9
+    f_max = values["f_q_max_ghz"] * 1e9
+    grid = ([f_min] if f_min == f_max
+            else _linspace(f_min, f_max, values["points"]))
+
+    try:
+        t1_diel, t1_p, total = coherence.t1_budget(grid, model)
+    except DomainError as exc:
+        raise key_error(_GRID_KEYS, exc) from None
+    t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
+    f_ghz = [f / 1e9 for f in grid]
+    lines = [f"points: {len(grid)}",
+             f"t1_total_us_at_f_min: {total[0] * 1e6:.6g}",
+             f"t1_total_us_at_f_max: {total[-1] * 1e6:.6g}"]
+
+    plot = SvgPlot("qubit frequency (GHz)", "T1 (us)", "relaxation budget")
+    plot.add_line(f_ghz, [t * 1e6 for t in t1_diel])
+    if model.purcell is not None:
+        plot.add_line(f_ghz, [t * 1e6 for t in t1_p])
+    plot.add_line(f_ghz, [t * 1e6 for t in total])
+    return lines, {
+        "t1_budget.csv": (
+            ["f_q_ghz", "t1_dielectric_us", "t1_purcell_us", "t1_total_us",
+             "t2_us"],
+            [[f, *(t * 1e6 for t in row)]
+             for f, *row in zip(f_ghz, t1_diel, t1_p, total, t2)]),
+        "t1_budget.svg": plot,
+    }
+
+
 COMMANDS = {
     "design-resonator": cmd_design_resonator,
     "sweep-spiral": cmd_sweep_spiral,
     "fit-lk": cmd_fit_lk,
+    "fit-kappa": cmd_fit_kappa,
+    "fit-qdiel": cmd_fit_qdiel,
+    "budget-t1": cmd_budget_t1,
 }
 # Run by cli_numeric.COMMANDS; named here so that parsing needs no numpy.
-NUMERIC_COMMANDS = ("fit-kappa", "fit-qdiel", "budget-t1", "simulate-readout",
-                    "snr-sweep")
+READOUT_COMMANDS = ("simulate-readout", "snr-sweep")
 
 
 def _command(name: str):
@@ -217,7 +400,7 @@ def main(argv=None) -> int:
         description="Design and analysis tools for kinetic-inductance "
                     "readout circuits.")
     parser.add_argument("command",
-                        choices=sorted([*COMMANDS, *NUMERIC_COMMANDS]))
+                        choices=sorted([*COMMANDS, *READOUT_COMMANDS]))
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")

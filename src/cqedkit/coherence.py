@@ -2,17 +2,17 @@
 
 T1 contributions are combined as rates (inverse times). Qubit frequencies
 cross the API in Hz, times in seconds; coupling rates are angular (rad/s)
-as in the transmon module.
+as in the transmon module. The budget and the Q_diel fit compute on plain
+Python floats, point by point; numpy is never imported, and ``fitting``
+only when the fit is called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fitting
 from .errors import (
     DomainError,
     FitFailureError,
@@ -21,6 +21,9 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
+
+if TYPE_CHECKING:
+    from . import fitting
 
 T2_BOUND_TOLERANCE = 0.05
 TWO_PI = 2.0 * math.pi
@@ -60,6 +63,10 @@ class PurcellParams:
         require_nonnegative(g=self.g)
         require_positive(f_r=self.f_r, kappa=self.kappa)
 
+    def detuning(self, f_q: float) -> float:
+        """Angular qubit-resonator detuning at qubit frequency ``f_q``, rad/s."""
+        return TWO_PI * (f_q - self.f_r)
+
 
 @dataclass(frozen=True)
 class LossModel:
@@ -80,55 +87,62 @@ def t1_dielectric(f_q, q_diel: float):
     return q_diel / (TWO_PI * f_q)
 
 
-def _require_detuned(delta) -> None:
-    if np.any(delta == 0.0):
+def _require_detuned(delta: float) -> None:
+    # a detuning whose square underflows is on resonance to double precision
+    if delta * delta == 0.0:
         raise DomainError("qubit on resonance with the readout mode")
 
 
-def t1_purcell(g: float, delta, kappa: float):
-    """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds; delta may be an array.
+def t1_purcell(g: float, delta: float, kappa: float) -> float:
+    """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds.
 
-    Decoupling (g -> 0) sends the limit to infinity, returned as a scalar.
+    Decoupling (g -> 0, or a g^2 kappa that underflows) sends the limit
+    to infinity.
     """
     require_finite(g=g, delta=delta, kappa=kappa)
     _require_detuned(delta)
     require_positive(kappa=kappa)
     require_nonnegative(g=g)
-    if g == 0.0:
-        return math.inf
-    return delta * delta / (g * g * kappa)
+    rate = g * g * kappa
+    return math.inf if rate == 0.0 else delta * delta / rate
 
 
-def _total_rate(f_q, q_diel, purcell: PurcellParams | None):
-    """Summed decay rate at the caller-checked f_q; f_q and q_diel broadcast."""
-    f_q = np.asarray(f_q, dtype=float)
+def _t1_total(f_q: float, q_diel: float, purcell: PurcellParams | None) -> float:
+    """Inverse of the summed decay rate at a checked and detuned f_q."""
     rate = TWO_PI * f_q / q_diel
     if purcell is not None:
-        delta = TWO_PI * (f_q - purcell.f_r)
-        _require_detuned(delta)
-        rate = rate + purcell.g**2 * purcell.kappa / delta**2
-    return rate
+        delta = purcell.detuning(f_q)
+        rate = rate + purcell.g * purcell.g * purcell.kappa / (delta * delta)
+    # a rate that underflows to zero leaves T1 unbounded
+    return 1.0 / rate if rate > 0.0 else math.inf
 
 
 def t1_total(f_q: float, model: LossModel) -> float:
     """Harmonic combination of all modelled T1 channels, seconds."""
     require_positive(f_q=f_q)
-    return float(1.0 / _total_rate(f_q, model.q_diel, model.purcell))
+    if model.purcell is not None:
+        _require_detuned(model.purcell.detuning(f_q))
+    return _t1_total(f_q, model.q_diel, model.purcell)
 
 
 def t1_budget(f_q, model: LossModel):
-    """T1 per channel over a frequency grid: (dielectric, Purcell, total), s.
+    """T1 per channel over a frequency grid: (dielectric, Purcell, total),
+    three tuples of seconds aligned with ``f_q``.
 
     The channels are ``t1_dielectric`` and ``t1_purcell``, the total
-    ``t1_total``, each evaluated on the whole grid. The Purcell limit is
-    inf without a Purcell channel or with g = 0.
+    ``t1_total``, at each grid point; each point is checked once, by the
+    first two. The Purcell limit is inf without a Purcell channel or with
+    g = 0.
     """
-    f_q = np.asarray(f_q, dtype=float)
-    t1_diel = t1_dielectric(f_q, model.q_diel)  # checks the grid
-    total = 1.0 / _total_rate(f_q, model.q_diel, model.purcell)
+    f_q = tuple(map(float, f_q))
     purcell = model.purcell
-    t1_p = np.full(f_q.shape, math.inf if purcell is None else t1_purcell(
-        purcell.g, TWO_PI * (f_q - purcell.f_r), purcell.kappa))
+    t1_diel = tuple(t1_dielectric(f, model.q_diel) for f in f_q)
+    if purcell is None:
+        t1_p = (math.inf,) * len(f_q)
+    else:
+        t1_p = tuple(t1_purcell(purcell.g, purcell.detuning(f), purcell.kappa)
+                     for f in f_q)
+    total = tuple(_t1_total(f, model.q_diel, purcell) for f in f_q)
     return t1_diel, t1_p, total
 
 
@@ -176,22 +190,28 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
     which Purcell loss only raises) to a thousand times the largest.
     Returns a FitResult whose single parameter is q_diel.
     """
+    from . import fitting
+
     records = list(records)
     if len(records) < 2:
         raise InsufficientDataError("need at least 2 coherence records")
-    f_q = np.array([r.f_q for r in records])
-    t1 = np.array([r.t1 for r in records])
+    f_q = [r.f_q for r in records]
+    t1 = [r.t1 for r in records]
     if all(r.t1_spread is not None for r in records):
-        weights = np.array([1.0 / r.t1_spread**2 for r in records])
+        weights = [1.0 / (r.t1_spread * r.t1_spread) for r in records]
     else:
         weights = None
-    diel = TWO_PI * f_q  # dielectric decay rate times q_diel
+    if purcell is not None:
+        for f in f_q:
+            _require_detuned(purcell.detuning(f))
+    diel = [TWO_PI * f for f in f_q]  # dielectric decay rates times q_diel
 
-    def model(f, q):
-        t1_model = 1.0 / _total_rate(f, q, purcell)
-        return t1_model, diel / q**2 * t1_model**2
+    def model(freqs, q):
+        t1_model = [_t1_total(f, q, purcell) for f in freqs]
+        return t1_model, [d / (q * q) * (t * t) for d, t in zip(diel, t1_model)]
 
-    bracket = (0.1 * np.min(diel * t1), 1e3 * np.max(diel * t1))
+    q_records = [d * t for d, t in zip(diel, t1)]
+    bracket = (0.1 * min(q_records), 1e3 * max(q_records))
     try:
         return fitting.least_squares(model, f_q, t1, bracket, weights)
     except FitFailureError as exc:

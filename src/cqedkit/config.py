@@ -32,12 +32,15 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              epsilon_per_s (calibrated), target_snr (5.0),
              n_shots (10000), transient (false),
              tau_list_ns (175, 350, 700, 1400, 2800)
-[run]        seed (0), output_dir (none), emit_plots (false)
+[run]        seed (0, at most 2**64 - 1), output_dir (none),
+             emit_plots (false)
 
 Every float and float-list value must be finite: nan and +-inf are
 rejected at parse time, naming the key. This includes
 ``[loss] q_diel``; write negligible dielectric loss as a large finite
-value (say 1e12) rather than inf.
+value (say 1e12) rather than inf. Rules that a model holds (the film band
+order lk_low <= lk_nominal <= lk_high, turns >= 1) are checked where a
+command builds that model, and the error names the keys (``key_error``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class Key:
     parse: str                      # float | int | bool | str | float_list
     default: Any = _REQUIRED
     bound: str | None = None        # positive | nonnegative, every entry
+    maximum: int | None = None      # largest allowed value, every entry
 
     @property
     def required(self) -> bool:
@@ -135,7 +139,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
                            default=(175.0, 350.0, 700.0, 1400.0, 2800.0)),
     },
     "run": {
-        "seed": Key("int", default=0, bound="nonnegative"),
+        # numpy's seed streams take an unsigned 64-bit integer
+        "seed": Key("int", default=0, bound="nonnegative", maximum=2**64 - 1),
         "output_dir": Key("str", default=None),
         "emit_plots": Key("bool", default=False),
     },
@@ -170,15 +175,27 @@ def parse_value(label: str, spec: Key, text: str):
 
 def check_value(label: str, spec: Key, value):
     """``value``, if every entry is finite (floats only: ``math.isfinite``
-    overflows on a huge int) and within the key's bound; otherwise a
-    ConfigError naming ``label``, the key, option or cell that set it."""
+    overflows on a huge int), within the key's bound and at most its
+    maximum; otherwise a ConfigError naming ``label``, the key, option or
+    cell that set it."""
     for item in value if spec.parse == "float_list" else (value,):
         if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{label}: must be finite, got {item}")
         if (spec.bound == "positive" and item <= 0
                 or spec.bound == "nonnegative" and item < 0):
             raise ConfigError(f"{label}: must be {spec.bound}, got {item}")
+        if spec.maximum is not None and item > spec.maximum:
+            raise ConfigError(f"{label}: must be at most {spec.maximum}, got {item}")
     return value
+
+
+def key_error(keys: dict[str, str], exc: Exception) -> ConfigError:
+    """A library error as a ConfigError naming the keys its value came from.
+
+    ``keys`` maps the word that leads the library's text, the name of the
+    value it rejects, to those keys, and "" to the keys of any other text.
+    """
+    return ConfigError(f"{keys.get(str(exc).split()[0], keys[''])}: {exc}")
 
 
 @dataclass
@@ -229,10 +246,6 @@ def _cross_validate(name: str, values: dict[str, Any]) -> None:
             values["lk_low_ph_sq"] = nominal
         if values["lk_high_ph_sq"] is None:
             values["lk_high_ph_sq"] = nominal
-        if not (values["lk_low_ph_sq"] <= nominal <= values["lk_high_ph_sq"]):
-            raise ConfigError(
-                "[film]: band constraint lk_low_ph_sq <= lk_nominal_ph_sq "
-                "<= lk_high_ph_sq violated")
     elif name == "sweep":
         if values["length_min_um"] >= values["length_max_um"]:
             raise ConfigError(

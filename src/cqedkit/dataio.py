@@ -11,9 +11,10 @@ fails naming the row and column. Rows are numbered by their line in the
 file, blank lines included. Files are read as UTF-8, with or without the
 byte-order mark that spreadsheets write.
 
-The writers need no numpy. The loaders that build arrays or records
-import numpy or ``coherence`` when called, so writing the closed-form
-commands' tables never loads them.
+Nothing here imports numpy: the loaders return tuples of floats (one
+per column) or coherence records, and ``load_coherence_csv`` imports
+``coherence`` when called. ``write_shots_csv`` takes the numpy blocks of
+``readout.stream_shots`` but only calls their methods.
 """
 
 from __future__ import annotations
@@ -118,11 +119,9 @@ def _read_rows(path, columns):
 
 
 def _load_columns(path, columns):
-    """The columns as arrays, in the order of ``columns``."""
-    import numpy as np
-
+    """The columns as tuples of floats, in the order of ``columns``."""
     rows = _read_rows(path, columns)
-    return tuple(np.array([row[column] for _, row in rows]) for column in columns)
+    return tuple(tuple(row[column] for _, row in rows) for column in columns)
 
 
 def load_resonator_csv(path):

@@ -78,13 +78,15 @@ def not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
 def _require(values, word: str, holds) -> None:
     """Raise DomainError("<name> must be <word>") for the first value, not
     None, that ``holds`` is not true of in every entry. Python ints and
-    floats (``np.float64`` is one) are tested without numpy, so the
-    closed-form paths never import it."""
+    floats (``np.float64`` is one), and lists and tuples of them, are
+    tested without numpy, so the paths that compute on plain floats never
+    import it."""
     for name, value in values.items():
         if value is None:
             continue
-        if isinstance(value, (int, float)):
-            ok = holds(value)
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if all(isinstance(item, (int, float)) for item in items):
+            ok = all(holds(item) for item in items)
         else:
             import numpy as np
             ok = np.all(holds(np.asarray(value)))

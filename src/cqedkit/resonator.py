@@ -5,9 +5,9 @@ band, coupling rate from Q or from feed offset) and the inverse path
 (sheet inductance from test-structure frequencies, kappa from ring-down
 traces, feed-offset model from measured coupling rates).
 
-The design relations are plain float arithmetic. Only the two fits use
-numpy and ``fitting``, and they import them when called, so the design
-commands start without numpy.
+Everything here is plain float arithmetic; numpy is never imported.
+The two fits import ``fitting`` when called, so the design commands do
+not load it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -220,37 +221,31 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
 
     The noise on kappa is multiplicative, so log kappa = log kappa0 - d/d0
     is fitted as a straight line in closed form, without iterating. Returns
-    a FitResult with params ``[kappa0, d0]`` in the input units;
+    a FitResult with params ``(kappa0, d0)`` in the input units;
     ``residual_norm`` is the residual norm in log kappa.
     """
-    import numpy as np
-
     from . import fitting
 
-    d = np.asarray(offsets, dtype=float)
-    k = np.asarray(kappas, dtype=float)
-    if d.size != k.size:
+    d = [float(value) for value in offsets]
+    k = [float(value) for value in kappas]
+    if len(d) != len(k):
         raise DomainError("offsets and kappas must have the same length")
-    if d.size < 3:
+    if len(d) < 3:
         raise InsufficientDataError("need at least 3 (offset, kappa) pairs")
     require_nonnegative(offsets=d)
     require_positive(kappas=k)
-    if np.ptp(d) == 0.0:
+    if max(d) == min(d):
         raise DegenerateDataError("all offsets are equal")
 
-    log_k = np.log(k)
-    (slope, intercept), covariance = np.polyfit(d, log_k, 1, cov=True)
+    line = fitting.straight_line(d, [math.log(value) for value in k])
+    slope, intercept = line.params
     if slope >= 0.0:
         raise FitFailureError("fitted coupling law is not a positive decay")
     kappa0 = math.exp(intercept)
     d0 = -1.0 / slope
-    slope_err, intercept_err = np.sqrt(np.diag(covariance))
-    return fitting.FitResult(
-        params=np.array([kappa0, d0]),
-        std_errors=np.array([kappa0 * intercept_err, slope_err * d0 * d0]),
-        residual_norm=float(np.linalg.norm(log_k - (slope * d + intercept))),
-        iterations=0,
-    )
+    slope_err, intercept_err = line.std_errors
+    return replace(line, params=(kappa0, d0),
+                   std_errors=(kappa0 * intercept_err, slope_err * d0 * d0))
 
 
 @dataclass(frozen=True)
@@ -344,48 +339,51 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     least 8 samples and span at least two amplitude decay times, and must
     actually decay.
     """
-    import numpy as np
-
     from . import fitting
 
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(amplitudes, dtype=float)
+    t = [float(value) for value in times]
+    v = [float(value) for value in amplitudes]
     require_finite(times=t, amplitudes=v)
-    if t.size != v.size:
+    if len(t) != len(v):
         raise DomainError("times and amplitudes must have the same length")
-    if t.size < RINGDOWN_MIN_SAMPLES:
+    if len(t) < RINGDOWN_MIN_SAMPLES:
         raise InsufficientDataError(
-            f"need at least {RINGDOWN_MIN_SAMPLES} samples, got {t.size}")
-    order = np.argsort(t)
-    t = t[order]
-    v = v[order]
-    span = float(t[-1] - t[0])
+            f"need at least {RINGDOWN_MIN_SAMPLES} samples, got {len(t)}")
+    t, v = map(list, zip(*sorted(zip(t, v))))
+    span = t[-1] - t[0]
     if span <= 0.0:
         raise DegenerateDataError("trace has zero time span")
-    if float(np.std(v)) == 0.0:
+    if max(v) == min(v):
         raise FitFailureError("trace is constant; nothing decays")
 
-    s = (t - t[0]) / span  # time in trace spans, the rate in decay times per span
+    # time in trace spans, the rate in decay times per span
+    s = [(ti - t[0]) / span for ti in t]
+    n = len(s)
+    v_mean = math.fsum(v) / n
 
     def model(s, rate):
-        """Best-fitting V0 exp(-rate s) + offset at each rate, and its
+        """Best-fitting V0 exp(-rate s) + offset at the rate, and its
         derivative in the rate with V0 and the offset held."""
-        decay = np.exp(-rate * s)
-        mean = decay.mean(axis=-1, keepdims=True)
-        amp = (np.sum((decay - mean) * v, axis=-1, keepdims=True)
-               / np.sum((decay - mean) ** 2, axis=-1, keepdims=True))
-        return amp * (decay - mean) + v.mean(), -amp * s * decay
+        decay = [math.exp(-rate * si) for si in s]
+        mean = math.fsum(decay) / n
+        centred = [d - mean for d in decay]
+        amp = (math.fsum(map(mul, centred, v))
+               / math.fsum(map(mul, centred, centred)))
+        return ([amp * c + v_mean for c in centred],
+                list(map(mul, [-amp * si for si in s], decay)))
 
     fit = fitting.least_squares(model, s, v, RINGDOWN_RATE_BRACKET)
-    rate = float(fit.params[0])
-    amp, offset = np.polyfit(np.exp(-rate * s), v, 1)
+    rate = fit.params[0]
+    amp, offset = fitting.straight_line(
+        [math.exp(-rate * si) for si in s], v).params
     if amp <= 0.0:
         raise FitFailureError("trace does not fit a decaying exponential")
     if rate < RINGDOWN_MIN_DECAY_SPANS:
         raise DomainError(
             "trace spans fewer than two amplitude decay times of the fitted rate")
-    params = np.array([amp, rate, offset])
+    params = (amp, rate, offset)
     fit = replace(fit, params=params, std_errors=fitting.standard_errors(
-        fitting.exp_decay_jac(s, *params), np.ones_like(s), fit.residual_norm ** 2))
+        fitting.exp_decay_jac(s, *params), [1.0] * n,
+        fit.residual_norm * fit.residual_norm))
     return RingdownFit(kappa=2.0 * rate / span,
                        kappa_std_error=2.0 * fit.std_errors[1] / span, fit=fit)

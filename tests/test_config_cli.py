@@ -141,12 +141,17 @@ def test_parse_error_reports_line_number(tmp_path):
         parse_config(path)
 
 
-def test_film_band_constraint_named(tmp_path):
-    path = write_config(
-        tmp_path,
-        "[film]\nlk_nominal_ph_sq = 2.0\nlk_low_ph_sq = 2.1\nlk_high_ph_sq = 2.2\n")
-    with pytest.raises(ConfigError, match="band constraint"):
-        parse_config(path)
+def test_film_band_constraint_named(tmp_path, capsys):
+    # one check and one text, FilmProperties'; the command names the keys
+    path = write_config(tmp_path, FULL_CONFIG.replace(
+        "lk_low_ph_sq = 2.0", "lk_low_ph_sq = 2.1"))
+    out = tmp_path / "out"
+    assert main(["design-resonator", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: [film] lk_low_ph_sq, lk_nominal_ph_sq, lk_high_ph_sq: "
+        "film band must satisfy lk_low <= lk_nominal <= lk_high\n")
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_ordering_constraint(tmp_path):
@@ -471,6 +476,29 @@ def test_cli_negative_seed_fails_like_the_key(tmp_path, capsys):
         "error: config: [run] seed: must be nonnegative, got -1\n")
 
 
+def test_cli_seed_fits_64_bits_for_every_command(tmp_path, capsys):
+    # numpy's streams take an unsigned 64-bit seed; the key holds that bound,
+    # so a command that draws nothing rejects a larger seed as well
+    out = tmp_path / "out"
+    path = write_config(tmp_path, FULL_CONFIG)
+    assert _run(["design-resonator", "--config", str(path),
+                 "--seed", str(2**64), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: --seed: must be at most 18446744073709551615, "
+        "got 18446744073709551616\n")
+    assert not out.exists()
+    too_big = write_config(tmp_path, FULL_CONFIG.replace(
+        "seed = 3", f"seed = {2**64}"), name="big.cfg")
+    assert _run(["design-resonator", "--config", str(too_big),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: [run] seed: must be at most 18446744073709551615, "
+        "got 18446744073709551616\n")
+    assert not out.exists()
+    assert _run(["design-resonator", "--config", str(path),
+                 "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+
+
 def test_cli_snr_sweep_row_values(tmp_path, capsys):
     path = write_config(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
@@ -618,7 +646,7 @@ def _unreached(*counts):
      "zero dispersive phase produces no signal to calibrate"),
     ("n_shots = 5", "[readout] n_shots: need at least 100 shots per state, got 5"),
     ("seed = 18446744073709551616",
-     "[run] seed: seed must fit an unsigned 64-bit integer"),
+     "[run] seed: must be at most 18446744073709551615, got 18446744073709551616"),
 ], ids=["kappa-overflow", "zero-phase", "few-shots", "seed-overflow"])
 def test_cli_readout_value_errors_name_the_keys(command, line, message, tmp_path,
                                                 capsys, monkeypatch):
@@ -632,7 +660,8 @@ def test_cli_readout_value_errors_name_the_keys(command, line, message, tmp_path
     out = tmp_path / "out"
     assert _run([command, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config: {message}\n"
-    assert list(out.iterdir()) == []
+    # a [run] key fails at parse time, before the output directory exists
+    assert not out.exists() if key == "seed" else list(out.iterdir()) == []
 
 
 def _report_artifacts(out):
@@ -662,6 +691,26 @@ def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
                           + "emit_plots = true\n")
     assert _run([command, "--config", str(config), "--out", str(emitted)]) == 0
     assert (emitted / svg).read_bytes() == (plotted / svg).read_bytes()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("budget-t1", "purcell_f_r_ghz = 4.8",
+     "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points: "
+     "qubit on resonance with the readout mode"),
+    ("design-resonator", "turns = 0.5",
+     "[geometry] turns: turns must be at least 1"),
+], ids=["resonant-grid-point", "turns-below-one"])
+def test_cli_model_value_errors_name_the_keys(command, line, message, tmp_path,
+                                              capsys):
+    # a value the key's bound lets through but the model rejects
+    key = line.split()[0]
+    config = write_config(tmp_path, re.sub(
+        rf"^{key} = .*$", line, DEMO_CONFIG.read_text(encoding="utf-8"),
+        flags=re.MULTILINE))
+    out = tmp_path / "out"
+    assert _run([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_cli_infinite_purcell_limit_writes_no_nan(tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_line_exact_points():
     assert result.params == pytest.approx([2.0], abs=1e-10)
     assert result.residual_norm < 1e-10
     # exact data: no residual variance to propagate
-    assert np.all(result.std_errors < 1e-10)
+    assert max(result.std_errors) < 1e-10
 
 
 def test_linear_model_lands_on_the_closed_form_optimum():

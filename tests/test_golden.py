@@ -6,9 +6,11 @@ fixed seed. ``tests/golden/cli.json`` pins every CSV and SVG of all eight
 commands run with ``--plots``: the five demo commands on
 ``configs/demo.cfg`` and the three fit commands on the ``fits.cfg`` that
 ``scripts/make_demo_inputs.py`` writes, plus the ``# results`` and
-``# artifacts`` sections of each ``report.txt``; the BLAS-using commands
-are also run as ``python -m cqedkit`` subprocesses, which load OpenBLAS
-as the CLI sets it up, and checked against the same hashes. Both files
+``# artifacts`` sections of each ``report.txt``; the two fit commands and
+the two readout commands are also run as ``python -m cqedkit``
+subprocesses, where the fits run without numpy loaded at all and the
+readout commands load OpenBLAS as the CLI sets it up, and checked
+against the same hashes. Both files
 record the numpy version the hashes were taken with. A mismatch means the
 Monte-Carlo stream, a kernel or the CSV/SVG formatting drifted; re-bless
 only deliberately and log the reason in CHANGES.md.
@@ -94,8 +96,9 @@ def test_cli_artifacts_and_report_match_golden(command, golden_configs,
     _check_cli_golden(command, tmp_path)
 
 
-# The CLI loads OpenBLAS single-threaded when it is the first to import
-# numpy, which an in-process run under pytest never is.
+# A fresh process is the one where the fits run with numpy never loaded
+# and where the CLI loads OpenBLAS single-threaded for the readout
+# commands, which an in-process run under pytest never is.
 @pytest.mark.parametrize("command", ["fit-kappa", "fit-qdiel",
                                      "simulate-readout", "snr-sweep"])
 def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):

@@ -1,11 +1,14 @@
 """Start-up paths and the package's public names.
 
-The closed-form commands (design-resonator, sweep-spiral, fit-lk) and a
-bare ``import cqedkit`` must run without numpy; every numeric command
-loads numpy, ``coherence``, ``fitting`` and ``readout`` together, which is
-what a tracer that looks those modules up after the first command relies
-on. A numeric command run as the first importer of numpy loads OpenBLAS
-with one thread, unless the caller sets ``OPENBLAS_NUM_THREADS``.
+A bare ``import cqedkit`` and six of the eight commands must run without
+numpy: the closed-form ones (design-resonator, sweep-spiral, fit-lk) and
+fit-kappa, fit-qdiel and budget-t1, which compute on plain floats. Each
+command loads only the modules it uses, except that the two readout
+commands load numpy, ``coherence``, ``fitting`` and ``readout`` together,
+which is what a tracer that looks those modules up after the first
+command relies on. A readout command run as the first importer of numpy
+loads OpenBLAS with one thread, unless the caller sets
+``OPENBLAS_NUM_THREADS``.
 ``cqedkit`` resolves its public names on first access, and they must stay
 the same names bound to the same objects.
 """
@@ -34,6 +37,17 @@ CLOSED_FORM = {"design-resonator": "demo", "sweep-spiral": "demo",
                "fit-lk": "fits"}
 NUMERIC = {"fit-kappa": "fits", "fit-qdiel": "fits", "budget-t1": "demo",
            "simulate-readout": "demo", "snr-sweep": "demo"}
+# The numeric commands that draw from numpy's streams; the rest run on
+# plain floats.
+READOUT = ("simulate-readout", "snr-sweep")
+# What each numeric command loads beyond what every command does
+# (cli, config, dataio, resonator, svgplot, errors)
+OPTIONAL = {"numpy", "cqedkit.coherence", "cqedkit.fitting", "cqedkit.transmon",
+            "cqedkit.readout", "cqedkit.cli_numeric"}
+LOADS = {"fit-kappa": {"cqedkit.fitting"},
+         "fit-qdiel": {"cqedkit.coherence", "cqedkit.fitting"},
+         "budget-t1": {"cqedkit.coherence"},
+         "simulate-readout": OPTIONAL, "snr-sweep": OPTIONAL}
 
 # Runs ``python -m cqedkit <argv>`` as runpy does for -m, then reports the
 # exit code, which of numpy and cqedkit's modules got loaded and how many
@@ -96,8 +110,8 @@ def _run_command(command, config, out, env=ENV):
 
 
 def test_command_tables_cover_every_command():
-    assert set(CLOSED_FORM) == set(cli.COMMANDS)
-    assert set(NUMERIC) == set(cli.NUMERIC_COMMANDS) == set(cli_numeric.COMMANDS)
+    assert set(CLOSED_FORM) | (set(NUMERIC) - set(READOUT)) == set(cli.COMMANDS)
+    assert set(READOUT) == set(cli.READOUT_COMMANDS) == set(cli_numeric.COMMANDS)
 
 
 def test_import_cqedkit_loads_no_submodule_and_no_numpy():
@@ -112,16 +126,50 @@ def test_import_cqedkit_loads_no_submodule_and_no_numpy():
 @pytest.mark.parametrize("command", sorted(CLOSED_FORM))
 def test_closed_form_command_runs_without_numpy(command, configs, tmp_path):
     modules, _ = _run_command(command, configs[CLOSED_FORM[command]], tmp_path)
-    assert "numpy" not in modules
-    assert not {"cqedkit.coherence", "cqedkit.fitting",
-                "cqedkit.readout", "cqedkit.cli_numeric"} & modules
+    assert not OPTIONAL & modules
 
 
 @pytest.mark.parametrize("command", sorted(NUMERIC))
 def test_numeric_command_loads_its_modules_together(command, configs, tmp_path):
     modules, _ = _run_command(command, configs[NUMERIC[command]], tmp_path)
-    assert {"numpy", "cqedkit.coherence", "cqedkit.fitting",
-            "cqedkit.readout"} <= modules
+    assert OPTIONAL & modules == LOADS[command]
+
+
+# Runs each command named in argv (as command=config pairs) through
+# cli.main in this one process, then reports the exit codes and whether
+# numpy got loaded.
+IN_PROCESS = """
+import json, sys
+from cqedkit.cli import main
+out, *runs = sys.argv[1:]
+codes = {}
+for run in runs:
+    command, config = run.split("=", 1)
+    codes[command] = main([command, "--config", config,
+                           "--out", f"{out}/{command}", "--plots"])
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_free_commands_leave_numpy_unloaded(configs, tmp_path):
+    # sweep-spiral also loads its measured points, as fit-kappa and
+    # fit-qdiel load their inputs
+    measured = configs["fits"].parent / "spiral_measured.csv"
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(configs["demo"].read_text(encoding="utf-8").replace(
+        "[sweep]\n", f"[sweep]\nmeasured_csv = {measured}\n"), encoding="utf-8")
+    runs = {command: str(configs[CLOSED_FORM.get(command) or NUMERIC[command]])
+            for command in cli.COMMANDS}
+    runs["sweep-spiral"] = str(sweep)
+    done = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS, str(tmp_path),
+         *(f"{command}={config}" for command, config in runs.items())],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": dict.fromkeys(runs, 0), "numpy": False}, done.stderr
+    assert len(runs) == 6
+    assert "measured_points: 9" in (
+        tmp_path / "sweep-spiral" / "report.txt").read_text(encoding="utf-8")
 
 
 HAS_PROC = os.path.isdir("/proc/self/task")
@@ -143,7 +191,8 @@ def test_numeric_command_ends_with_one_thread(command, configs, tmp_path):
                     reason="OpenBLAS caps its threads at the usable cores")
 def test_callers_openblas_thread_count_is_honoured(configs, tmp_path):
     env = dict(ENV, OPENBLAS_NUM_THREADS="2")
-    _, threads = _run_command("budget-t1", configs["demo"], tmp_path, env=env)
+    _, threads = _run_command("simulate-readout", configs["demo"], tmp_path,
+                              env=env)
     assert threads == 2
 
 

@@ -186,7 +186,7 @@ def _shot_bytes(cfg, partitions):
             for name in ("i_ground", "q_ground", "i_excited", "q_excited")]
 
 
-def _snr_hex(cfg, partitions):
+def _moment_snr_hex(cfg, partitions):
     # the moment fit of simulate-readout; snr_monte_carlo draws no blocks
     return readout._moment_fit(cfg, partitions)[0].hex()
 
@@ -222,16 +222,16 @@ def test_simulate_shots_default_partitions_match_serial(monkeypatch):
     _check_default_partitions_match_serial(monkeypatch, _shot_bytes)
 
 
-def test_snr_monte_carlo_default_partitions_match_serial(monkeypatch):
-    _check_default_partitions_match_serial(monkeypatch, _snr_hex)
+def test_moment_fit_default_partitions_match_serial(monkeypatch):
+    _check_default_partitions_match_serial(monkeypatch, _moment_snr_hex)
 
 
 def test_simulate_shots_reraises_failure_in_other_thread(monkeypatch):
     _check_reraises_failure_in_other_thread(monkeypatch, _shot_bytes)
 
 
-def test_snr_monte_carlo_reraises_failure_in_other_thread(monkeypatch):
-    _check_reraises_failure_in_other_thread(monkeypatch, _snr_hex)
+def test_moment_fit_reraises_failure_in_other_thread(monkeypatch):
+    _check_reraises_failure_in_other_thread(monkeypatch, _moment_snr_hex)
 
 
 def test_simulate_shots_shapes_and_sigma():

@@ -227,8 +227,9 @@ def test_kappa_offset_fit_intervals_are_calibrated(tmp_path, demo_inputs):
         path = demo_inputs.write_kappa_offset(tmp_path, np.random.default_rng(seed),
                                        kappa0=kappa0, d0=d0)
         d_um, kappas = load_kappa_offset_csv(path)
-        fit = fit_kappa_offset(d_um * 1e-6, kappas)
-        z_scores.append(np.abs(fit.params - [kappa0, d0]) / fit.std_errors)
+        fit = fit_kappa_offset(np.array(d_um) * 1e-6, kappas)
+        z_scores.append(np.abs(np.array(fit.params) - [kappa0, d0])
+                        / np.array(fit.std_errors))
     z_scores = np.array(z_scores)
     for z in (1.0, 2.0):
         nominal = 2.0 * stats.t.cdf(z, df=4) - 1.0
