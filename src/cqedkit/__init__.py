@@ -13,7 +13,7 @@ readout
 fitting
     One-parameter bracketed least squares, closed-form straight line,
     Gaussian moment fits, erfc.
-cli / cli_numeric / config / dataio / svgplot
+cli / config / dataio / svgplot
     Command-line front end, config files, CSV schemas, SVG plots.
 
 Only ``readout`` (and ``fitting.fit_gaussian_1d``, when called) imports

@@ -18,15 +18,14 @@ the report alone is enough to repeat the run. A command that fails writes
 no artifacts, and a failed write removes the files the run wrote. Failures
 print a single ``error: <category>: <message>`` line and exit 1.
 
-Six commands live here and, with the parser, the writers and the
-report, run on plain Python floats without numpy: design-resonator,
-sweep-spiral, fit-lk, fit-kappa, fit-qdiel and budget-t1. A command
-imports ``coherence`` (and through it ``fitting``) only if it uses it,
-so the closed-form ones compile no more source than before. Only the two
-readout commands, simulate-readout and snr-sweep, load numpy, for its
-PCG64 streams; they live in ``cli_numeric``, which ``main`` imports only
-to run one of them. If that import is the first to load numpy, it loads
-OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+Each command imports the library modules it uses beyond ``resonator``
+and ``dataio`` when it runs. Six commands, with the parser, the writers
+and the report, run on plain Python floats without numpy:
+design-resonator, sweep-spiral, fit-lk, fit-kappa, fit-qdiel and
+budget-t1. Only the two readout commands, simulate-readout and
+snr-sweep, load numpy, for its PCG64 streams, through ``readout``. If
+that import is the first to load numpy, it loads OpenBLAS with one
+thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .errors import ConfigError, DomainError, OutputError, ToolError
 from .svgplot import SvgPlot
 
 if TYPE_CHECKING:
-    from . import coherence
+    from . import coherence, readout
 
 
 # ---------------------------------------------------------------- builders
@@ -101,18 +100,27 @@ def _build_purcell(values) -> coherence.PurcellParams | None:
     chi_route = values["purcell_two_chi_khz"] is not None
     if not g_route and not chi_route:
         return None
+    # the keys each value comes from, by the library's name for it; the
+    # coupling and any other text come from the route's keys
+    route = ("[loss] purcell_g_mhz" if g_route else "[loss] purcell_two_chi_khz, "
+             "purcell_ref_f_q_ghz, purcell_f_r_ghz, anharmonicity_ghz")
+    keys = {"kappa": "[loss] purcell_kappa_inv_ns", "f_r": "[loss] purcell_f_r_ghz",
+            "": route}
     f_r = values["purcell_f_r_ghz"] * 1e9
     kappa = 1.0 / (values["purcell_kappa_inv_ns"] * 1e-9)
-    if g_route:
-        g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
-    else:
-        from . import transmon
+    try:
+        if g_route:
+            g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
+        else:
+            from . import transmon
 
-        chi = math.pi * values["purcell_two_chi_khz"] * 1e3
-        delta = coherence.TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
-        alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
-        g = transmon.coupling_from_chi(chi, delta, alpha)
-    return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
+            chi = math.pi * values["purcell_two_chi_khz"] * 1e3
+            delta = coherence.TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
+            alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
+            g = transmon.coupling_from_chi(chi, delta, alpha)
+        return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
+    except DomainError as exc:
+        raise key_error(keys, exc) from None
 
 
 def _loss_model(config: RunConfig) -> coherence.LossModel:
@@ -126,6 +134,45 @@ def _loss_model(config: RunConfig) -> coherence.LossModel:
         purcell=_build_purcell(values),
         gamma_phi=values["gamma_phi_per_s"],
     )
+
+
+# The keys each value comes from (kappa_inv_ns = 1e-300 makes kappa inf);
+# a text naming no value is the dispersive phase's
+_READOUT_KEYS = {"kappa": "[readout] kappa_inv_ns", "chi": "[readout] two_chi_khz",
+                 "tau_m": "[readout] tau_m_ns",
+                 "epsilon": "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns",
+                 "": "[readout] two_chi_khz, kappa_inv_ns"}
+
+
+def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
+    if "numpy" not in sys.modules:
+        # cqedkit's BLAS products are far too small for OpenBLAS to thread
+        # and it runs its own drawing threads, so an idle BLAS worker only
+        # burns CPU. Set before numpy loads; a caller's own value wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # coherence is unused here; loading it with readout puts every module
+    # whose functions bench/tracing.py wraps in sys.modules after one
+    # readout command
+    from . import coherence, readout  # noqa: F401
+
+    values = config.require("readout")
+    if values["n_shots"] < readout.MIN_SHOTS:
+        raise ConfigError(f"[readout] n_shots: need at least {readout.MIN_SHOTS} "
+                          f"shots per state, got {values['n_shots']}")
+    kappa = 1.0 / (values["kappa_inv_ns"] * 1e-9)
+    chi = math.pi * values["two_chi_khz"] * 1e3   # two_chi in kHz -> chi rad/s
+    tau_m = values["tau_m_ns"] * 1e-9
+    epsilon = values["epsilon_per_s"]
+    try:
+        if epsilon is None:
+            epsilon = readout.calibrate_epsilon(
+                values["target_snr"], kappa, chi, tau_m)
+        return readout.ReadoutConfig(
+            epsilon=epsilon, kappa=kappa, chi=chi, tau_m=tau_m,
+            n_shots=values["n_shots"], seed=config.seed,
+            transient=values["transient"])
+    except DomainError as exc:
+        raise key_error(_READOUT_KEYS, exc) from None
 
 
 # ---------------------------------------------------------------- commands
@@ -247,6 +294,12 @@ def cmd_fit_kappa(config: RunConfig):
     return lines, artifacts
 
 
+# The keys the fit's records and its curve come from, by the library's
+# name for the value it rejects
+_QDIEL_KEYS = {"qubit": "[loss] purcell_f_r_ghz, coherence_csv",
+               "": "[loss] coherence_csv"}
+
+
 def cmd_fit_qdiel(config: RunConfig):
     from . import coherence
 
@@ -256,15 +309,20 @@ def cmd_fit_qdiel(config: RunConfig):
     records = dataio.load_coherence_csv(
         config.input_path(values["coherence_csv"]))
     purcell = _build_purcell(values)
-    fit = coherence.fit_qdiel(records, purcell=purcell)
-    q_diel, = fit.params
-    q_err, = fit.std_errors
-    model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
-                                gamma_phi=values["gamma_phi_per_s"])
-
     f_q = [r.f_q for r in records]
     t1 = [r.t1 for r in records]
-    *_, t1_model = coherence.t1_budget(f_q, model)
+    grid = _linspace(min(f_q), max(f_q), 101)
+    try:
+        fit = coherence.fit_qdiel(records, purcell=purcell)
+        q_diel, = fit.params
+        model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
+                                    gamma_phi=values["gamma_phi_per_s"])
+        *_, t1_model = coherence.t1_budget(f_q, model)
+        # records either side of f_r can put it on the curve's grid
+        *_, curve = coherence.t1_budget(grid, model)
+    except DomainError as exc:
+        raise key_error(_QDIEL_KEYS, exc) from None
+    q_err, = fit.std_errors
     checked = [check for check in map(coherence.t2_bound_check, records)
                if check.applicable]
     lines = [
@@ -275,8 +333,6 @@ def cmd_fit_qdiel(config: RunConfig):
         f"t2_bound_passed: {sum(check.passed for check in checked)}",
     ]
 
-    grid = _linspace(min(f_q), max(f_q), 101)
-    *_, curve = coherence.t1_budget(grid, model)
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
                    "relaxation budget fit")
     plot.add_line([f / 1e9 for f in grid], [t * 1e6 for t in curve])
@@ -296,8 +352,10 @@ def cmd_fit_qdiel(config: RunConfig):
     }
 
 
-# The keys the budget's frequency grid comes from, by the library's name
+# The keys the budget's frequency grid and its T1 come from, by the
+# library's name
 _GRID_KEYS = {"qubit": "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points",
+              "t1": "[loss] q_diel, f_q_min_ghz, f_q_max_ghz",
               "": "[loss] f_q_min_ghz, f_q_max_ghz"}
 
 
@@ -313,9 +371,9 @@ def cmd_budget_t1(config: RunConfig):
 
     try:
         t1_diel, t1_p, total = coherence.t1_budget(grid, model)
+        t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
     except DomainError as exc:
         raise key_error(_GRID_KEYS, exc) from None
-    t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
     f_ghz = [f / 1e9 for f in grid]
     lines = [f"points: {len(grid)}",
              f"t1_total_us_at_f_min: {total[0] * 1e6:.6g}",
@@ -336,6 +394,47 @@ def cmd_budget_t1(config: RunConfig):
     }
 
 
+def cmd_simulate_readout(config: RunConfig):
+    rc = _build_readout(config)
+    from . import readout  # loaded by _build_readout, after the BLAS default
+
+    snr, shots = readout.stream_shots(rc)
+    closed = readout.snr_asymptotic(rc)
+    fidelity = readout.separation_fidelity(closed)
+    lines = [
+        f"epsilon_per_s: {rc.epsilon:.6g}",
+        f"snr_closed_form: {closed:.6g}",
+        f"snr_monte_carlo: {snr:.6g}",
+        f"fidelity_closed_form: {fidelity:.9g}",
+        f"shots_per_state: {rc.n_shots}",
+    ]
+    summary = (["snr_eq1", "snr_mc", "sigma_raw", "fidelity_eq1"],
+               [[closed, snr, readout.noise_sigma(rc), fidelity]])
+    return lines, {"shots.csv": shots,
+                   "readout_summary.csv": summary}
+
+
+def cmd_snr_sweep(config: RunConfig):
+    rc = _build_readout(config)
+    from . import readout  # loaded by _build_readout, after the BLAS default
+
+    tau_list_ns = config.require("readout")["tau_list_ns"]
+    points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
+    rows = [[tau_ns, p.snr_closed_form, p.snr_monte_carlo, p.fidelity]
+            for tau_ns, p in zip(tau_list_ns, points)]
+    lines = [f"epsilon_per_s: {rc.epsilon:.6g}",
+             f"tau_points: {len(rows)}"]
+    taus_ns, snr_eq1, snr_mc, _ = zip(*rows)
+    plot = SvgPlot("integration time (ns)", "SNR",
+                   "readout SNR vs integration time")
+    plot.add_line(taus_ns, snr_eq1)
+    plot.add_scatter(taus_ns, snr_mc, color="#b5512d")
+    return lines, {
+        "snr_sweep.csv": (["tau_ns", "snr_eq1", "snr_mc", "fidelity"], rows),
+        "snr_sweep.svg": plot,
+    }
+
+
 COMMANDS = {
     "design-resonator": cmd_design_resonator,
     "sweep-spiral": cmd_sweep_spiral,
@@ -343,21 +442,9 @@ COMMANDS = {
     "fit-kappa": cmd_fit_kappa,
     "fit-qdiel": cmd_fit_qdiel,
     "budget-t1": cmd_budget_t1,
+    "simulate-readout": cmd_simulate_readout,
+    "snr-sweep": cmd_snr_sweep,
 }
-# Run by cli_numeric.COMMANDS; named here so that parsing needs no numpy.
-READOUT_COMMANDS = ("simulate-readout", "snr-sweep")
-
-
-def _command(name: str):
-    if name in COMMANDS:
-        return COMMANDS[name]
-    if "numpy" not in sys.modules:
-        # cqedkit's BLAS products are far too small for OpenBLAS to thread
-        # and it runs its own drawing threads, so an idle BLAS worker only
-        # burns CPU. Set before numpy loads; a caller's own value wins.
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import cli_numeric
-    return cli_numeric.COMMANDS[name]
 
 
 def _write_all(outdir: Path, files: dict) -> None:
@@ -400,7 +487,7 @@ def main(argv=None) -> int:
         description="Design and analysis tools for kinetic-inductance "
                     "readout circuits.")
     parser.add_argument("command",
-                        choices=sorted([*COMMANDS, *READOUT_COMMANDS]))
+                        choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")
@@ -424,7 +511,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise OutputError(f"cannot create output directory {outdir}: "
                               f"{exc.strerror or exc}") from exc
-        lines, artifacts = _command(args.command)(config)
+        lines, artifacts = COMMANDS[args.command](config)
         if not config.emit_plots:
             artifacts = {name: artifact for name, artifact in artifacts.items()
                          if not isinstance(artifact, SvgPlot)}

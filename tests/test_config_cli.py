@@ -693,20 +693,54 @@ def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
     assert (emitted / svg).read_bytes() == (plotted / svg).read_bytes()
 
 
-@pytest.mark.parametrize("command, line, message", [
-    ("budget-t1", "purcell_f_r_ghz = 4.8",
+# Coherence tables for fit-qdiel: a record on the demo's purcell_f_r_ghz,
+# and records either side of it
+COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
+                  "straddling.csv": "f_q_ghz,t1_us\n5.9,1.0\n6.1,1.0\n"}
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("budget-t1", {"purcell_f_r_ghz": "4.8"},
      "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points: "
      "qubit on resonance with the readout mode"),
-    ("design-resonator", "turns = 0.5",
+    ("design-resonator", {"turns": "0.5"},
      "[geometry] turns: turns must be at least 1"),
-], ids=["resonant-grid-point", "turns-below-one"])
-def test_cli_model_value_errors_name_the_keys(command, line, message, tmp_path,
+    ("budget-t1", {"purcell_kappa_inv_ns": "1e-300"},
+     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-300",
+                   "coherence_csv": "resonant.csv"},
+     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    ("budget-t1", {"purcell_g_mhz": None, "purcell_two_chi_khz": "930",
+                   "purcell_ref_f_q_ghz": "4.2", "anharmonicity_ghz": "0"},
+     "[loss] purcell_two_chi_khz, purcell_ref_f_q_ghz, purcell_f_r_ghz, "
+     "anharmonicity_ghz: zero anharmonicity produces no dispersive shift"),
+    ("budget-t1", {"q_diel": "1e308", "f_q_min_ghz": "1e-300",
+                   "purcell_g_mhz": None, "purcell_f_r_ghz": None,
+                   "purcell_kappa_inv_ns": None},
+     "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
+    ("fit-qdiel", {"coherence_csv": "resonant.csv"},
+     "[loss] purcell_f_r_ghz, coherence_csv: "
+     "qubit on resonance with the readout mode"),
+    ("fit-qdiel", {"coherence_csv": "straddling.csv"},
+     "[loss] purcell_f_r_ghz, coherence_csv: "
+     "qubit on resonance with the readout mode"),
+], ids=["resonant-grid-point", "turns-below-one", "purcell-kappa-overflow",
+        "fit-purcell-kappa-overflow", "zero-anharmonicity", "infinite-t1",
+        "resonant-record", "resonant-curve-point"])
+def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,
                                               capsys):
-    # a value the key's bound lets through but the model rejects
-    key = line.split()[0]
-    config = write_config(tmp_path, re.sub(
-        rf"^{key} = .*$", line, DEMO_CONFIG.read_text(encoding="utf-8"),
-        flags=re.MULTILINE))
+    # a value the key's bound lets through but the model rejects; each edit
+    # replaces its key's line of the demo config, None drops the line, and a
+    # key the demo leaves out joins [loss]
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    for key, value in edits.items():
+        line = "" if value is None else f"{key} = {value}\n"
+        text, found = re.subn(rf"^{key} = .*\n", line, text, flags=re.MULTILINE)
+        if not found:
+            text = text.replace("[loss]\n", f"[loss]\n{line}")
+    config = write_config(tmp_path, text)
+    for name, rows in COHERENCE_CSVS.items():
+        (tmp_path / name).write_text(rows, encoding="utf-8")
     out = tmp_path / "out"
     assert _run([command, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config: {message}\n"

@@ -31,7 +31,7 @@ from cqedkit import (
     snr_sweep,
     stream_shots,
 )
-from cqedkit import cli, cli_numeric, readout
+from cqedkit import cli, readout
 from cqedkit.config import parse_config
 from cqedkit.dataio import write_shots_csv
 
@@ -497,7 +497,7 @@ def test_stream_shots_matches_array_path_at_golden_seed(tmp_path, capsys):
     shots.csv and snr_mc of the array path, byte for byte."""
     config = parse_config(DEMO_CONFIG)
     config.seed = 7
-    snr = _array_shots_csv(cli_numeric._build_readout(config),
+    snr = _array_shots_csv(cli._build_readout(config),
                            tmp_path / "array.csv")
     out = tmp_path / "out"
     assert cli.main(["simulate-readout", "--config", str(DEMO_CONFIG),
