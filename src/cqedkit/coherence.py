@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -183,11 +184,12 @@ def t2_bound_check(record: CoherenceRecord) -> T2BoundCheck:
 def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResult:
     """Fit the dielectric quality factor to measured (f_q, T1) records.
 
-    Weighted least squares with weights 1/t1_spread^2 when every record
-    carries a spread, uniform weights otherwise. Any Purcell channel is
-    held fixed at the supplied parameters. Q_diel is searched from a tenth
-    of the smallest omega_q * T1 (a record's Q under dielectric loss alone,
-    which Purcell loss only raises) to a thousand times the largest.
+    Weighted least squares with weights 1/t1_spread^2, each a finite
+    positive float, when every record carries a spread; uniform otherwise.
+    Any Purcell channel is held fixed at the supplied parameters. Q_diel is
+    searched from a tenth of the smallest omega_q * T1 (a record's Q under
+    dielectric loss alone, which Purcell loss only raises) to a thousand
+    times the largest.
     Returns a FitResult whose single parameter is q_diel.
     """
     from . import fitting
@@ -196,24 +198,42 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
     if len(records) < 2:
         raise InsufficientDataError("need at least 2 coherence records")
     f_q = [r.f_q for r in records]
-    t1 = [r.t1 for r in records]
+    t1 = [float(r.t1) for r in records]
+    weights = [1.0] * len(records)
     if all(r.t1_spread is not None for r in records):
-        weights = [1.0 / (r.t1_spread * r.t1_spread) for r in records]
-    else:
-        weights = None
+        squares = [r.t1_spread * r.t1_spread for r in records]
+        weights = [1.0 / sq if sq > 0.0 else math.inf for sq in squares]
+        if not all(0.0 < w < math.inf for w in weights):
+            raise DomainError("t1_spread must give a finite, positive weight "
+                              "1/t1_spread^2")
     if purcell is not None:
         for f in f_q:
             _require_detuned(purcell.detuning(f))
     diel = [TWO_PI * f for f in f_q]  # dielectric decay rates times q_diel
 
-    def model(freqs, q):
-        t1_model = [_t1_total(f, q, purcell) for f in freqs]
-        return t1_model, [d / (q * q) * (t * t) for d, t in zip(diel, t1_model)]
+    def cost(q):
+        residuals = [t - _t1_total(f, q, purcell) for f, t in zip(f_q, t1)]
+        return math.fsum(map(mul, weights, map(mul, residuals, residuals)))
+
+    def model(q):
+        """T1 at each record, and its derivative in q, which is positive."""
+        values = [_t1_total(f, q, purcell) for f in f_q]
+        return values, [d / (q * q) * (t * t) for d, t in zip(diel, values)]
+
+    def slope(q):
+        """The cost's derivative in q, and a bound on its rounding error."""
+        values, deriv = model(q)
+        weighted = map(mul, weights, map(sub, t1, values))
+        return (-2.0 * math.fsum(map(mul, weighted, deriv)),
+                2.0 * fitting.EPS * math.fsum(map(mul, map(mul, weights, t1), deriv)))
 
     q_records = [d * t for d, t in zip(diel, t1)]
     bracket = (0.1 * min(q_records), 1e3 * max(q_records))
     try:
-        return fitting.least_squares(model, f_q, t1, bracket, weights)
+        q, iterations = fitting.least_squares(cost, slope, bracket)
     except FitFailureError as exc:
         raise FitFailureError(f"Q_diel fit over 0.1 x the smallest to 1e3 x the "
                               f"largest omega_q*T1: {exc}") from exc
+    cost_q = cost(q)
+    std_errors = fitting.standard_errors([(d,) for d in model(q)[1]], weights, cost_q)
+    return fitting.FitResult((q,), std_errors, math.sqrt(cost_q), iterations)

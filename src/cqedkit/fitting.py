@@ -3,10 +3,11 @@
 Each iterative fit has one nonlinear parameter: Q_diel, and the ring-down
 rate, once its amplitude and offset are solved in closed form for each
 rate (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-1973). ``least_squares`` searches that parameter within a bracket, and
-``standard_errors`` gives the scaled inverse normal matrix's errors at the
-optimum. ``straight_line`` is the closed-form line of the offset fit (in
-log kappa) and of the ring-down's amplitude and offset.
+1973). ``least_squares(cost, slope, bracket)`` searches that parameter
+within a bracket and is nothing more: each fit supplies its own cost and
+slope, and builds its Jacobian once, at the optimum, for
+``standard_errors``, the scaled inverse normal matrix's errors.
+``straight_line`` is the closed-form line of the offset fit, in log kappa.
 
 The fits compute on plain Python floats, one point at a time. Their sums
 are ``math.fsum``'s, correctly rounded, so no result depends on a
@@ -18,8 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import mul, sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DegenerateDataError,
@@ -27,7 +27,6 @@ from .errors import (
     FitFailureError,
     InsufficientDataError,
     require_finite,
-    require_nonnegative,
 )
 
 SCAN_POINTS = 64
@@ -51,16 +50,6 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged = True  # a class constant, not a field
-
-
-def exp_decay_jac(x, amp, rate, offset):
-    """Derivatives of amp * exp(-rate * x) + offset, the ring-down model, in
-    amp, rate and offset: one (amp, rate, offset) row per point."""
-    rows = []
-    for xi in x:
-        decay = math.exp(-rate * xi)
-        rows.append((decay, -amp * xi * decay, 1.0))
-    return rows
 
 
 def _minor(matrix, i: int, j: int):
@@ -97,55 +86,37 @@ def standard_errors(jmat, weights, cost: float) -> tuple[float, ...]:
                  for i in range(n_params))
 
 
-def least_squares(model: Callable, x, y, bracket: tuple[float, float],
-                  weights=None) -> FitResult:
-    """Weighted least squares in one parameter p, searched within ``bracket``.
+class Optimum(NamedTuple):
+    """The parameter ``least_squares`` stopped at, and its slope evaluations."""
 
-    ``model(x, p)`` returns the model values and their derivative in p at
-    a float p, each a sequence aligned with ``y``; ``x`` is handed to it
-    as given. It may solve linear coefficients for each p (variable
-    projection) and hold them fixed in the derivative, which stays the
-    cost's exact derivative because the residual is orthogonal to their
-    columns.
+    p: float
+    iterations: int
 
-    The cost is scanned at ``SCAN_POINTS`` log-spaced points of the bracket
-    ``(low, high)``; between the neighbours of the smallest, Illinois regula
-    falsi finds the root of its derivative to within rounding. A smallest
-    cost at a bracket end, or a non-finite cost, raises FitFailureError.
+
+def least_squares(cost: Callable[[float], float],
+                  slope: Callable[[float], tuple[float, float]],
+                  bracket: tuple[float, float]) -> Optimum:
+    """Minimise a least-squares ``cost(p)`` over one parameter p in ``bracket``.
+
+    ``slope(p)`` returns the cost's derivative in p and a bound on that
+    value's rounding error. The cost is scanned at ``SCAN_POINTS``
+    log-spaced points of the bracket ``(low, high)``; between the
+    neighbours of the smallest, Illinois regula falsi finds the root of the
+    slope to within its bound. A smallest cost at a bracket end, a
+    non-finite cost, or a slope that does not change sign between those
+    neighbours raises FitFailureError. Errors are the caller's, from
+    ``standard_errors`` at the optimum.
     """
-    y = [float(value) for value in y]
-    w = [1.0] * len(y) if weights is None else [float(value) for value in weights]
-    require_finite(x=x, y=y)
-    require_nonnegative(weights=w)
-    if not y:
-        raise InsufficientDataError("no data points to fit")
-    if len(w) != len(y):
-        raise DomainError("weights must match the data length")
-    if not any(wi > 0 for wi in w):
-        raise DomainError("weights must have a positive entry")
     low, high = bracket
     if not 0.0 < low < high < math.inf:
         raise DomainError("bracket must satisfy 0 < low < high < inf")
-
-    # map over operator functions keeps the per-point loops in C
-    w_abs_y = list(map(mul, w, map(abs, y)))
-
-    def cost(values):
-        residuals = list(map(sub, y, values))
-        return math.fsum(map(mul, w, map(mul, residuals, residuals)))
-
-    def slope(p):
-        """The cost's derivative in p, and a bound on its rounding error."""
-        values, deriv = model(x, p)
-        value = -2.0 * math.fsum(map(mul, map(mul, w, map(sub, y, values)), deriv))
-        return value, 2.0 * EPS * math.fsum(map(mul, w_abs_y, map(abs, deriv)))
 
     # the bits of np.geomspace: powers of a linspace of logs, exact ends
     log_low = math.log10(low)
     step = (math.log10(high) - log_low) / (SCAN_POINTS - 1)
     grid = [low, *(10.0 ** (i * step + log_low)
                    for i in range(1, SCAN_POINTS - 1)), high]
-    costs = [cost(model(x, p)[0]) for p in grid]
+    costs = list(map(cost, grid))
     if not all(map(math.isfinite, costs)):
         raise FitFailureError("least-squares cost is not finite across the bracket")
     best = costs.index(min(costs))
@@ -181,15 +152,7 @@ def least_squares(model: Callable, x, y, bracket: tuple[float, float],
             if kept > 0:
                 slope_a *= 0.5
             kept = 1
-
-    values, deriv = model(x, a)
-    cost_a = cost(values)
-    return FitResult(
-        params=(a,),
-        std_errors=standard_errors([(d,) for d in deriv], w, cost_a),
-        residual_norm=math.sqrt(cost_a),
-        iterations=iterations,
-    )
+    return Optimum(a, iterations)
 
 
 def straight_line(x, y) -> FitResult:

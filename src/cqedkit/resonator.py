@@ -360,30 +360,46 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     s = [(ti - t[0]) / span for ti in t]
     n = len(s)
     v_mean = math.fsum(v) / n
+    v_centred = [vi - v_mean for vi in v]
+    v_ss = math.fsum(map(mul, v_centred, v_centred))
 
-    def model(s, rate):
-        """Best-fitting V0 exp(-rate s) + offset at the rate, and its
-        derivative in the rate with V0 and the offset held."""
+    def project(rate):
+        """exp(-rate s), its mean, the deviations from that mean, their sum
+        of squares, and the V0 that best fits them to v."""
         decay = [math.exp(-rate * si) for si in s]
         mean = math.fsum(decay) / n
         centred = [d - mean for d in decay]
-        amp = (math.fsum(map(mul, centred, v))
-               / math.fsum(map(mul, centred, centred)))
-        return ([amp * c + v_mean for c in centred],
-                list(map(mul, [-amp * si for si in s], decay)))
+        c_ss = math.fsum(map(mul, centred, centred))
+        return decay, mean, centred, c_ss, math.fsum(map(mul, centred, v)) / c_ss
 
-    fit = fitting.least_squares(model, s, v, RINGDOWN_RATE_BRACKET)
-    rate = fit.params[0]
-    amp, offset = fitting.straight_line(
-        [math.exp(-rate * si) for si in s], v).params
+    def cost(rate):
+        """The squared residual norm from projected sums, no list of residuals."""
+        *_, c_ss, amp = project(rate)
+        return v_ss - amp * amp * c_ss
+
+    def residuals(centred, amp):
+        return [vi - (amp * c + v_mean) for vi, c in zip(v, centred)]
+
+    def slope(rate):
+        """The cost's derivative in the rate with V0 and the offset held
+        (the residual is orthogonal to their columns), and its rounding bound."""
+        decay, _, centred, _, amp = project(rate)
+        deriv = [-amp * si * d for si, d in zip(s, decay)]
+        return (-2.0 * math.fsum(map(mul, residuals(centred, amp), deriv)),
+                2.0 * fitting.EPS * math.fsum(map(mul, map(abs, v), map(abs, deriv))))
+
+    rate, iterations = fitting.least_squares(cost, slope, RINGDOWN_RATE_BRACKET)
+    decay, mean, centred, _, amp = project(rate)
     if amp <= 0.0:
         raise FitFailureError("trace does not fit a decaying exponential")
     if rate < RINGDOWN_MIN_DECAY_SPANS:
         raise DomainError(
             "trace spans fewer than two amplitude decay times of the fitted rate")
-    params = (amp, rate, offset)
-    fit = replace(fit, params=params, std_errors=fitting.standard_errors(
-        fitting.exp_decay_jac(s, *params), [1.0] * n,
-        fit.residual_norm * fit.residual_norm))
+    residual = residuals(centred, amp)
+    norm = math.sqrt(math.fsum(map(mul, residual, residual)))
+    # the derivatives in (amp, rate, offset), one row per sample
+    jacobian = [(d, -amp * si * d, 1.0) for si, d in zip(s, decay)]
+    fit = fitting.FitResult((amp, rate, v_mean - amp * mean), fitting.standard_errors(
+        jacobian, [1.0] * n, norm * norm), norm, iterations)
     return RingdownFit(kappa=2.0 * rate / span,
                        kappa_std_error=2.0 * fit.std_errors[1] / span, fit=fit)

@@ -28,7 +28,6 @@ from cqedkit import (
     fit_gaussian_1d,
     fit_kappa_offset,
     fit_qdiel,
-    least_squares,
     t1_budget,
     t1_dielectric,
     t1_purcell,
@@ -238,12 +237,6 @@ def test_dataclass_validators_reject_non_finite(cls, field, value):
         cls(**{**VALID_FIELDS[cls], field: value})
 
 
-def _line(x, a):
-    """The line a * x and its derivative in a."""
-    x = np.asarray(x, dtype=float)
-    return a * x, x
-
-
 LIBRARY_CALLS = {
     "charging_energy": (lambda v: charging_energy(v), "shunt_capacitance"),
     "dispersive_shift-g": (lambda v: dispersive_shift(v, 2e9, -3e8), "g"),
@@ -267,19 +260,10 @@ LIBRARY_CALLS = {
     "t2_from_t1-gamma_phi": (lambda v: t2_from_t1(30e-6, v), "gamma_phi"),
     "fit_gaussian_1d": (
         lambda v: fit_gaussian_1d(np.append(np.arange(200.0), v)), "samples"),
-    "least_squares-x": (lambda v: least_squares(
-        _line, [0.0, 1.0, v, 3.0], [0.0, 1.0, 2.0, 3.0], (0.1, 10.0)),
-        "x"),
-    "least_squares-y": (lambda v: least_squares(
-        _line, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, v, 3.0], (0.1, 10.0)),
-        "y"),
     "fit_kappa_offset-offsets": (lambda v: fit_kappa_offset(
         [5e-6, v, 2e-5], [1e6, 8e5, 6e5]), "offsets"),
     "fit_kappa_offset-kappas": (lambda v: fit_kappa_offset(
         [5e-6, 1e-5, 2e-5], [1e6, v, 6e5]), "kappas"),
-    "least_squares-weights": (lambda v: least_squares(
-        _line, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], (0.1, 10.0),
-        weights=[1.0, v, 1.0, 1.0]), "weights"),
 }
 
 
@@ -383,6 +367,20 @@ def test_fit_qdiel_intervals_are_calibrated(tmp_path, demo_inputs):
         band = 4.0 * math.sqrt(nominal * (1.0 - nominal) / seeds)
         coverage = float(np.mean(z_scores < z))
         assert abs(coverage - nominal) < band, (z, nominal, coverage)
+
+
+@pytest.mark.parametrize("spread", [1e-170, 1e-156, 1e160],
+                         ids=["square-underflows", "weight-overflows",
+                              "square-overflows"])
+def test_fit_qdiel_rejects_a_spread_without_a_finite_weight(spread):
+    """1/t1_spread^2 weights each record: a spread whose square underflows
+    to 0 or whose inverse square overflows cannot weight it, nor can one
+    whose square overflows, which would weight it 0."""
+    records = [CoherenceRecord(f_q=f, t1=30e-6, t1_spread=s)
+               for f, s in ((4e9, 1.5e-6), (4.5e9, spread))]
+    with pytest.raises(DomainError, match="^t1_spread must give a finite, "
+                                          "positive weight"):
+        fit_qdiel(records)
 
 
 def test_fit_qdiel_requires_two_records():

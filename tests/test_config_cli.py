@@ -694,9 +694,14 @@ def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
 
 
 # Coherence tables for fit-qdiel: a record on the demo's purcell_f_r_ghz,
-# and records either side of it
+# records either side of it, and a t1_spread whose square in s^2
+# underflows to 0 or whose inverse square overflows
 COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
-                  "straddling.csv": "f_q_ghz,t1_us\n5.9,1.0\n6.1,1.0\n"}
+                  "straddling.csv": "f_q_ghz,t1_us\n5.9,1.0\n6.1,1.0\n",
+                  "underflowing-spread.csv":
+                      "f_q_ghz,t1_us,t1_spread_us\n4.0,100,5\n4.5,90,1e-158\n",
+                  "overflowing-weight.csv":
+                      "f_q_ghz,t1_us,t1_spread_us\n4.0,100,5\n4.5,90,1e-150\n"}
 
 
 @pytest.mark.parametrize("command, edits, message", [
@@ -724,9 +729,16 @@ COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
     ("fit-qdiel", {"coherence_csv": "straddling.csv"},
      "[loss] purcell_f_r_ghz, coherence_csv: "
      "qubit on resonance with the readout mode"),
+    ("fit-qdiel", {"coherence_csv": "underflowing-spread.csv"},
+     "[loss] coherence_csv: t1_spread must give a finite, positive weight "
+     "1/t1_spread^2"),
+    ("fit-qdiel", {"coherence_csv": "overflowing-weight.csv"},
+     "[loss] coherence_csv: t1_spread must give a finite, positive weight "
+     "1/t1_spread^2"),
 ], ids=["resonant-grid-point", "turns-below-one", "purcell-kappa-overflow",
         "fit-purcell-kappa-overflow", "zero-anharmonicity", "infinite-t1",
-        "resonant-record", "resonant-curve-point"])
+        "resonant-record", "resonant-curve-point", "underflowing-spread",
+        "overflowing-weight"])
 def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,
                                               capsys):
     # a value the key's bound lets through but the model rejects; each edit

@@ -1,9 +1,12 @@
 """Tests for the shared numerical kernels.
 
-The one-parameter least-squares solver is checked against cases with
-known exact optima, a closed-form linear fit and a nested grid-search
-oracle; erfc is checked against the standard library implementation,
-which is computed by an unrelated method.
+The one-parameter least-squares search is checked, through a weighted
+cost and slope built here, against cases with known exact optima, a
+closed-form linear fit and a nested grid-search oracle; ``standard_errors``
+against the closed-form error of that linear fit and, through the
+ring-down fit, against a central-difference Jacobian. erfc is checked
+against the standard library implementation, which is computed by an
+unrelated method.
 """
 
 import math
@@ -20,13 +23,14 @@ from cqedkit import (
     InsufficientDataError,
     erfc,
     fit_gaussian_1d,
+    fit_kappa_ringdown,
     least_squares,
 )
-from cqedkit.fitting import exp_decay_jac
+from cqedkit.fitting import EPS, standard_errors
 
 
 def exp_decay(x, amp, rate, offset):
-    """The ring-down model that ``exp_decay_jac`` differentiates."""
+    """The ring-down model, amp * exp(-rate * x) + offset."""
     return amp * np.exp(-rate * np.asarray(x, dtype=float)) + offset
 
 
@@ -45,15 +49,39 @@ def through_origin(x, a):
     return a * x, x
 
 
+def cost_and_slope(model, x, y, weights=None):
+    """The weighted least-squares cost of ``model(x, p) -> (values,
+    derivative in p)`` against y, and its slope with a rounding bound: the
+    two callables ``least_squares`` takes."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+
+    def cost(p):
+        residuals = y - model(x, p)[0]
+        return math.fsum(w * residuals * residuals)
+
+    def slope(p):
+        values, deriv = model(x, p)
+        return (-2.0 * math.fsum(w * (y - values) * deriv),
+                2.0 * EPS * math.fsum(w * np.abs(y) * np.abs(deriv)))
+
+    return cost, slope
+
+
+def line_errors(x, weights, cost):
+    """``standard_errors`` of the line a * x, whose one Jacobian column is x."""
+    return standard_errors([(xi,) for xi in x], weights, cost)
+
+
 def test_line_exact_points():
     x = np.array([0.0, 1.0, 2.0])
-    y = 2.0 * x
-    result = least_squares(through_origin, x, y, (0.1, 10.0))
-    assert result.converged
-    assert result.params == pytest.approx([2.0], abs=1e-10)
-    assert result.residual_norm < 1e-10
+    cost, slope = cost_and_slope(through_origin, x, 2.0 * x)
+    result = least_squares(cost, slope, (0.1, 10.0))
+    assert isinstance(result.iterations, int)
+    assert result.p == pytest.approx(2.0, abs=1e-10)
+    assert math.sqrt(cost(result.p)) < 1e-10
     # exact data: no residual variance to propagate
-    assert max(result.std_errors) < 1e-10
+    assert max(line_errors(x, [1.0] * x.size, cost(result.p))) < 1e-10
 
 
 def test_linear_model_lands_on_the_closed_form_optimum():
@@ -61,12 +89,13 @@ def test_linear_model_lands_on_the_closed_form_optimum():
     rng = np.random.default_rng(4)
     x = np.linspace(0.5, 3.0, 30)
     y = 1.2 * x + 0.05 * rng.standard_normal(x.size)
-    result = least_squares(through_origin, x, y, (0.1, 10.0))
+    fit_cost, slope = cost_and_slope(through_origin, x, y)
+    p, _ = least_squares(fit_cost, slope, (0.1, 10.0))
     best = np.dot(x, y) / np.dot(x, x)
     cost = float(np.sum((y - best * x) ** 2))
-    assert result.params[0] == pytest.approx(best, rel=4 * np.finfo(float).eps)
-    assert result.residual_norm == pytest.approx(math.sqrt(cost), rel=1e-12)
-    assert result.std_errors[0] == pytest.approx(
+    assert p == pytest.approx(best, rel=4 * np.finfo(float).eps)
+    assert math.sqrt(fit_cost(p)) == pytest.approx(math.sqrt(cost), rel=1e-12)
+    assert line_errors(x, [1.0] * x.size, fit_cost(p))[0] == pytest.approx(
         math.sqrt(cost / (x.size - 1) / np.dot(x, x)), rel=1e-12)
 
 
@@ -82,10 +111,9 @@ def test_exponential_round_trip():
             decay * decay, axis=-1, keepdims=True)
         return amp * decay, -amp * x * decay
 
-    result = least_squares(model, x, y, (0.01, 100.0))
-    assert result.converged
-    assert result.params[0] == pytest.approx(1.3, rel=1e-12)
-    assert model(x, result.params[0])[0] == pytest.approx(y, abs=1e-12)
+    rate, _ = least_squares(*cost_and_slope(model, x, y), (0.01, 100.0))
+    assert rate == pytest.approx(1.3, rel=1e-12)
+    assert model(x, rate)[0] == pytest.approx(y, abs=1e-12)
 
 
 def _grid_search_1d(objective, lo, hi, rounds=6, points=201):
@@ -108,15 +136,14 @@ def test_matches_grid_search_oracle():
     def model(x, c):
         return (x - c) ** 2, -2.0 * (x - c)
 
-    result = least_squares(model, x, y, (0.1, 10.0))
+    c, _ = least_squares(*cost_and_slope(model, x, y), (0.1, 10.0))
 
     def objective(c):
         r = y - model(x, c)[0]
         return float(np.dot(r, r))
 
     oracle = _grid_search_1d(objective, 0.5, 3.0)
-    assert result.converged
-    assert abs(result.params[0] - oracle) < 1e-6
+    assert abs(c - oracle) < 1e-6
 
 
 def test_weight_rescaling_invariance():
@@ -124,18 +151,23 @@ def test_weight_rescaling_invariance():
     x = np.linspace(0.0, 3.0, 30)
     y = 1.2 * x + 0.05 * rng.standard_normal(x.size)
     w = rng.uniform(0.5, 2.0, x.size)
-    a = least_squares(through_origin, x, y, (0.1, 10.0), weights=w)
-    b = least_squares(through_origin, x, y, (0.1, 10.0), weights=1000.0 * w)
-    assert a.params == pytest.approx(b.params, rel=1e-12)
-    assert a.std_errors == pytest.approx(b.std_errors, rel=1e-9)
+    fits = []
+    for weights in (w, 1000.0 * w):
+        cost, slope = cost_and_slope(through_origin, x, y, weights)
+        p, _ = least_squares(cost, slope, (0.1, 10.0))
+        fits.append((p, line_errors(x, weights, cost(p))))
+    (p_a, errors_a), (p_b, errors_b) = fits
+    assert p_a == pytest.approx(p_b, rel=1e-12)
+    assert errors_a == pytest.approx(errors_b, rel=1e-9)
 
 
 def test_minimum_at_the_bracket_edge_fails():
     x = np.array([0.0, 1.0, 2.0, 3.0])
+    fit = cost_and_slope(through_origin, x, 2.0 * x)
     with pytest.raises(FitFailureError, match="edge of the bracket"):
-        least_squares(through_origin, x, 2.0 * x, (3.0, 10.0))
+        least_squares(*fit, (3.0, 10.0))
     with pytest.raises(FitFailureError, match="edge of the bracket"):
-        least_squares(through_origin, x, 2.0 * x, (0.1, 1.0))
+        least_squares(*fit, (0.1, 1.0))
 
 
 def test_non_finite_cost_fails():
@@ -146,27 +178,20 @@ def test_non_finite_cost_fails():
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(FitFailureError, match="not finite"), \
             np.errstate(invalid="ignore", divide="ignore"):
-        least_squares(model, x, x, (0.1, 10.0))
+        least_squares(*cost_and_slope(model, x, x), (0.1, 10.0))
 
 
-def test_insufficient_points():
-    with pytest.raises(InsufficientDataError):
-        least_squares(through_origin, [], [], (0.1, 10.0))
+def test_slope_without_a_sign_change_fails():
+    """A slope that disagrees with the scanned cost brackets no root."""
+    with pytest.raises(FitFailureError, match="no bracketed minimum"):
+        least_squares(lambda p: (p - 1.0) ** 2, lambda p: (1.0, 0.0), (0.1, 10.0))
 
 
 @pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
 def test_bad_bracket_rejected(bracket):
+    fit = cost_and_slope(through_origin, [0.0, 1.0], [0.0, 1.0])
     with pytest.raises(DomainError, match="bracket"):
-        least_squares(through_origin, [0.0, 1.0], [0.0, 1.0], bracket)
-
-
-def test_bad_weights_rejected():
-    x = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        least_squares(through_origin, x, x, (0.1, 10.0), weights=[1.0, 1.0])
-    with pytest.raises(DomainError):
-        least_squares(through_origin, x, x, (0.1, 10.0),
-                      weights=[0.0, 0.0, 0.0])
+        least_squares(*fit, bracket)
 
 
 def central_differences(fn, x, theta):
@@ -187,8 +212,7 @@ def central_differences(fn, x, theta):
 
 @pytest.mark.parametrize("fn, jac, theta", [
     (line, line_jac, [1.7, 0.8]),
-    (exp_decay, exp_decay_jac, [1.7, 0.8, 0.3]),
-], ids=["line", "exp-decay"])
+], ids=["line"])
 def test_analytic_jacobians_match_central_differences(fn, jac, theta):
     x = np.linspace(0.1, 4.0, 25)
     theta = np.array(theta)
@@ -196,6 +220,21 @@ def test_analytic_jacobians_match_central_differences(fn, jac, theta):
     numeric = central_differences(fn, x, theta)
     scale = max(1.0, float(np.max(np.abs(analytic))))
     assert float(np.max(np.abs(analytic - numeric))) / scale <= 1e-6
+
+
+def test_ringdown_errors_match_a_central_difference_jacobian():
+    """The ring-down's errors, from its analytic Jacobian, against errors
+    from a central-difference Jacobian of the model at the returned params,
+    inverted by numpy rather than by cofactors."""
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 3e-6, 200)
+    v = np.exp(-0.5 * t / 300e-9) + 0.05 + 0.01 * rng.standard_normal(t.size)
+    fit = fit_kappa_ringdown(t, v).fit
+    s = (t - t[0]) / (t[-1] - t[0])  # the fit's time axis, in trace spans
+    jac = central_differences(exp_decay, s, np.array(fit.params))
+    scale = fit.residual_norm ** 2 / (s.size - 3)
+    numeric = np.sqrt(scale * np.diag(np.linalg.inv(jac.T @ jac)))
+    assert fit.std_errors == pytest.approx(numeric, rel=1e-6)
 
 
 def test_gaussian_estimate_standard_normal():
