@@ -16,10 +16,10 @@ fitting
 cli / config / dataio / svgplot
     Command-line front end, config files, CSV schemas, SVG plots.
 
-Only ``readout`` (and ``fitting.fit_gaussian_1d``, when called) imports
-numpy; everything else computes on plain Python floats, so six of the
-eight commands run without it and only simulate-readout and snr-sweep
-load it. The names below are imported from their module on first access
+Only ``readout``'s shot path and ``fitting.fit_gaussian_1d`` import
+numpy, when called; everything else computes on plain Python floats, so
+seven of the eight commands run without it and only simulate-readout
+loads it. The names below are imported from their module on first access
 (PEP 562), so ``import cqedkit`` loads no submodule.
 """
 

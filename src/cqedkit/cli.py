@@ -19,13 +19,13 @@ no artifacts, and a failed write removes the files the run wrote. Failures
 print a single ``error: <category>: <message>`` line and exit 1.
 
 Each command imports the library modules it uses beyond ``resonator``
-and ``dataio`` when it runs. Six commands, with the parser, the writers
+and ``dataio`` when it runs. Seven commands, with the parser, the writers
 and the report, run on plain Python floats without numpy:
-design-resonator, sweep-spiral, fit-lk, fit-kappa, fit-qdiel and
-budget-t1. Only the two readout commands, simulate-readout and
-snr-sweep, load numpy, for its PCG64 streams, through ``readout``. If
-that import is the first to load numpy, it loads OpenBLAS with one
-thread unless ``OPENBLAS_NUM_THREADS`` is set.
+design-resonator, sweep-spiral, fit-lk, fit-kappa, fit-qdiel, budget-t1
+and snr-sweep, which samples from the stdlib's random stream. Only
+simulate-readout loads numpy, for its PCG64 shot streams, through
+``readout``. If that is the first load of numpy, it loads OpenBLAS with
+one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     if "numpy" not in sys.modules:
         # cqedkit's BLAS products are far too small for OpenBLAS to thread
         # and it runs its own drawing threads, so an idle BLAS worker only
-        # burns CPU. Set before numpy loads; a caller's own value wins.
+        # burns CPU. Set before simulate-readout loads numpy; a caller's
+        # own value wins.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # coherence is unused here; loading it with readout puts every module
     # whose functions bench/tracing.py wraps in sys.modules after one

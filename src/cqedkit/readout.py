@@ -8,15 +8,18 @@ valid in the long-measurement limit. The Monte-Carlo path integrates the
 cavity pointer states (or jumps straight to their steady-state values),
 adds white Gaussian noise per quadrature, and recovers the SNR as the
 centroid separation over the pooled width along the centroid axis, from
-each cloud's centroid and covariance (``_snr_from_moments``), as measured
-IQ data is processed. The shot paths draw their sub-seeded blocks through
-one loop, ``_normal_blocks``: ``simulate_shots`` draws the clouds as
-arrays for ``histogram_fit``, and ``stream_shots`` fits the SNR and the
-pooled width from each block's moments, then redraws the same blocks,
-divided by the width, for ``shots.csv``; its memory does not grow with
-``n_shots``. ``snr_monte_carlo`` (and so ``snr_sweep``) draws no shots:
-it samples each state's centroid and covariance from their exact laws,
-so its SNR has the distribution of ``histogram_fit``'s on drawn shots.
+each cloud's centroid and covariance (``_snr_from_moments``, on plain
+floats), as measured IQ data is processed. The shot paths draw their
+sub-seeded numpy blocks through one loop, ``_normal_blocks``:
+``simulate_shots`` draws the clouds as arrays for ``histogram_fit``, and
+``stream_shots`` fits the SNR and the pooled width from each block's
+moments, then redraws the same blocks, divided by the width, for
+``shots.csv``; its memory does not grow with ``n_shots``.
+``snr_monte_carlo`` (and so ``snr_sweep``) draws no shots: it samples each
+state's centroid and covariance from their exact laws with the stdlib's
+``random.random()``, so its SNR has the distribution of
+``histogram_fit``'s on drawn shots. Only the shot path imports numpy, when
+it runs, so of the commands only simulate-readout loads it.
 """
 
 from __future__ import annotations
@@ -25,16 +28,19 @@ import cmath
 import math
 import numbers
 import os
+import random
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
                      require_finite, require_nonnegative, require_positive)
 from .fitting import erfc
 from .transmon import dispersive_phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SHOT_BLOCK = 4096
 # Blocks that make an extra drawing thread worth its start-up and memory
@@ -133,6 +139,8 @@ def cavity_response(state: str, config: ReadoutConfig, t):
     kappa/2 -+ i chi toward steady states of equal magnitude and opposite
     phase -+ arctan(2 chi / kappa).
     """
+    import numpy as np
+
     sign = _state_sign(state)
     t_arr = np.asarray(t, dtype=float)
     require_nonnegative(t=t_arr)
@@ -182,6 +190,8 @@ def _available_cores() -> int:
 
 def _draw_block(config: ReadoutConfig, state_index: int, index: int, out) -> None:
     """Fill ``out`` with the standard normals of one (state, block) sub-stream."""
+    import numpy as np
+
     seq = np.random.SeedSequence([int(config.seed), state_index, index])
     np.random.Generator(np.random.PCG64(seq)).standard_normal(out=out)
 
@@ -226,6 +236,8 @@ def _normal_blocks(config: ReadoutConfig, jobs):
     buffer, valid until the next block is taken. Fortran order interleaves
     each shot's (I, Q) pair, the order in which the stream is drawn.
     """
+    import numpy as np
+
     buffer = np.empty((2, SHOT_BLOCK), order="F")
     for state_index, index, count in jobs:
         z = buffer[:, :count]
@@ -233,11 +245,11 @@ def _normal_blocks(config: ReadoutConfig, jobs):
         yield state_index, index, z
 
 
-def _shot_map(config: ReadoutConfig) -> tuple[float, np.ndarray]:
+def _shot_map(config: ReadoutConfig) -> tuple[float, list[tuple[float, float]]]:
     """``(sigma, signals)``: a state's shots are ``z * sigma + signals[state]``,
-    an (I, Q) column, in this order on every path, so they are the same bits."""
+    its (I, Q) pair, in this order on every path, so they are the same bits."""
     means = [integrated_signal(state, config) for state in STATES]
-    return noise_sigma(config), np.array([[[m.real], [m.imag]] for m in means])
+    return noise_sigma(config), [(m.real, m.imag) for m in means]
 
 
 def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> ShotSet:
@@ -248,7 +260,10 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
     any ``partitions`` count; partitions only group blocks onto threads
     (see ``_run_chunks`` for the default).
     """
+    import numpy as np
+
     sigma, signals = _shot_map(config)
+    columns = np.array(signals)[..., None]    # each state's (I, Q) column
     # Fortran order, as the draw buffer: each block's copy is one contiguous run
     outs = [np.empty((2, config.n_shots), order="F") for _ in STATES]
 
@@ -257,7 +272,7 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
             start = index * SHOT_BLOCK
             view = outs[state_index][:, start:start + z.shape[1]]
             np.multiply(z, sigma, out=view)
-            view += signals[state_index]
+            view += columns[state_index]
 
     _run_chunks(_shot_jobs(config.n_shots), partitions, fill)
     return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
@@ -274,19 +289,26 @@ def _require_shots(*counts: int) -> None:
 def _snr_from_moments(centroids, covariances) -> tuple[float, float]:
     """SNR and pooled width of two clouds.
 
-    Takes each state's (I, Q) centroid and 2x2 covariance, ground first.
-    The pooled width is the root mean square of the two widths along the
-    centroid axis, and the SNR the centroid distance over it.
+    Takes each state's (I, Q) centroid and 2x2 covariance as nested lists
+    of floats, ground first. The pooled width is the root mean square of
+    the two widths along the centroid axis, and the SNR the centroid
+    distance over it.
     """
-    require_finite(centroids=centroids, covariances=covariances)
-    axis = centroids[1] - centroids[0]
-    norm = float(np.hypot(*axis))
+    (gi, gq), (ei, eq) = centroids
+    require_finite(centroids=[gi, gq, ei, eq],
+                   covariances=[x for cov in covariances for row in cov for x in row])
+    di, dq = ei - gi, eq - gq
+    # libm's hypot, as np.hypot; math.hypot rounds about 0.5 % of pairs
+    # differently, which would move the bits of simulate-readout's width
+    norm = abs(complex(di, dq))
     # identical centroids: any fixed axis serves, and the SNR is 0
-    axis = axis / norm if norm else np.array([1.0, 0.0])
-    variances = np.einsum("i,sij,j->s", axis, covariances, axis)
-    if np.any(variances <= 0.0):
+    a, b = (di / norm, dq / norm) if norm else (1.0, 0.0)
+    # each term and the sum in the order of np.einsum("i,sij,j->s")
+    variances = [a * c11 * a + a * c12 * b + b * c21 * a + b * c22 * b
+                 for (c11, c12), (c21, c22) in covariances]
+    if any(variance <= 0.0 for variance in variances):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
-    width = math.sqrt(0.5 * float(variances.sum()))
+    width = math.sqrt(0.5 * (variances[0] + variances[1]))
     return norm / width, width
 
 
@@ -294,6 +316,8 @@ def _moment_fit(config: ReadoutConfig,
                 partitions: int | None = None) -> tuple[float, float]:
     """``histogram_fit(simulate_shots(config))``'s SNR and pooled width to
     rounding, from block moments summed in a fixed order for any thread count."""
+    import numpy as np
+
     n = config.n_shots
     _require_shots(n)
     jobs = _shot_jobs(n)
@@ -313,7 +337,34 @@ def _moment_fit(config: ReadoutConfig,
     cov_z = (seconds.sum(axis=1)
              - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
     sigma, signals = _shot_map(config)
-    return _snr_from_moments(sigma * mean_z + signals[..., 0], sigma**2 * cov_z)
+    return _snr_from_moments((sigma * mean_z + np.array(signals)).tolist(),
+                             (sigma**2 * cov_z).tolist())
+
+
+def _normal(rng: random.Random) -> float:
+    """A standard normal from two uniforms of ``rng`` (Box-Muller, cosine
+    branch); ``1 - u`` keeps the logarithm's argument in (0, 1]."""
+    radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    return radius * math.cos(2.0 * math.pi * rng.random())
+
+
+def _chi2(rng: random.Random, df: int) -> float:
+    """A chi-square variate with ``df`` >= 2 degrees of freedom: twice a
+    Gamma(df / 2) variate by Marsaglia & Tsang, "A simple method for
+    generating gamma variables", ACM TOMS 26 (2000). The shape df / 2 is
+    at least 1, so no shape boost is needed."""
+    d = 0.5 * df - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = _normal(rng)
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = 1.0 - rng.random()
+        if (u < 1.0 - 0.0331 * x**4
+                or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v))):
+            return 2.0 * d * v
 
 
 def snr_monte_carlo(config: ReadoutConfig) -> float:
@@ -321,21 +372,27 @@ def snr_monte_carlo(config: ReadoutConfig) -> float:
 
     No shot is drawn: over n Gaussian shots a state's mean z_mean ~ N(0, I/n)
     and scatter S ~ Wishart_2(n - 1, I) are independent, and both come from
-    one generator seeded by ``config.seed``, S = L L^T by Bartlett's
-    L11^2 ~ chi2(n - 1), L22^2 ~ chi2(n - 2), L21 ~ N(0, 1). The centroid
-    sigma*z_mean + signal and covariance sigma^2*S/(n - 1) feed the SNR core
-    of ``histogram_fit``, and it raises what ``histogram_fit`` raises.
+    one ``random.Random(config.seed)``, ground state first, S = L L^T by
+    Bartlett's L11^2 ~ chi2(n - 1), L22^2 ~ chi2(n - 2), L21 ~ N(0, 1). The
+    centroid sigma*z_mean + signal and covariance sigma^2*S/(n - 1) feed the
+    SNR core of ``histogram_fit``, and it raises what ``histogram_fit``
+    raises.
     """
     n = config.n_shots
     _require_shots(n)
-    rng = np.random.default_rng(config.seed)
-    mean_z = rng.standard_normal((2, 2)) / math.sqrt(n)
-    factor = np.zeros((2, 2, 2))    # each state's L
-    factor[:, [0, 1], [0, 1]] = np.sqrt(rng.chisquare([n - 1, n - 2], size=(2, 2)))
-    factor[:, 1, 0] = rng.standard_normal(2)
+    rng = random.Random(config.seed)
     sigma, signals = _shot_map(config)
-    return _snr_from_moments(sigma * mean_z + signals[..., 0],
-                             sigma**2 * (factor @ factor.transpose(0, 2, 1)) / (n - 1))[0]
+    root_n = math.sqrt(n)
+    scale = sigma**2 / (n - 1)
+    centroids, covariances = [], []
+    for signal in signals:
+        centroids.append([sigma * (_normal(rng) / root_n) + part for part in signal])
+        l11_sq, l22_sq = _chi2(rng, n - 1), _chi2(rng, n - 2)
+        l21 = _normal(rng)
+        s12 = scale * (math.sqrt(l11_sq) * l21)
+        covariances.append([[scale * l11_sq, s12],
+                            [s12, scale * (l21 * l21 + l22_sq)]])
+    return _snr_from_moments(centroids, covariances)[0]
 
 
 def stream_shots(config: ReadoutConfig
@@ -351,13 +408,16 @@ def stream_shots(config: ReadoutConfig
     ``SHOT_BLOCK``) buffer, so a block is valid until the next one and no
     cloud is ever held.
     """
+    import numpy as np
+
     snr, width = _moment_fit(config)
     sigma, signals = _shot_map(config)
+    columns = np.array(signals)[..., None]    # each state's (I, Q) column
 
     def blocks():
         for state_index, _, z in _normal_blocks(config, _shot_jobs(config.n_shots)):
             z *= sigma
-            z += signals[state_index]
+            z += columns[state_index]
             z /= width
             yield STATES[state_index], z
 
@@ -377,13 +437,16 @@ def histogram_fit(shots: ShotSet) -> HistogramFit:
 
     Each state's centroid and covariance are its centred sample moments
     (``mean``, ``np.cov``), which keep their digits for measured clouds far
-    from the origin; ``snr_monte_carlo`` feeds the same SNR core from its
-    block sums. The SNR is the centroid separation over the pooled width.
+    from the origin; ``_moment_fit`` feeds the same SNR core from its block
+    sums, and ``snr_monte_carlo`` from sampled moments. The SNR is the
+    centroid separation over the pooled width.
     """
+    import numpy as np
+
     clouds = ((shots.i_ground, shots.q_ground), (shots.i_excited, shots.q_excited))
     _require_shots(*(len(i) for i, _ in clouds))
-    centroids = np.array([[i.mean(), q.mean()] for i, q in clouds])
-    covariances = np.array([np.cov(i, q) for i, q in clouds])
+    centroids = np.array([[i.mean(), q.mean()] for i, q in clouds]).tolist()
+    covariances = np.array([np.cov(i, q) for i, q in clouds]).tolist()
     return HistogramFit(*_snr_from_moments(centroids, covariances))
 
 
@@ -407,9 +470,13 @@ class SweepPoint:
 
 
 def _derive_seed(seed: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed for sweep point ``index``."""
-    seq = np.random.SeedSequence([int(seed), int(index)])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    """Deterministic 64-bit sub-seed for sweep point ``index``: the top 32
+    bits of two ``random()`` draws from a generator seeded with the string
+    ``"<seed>,<index>"``, which ``random`` hashes with its own sha512.
+    ``hashlib`` would load OpenSSL, about 7 ms and 2.3 MB per process."""
+    rng = random.Random(f"{int(seed)},{int(index)}")
+    high, low = (int(rng.random() * 2**32) for _ in range(2))
+    return high << 32 | low
 
 
 def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:

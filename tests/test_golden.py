@@ -8,9 +8,9 @@ commands run with ``--plots``: the five demo commands on
 ``scripts/make_demo_inputs.py`` writes, plus the ``# results`` and
 ``# artifacts`` sections of each ``report.txt``; the two fit commands and
 the two readout commands are also run as ``python -m cqedkit``
-subprocesses, where the fits run without numpy loaded at all and the
-readout commands load OpenBLAS as the CLI sets it up, and checked
-against the same hashes. Both files
+subprocesses, where the fits and snr-sweep run without numpy loaded at
+all and simulate-readout loads OpenBLAS as the CLI sets it up, and
+checked against the same hashes. Both files
 record the numpy version the hashes were taken with. A mismatch means the
 Monte-Carlo stream, a kernel or the CSV/SVG formatting drifted; re-bless
 only deliberately and log the reason in CHANGES.md. ``FIT_BITS`` pins every
@@ -100,9 +100,9 @@ def test_cli_artifacts_and_report_match_golden(command, golden_configs,
     _check_cli_golden(command, tmp_path)
 
 
-# A fresh process is the one where the fits run with numpy never loaded
-# and where the CLI loads OpenBLAS single-threaded for the readout
-# commands, which an in-process run under pytest never is.
+# A fresh process is the one where the fits and snr-sweep run with numpy
+# never loaded and where the CLI loads OpenBLAS single-threaded for
+# simulate-readout, which an in-process run under pytest never is.
 @pytest.mark.parametrize("command", ["fit-kappa", "fit-qdiel",
                                      "simulate-readout", "snr-sweep"])
 def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):

@@ -1,12 +1,13 @@
 """Start-up paths and the package's public names.
 
-A bare ``import cqedkit`` and six of the eight commands must run without
+A bare ``import cqedkit`` and seven of the eight commands must run without
 numpy: the closed-form ones (design-resonator, sweep-spiral, fit-lk) and
-fit-kappa, fit-qdiel and budget-t1, which compute on plain floats. Each
-command loads only the modules it uses, except that the two readout
-commands load numpy, ``coherence``, ``fitting`` and ``readout`` together,
-which is what a tracer that looks those modules up after the first
-command relies on. A readout command run as the first importer of numpy
+fit-kappa, fit-qdiel, budget-t1 and snr-sweep, which compute on plain
+floats and, for snr-sweep, the stdlib's random stream. Each command loads
+only the modules it uses, except that the two readout commands load
+``coherence``, ``fitting`` and ``readout`` together, which is what a
+tracer that looks those modules up after the first command relies on.
+Only simulate-readout loads numpy; run as the first importer of numpy it
 loads OpenBLAS with one thread, unless the caller sets
 ``OPENBLAS_NUM_THREADS``.
 ``cqedkit`` resolves its public names on first access, and they must stay
@@ -37,9 +38,9 @@ CLOSED_FORM = {"design-resonator": "demo", "sweep-spiral": "demo",
                "fit-lk": "fits"}
 NUMERIC = {"fit-kappa": "fits", "fit-qdiel": "fits", "budget-t1": "demo",
            "simulate-readout": "demo", "snr-sweep": "demo"}
-# The numeric commands that draw from numpy's streams; the rest run on
+# The numeric command that draws from numpy's streams; the rest run on
 # plain floats.
-READOUT = ("simulate-readout", "snr-sweep")
+READOUT = ("simulate-readout",)
 # What each numeric command loads beyond what every command does
 # (cli, config, dataio, resonator, svgplot, errors)
 OPTIONAL = {"numpy", "cqedkit.coherence", "cqedkit.fitting", "cqedkit.transmon",
@@ -47,7 +48,7 @@ OPTIONAL = {"numpy", "cqedkit.coherence", "cqedkit.fitting", "cqedkit.transmon",
 LOADS = {"fit-kappa": {"cqedkit.fitting"},
          "fit-qdiel": {"cqedkit.coherence", "cqedkit.fitting"},
          "budget-t1": {"cqedkit.coherence"},
-         "simulate-readout": OPTIONAL, "snr-sweep": OPTIONAL}
+         "simulate-readout": OPTIONAL, "snr-sweep": OPTIONAL - {"numpy"}}
 
 # Runs ``python -m cqedkit <argv>`` as runpy does for -m, then reports the
 # exit code, which of numpy and cqedkit's modules got loaded and how many
@@ -168,7 +169,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(configs, tmp_path):
         env=ENV, capture_output=True, text=True, check=True, timeout=120)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": dict.fromkeys(runs, 0), "numpy": False}, done.stderr
-    assert len(runs) == 6
+    assert len(runs) == 7
     assert "measured_points: 9" in (
         tmp_path / "sweep-spiral" / "report.txt").read_text(encoding="utf-8")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import threading
 import tracemalloc
 from pathlib import Path
@@ -316,27 +317,34 @@ def test_histogram_fit_errors():
 
 # The library draws at 3 * 4096 + 1 shots per state and seed 0, recorded with
 # numpy 2.4.6: sha256 of simulate_shots' four arrays, _moment_fit's SNR and
-# width at partitions 1 and 2, sha256 of stream_shots' (state, block)
-# bytes, and snr_monte_carlo's sampled SNR (chisquare and standard_normal).
-# The golden corpus runs only the CLI, which never calls simulate_shots;
-# these pin the library paths bit for bit.
+# width at partitions 1 and 2, and sha256 of stream_shots' (state, block)
+# bytes. The golden corpus runs only the CLI, which never calls
+# simulate_shots; these pin the library paths bit for bit.
 BIT_PIN_NUMPY = "2.4.6"
 BIT_PINS = {
     False: ("c4f05162f50ad49be74d39f7bd0f0ffd6fdd45a44f60c9770ac34b79c90607d8",
             ["0x1.412cfaceffd73p+2", "0x1.5aaf05a2a8a8fp-22"],
-            "a45e22480d9e05bc07ef2fe5a04f11e6b803f9d5962de898813cea34a33f4145",
-            "0x1.3f2521dddfcadp+2"),
+            "a45e22480d9e05bc07ef2fe5a04f11e6b803f9d5962de898813cea34a33f4145"),
     True: ("13e7fccebd6a417f0c869bc56862344ef40236edd66be8c8c0ca81306a5771a7",
            ["0x1.21471f6f2855bp+1", "0x1.5aafec958321cp-22"],
-           "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d",
-           "0x1.1f45c7ea6ea7fp+1"),
+           "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d"),
 }
+# snr_monte_carlo's SNR on the same configs, the first draws of _normal
+# and _chi2 from random.Random(0), and _derive_seed(7, 3). These need no
+# numpy: they follow the stdlib's random() stream, integer- or
+# string-seeded, which Python keeps across versions, and libm, since
+# Box-Muller and Marsaglia-Tsang go through log and cos.
+SAMPLED_PINS = {False: "0x1.41a1dc29add68p+2", True: "0x1.21a1cad05cccdp+1"}
+NORMAL_PINS = ["0x1.8abcec9c58fedp-4", "-0x1.df3b8f053b0b1p-5",
+               "-0x1.fa961295ea41ap-1"]
+CHI2_98_PINS = ["0x1.8abc8f19c4476p+6", "0x1.5bcef2583b083p+6"]
+DERIVED_SEED_7_3 = 0x5f7af8945c113365
 
 
 @pytest.mark.parametrize("transient", [False, True])
 def test_library_draws_match_bit_pins(transient):
     cfg = _config(n_shots=3 * 4096 + 1, transient=transient)
-    arrays_sha, fit_hex, stream_sha, sampled_hex = BIT_PINS[transient]
+    arrays_sha, fit_hex, stream_sha = BIT_PINS[transient]
     drift = (f"drifted from the pin (recorded with numpy {BIT_PIN_NUMPY}, "
              f"running numpy {np.__version__})")
     shots = simulate_shots(cfg)
@@ -352,7 +360,17 @@ def test_library_draws_match_bit_pins(transient):
         digest.update(state.encode())
         digest.update(block.tobytes())
     assert digest.hexdigest() == stream_sha, f"stream_shots {drift}"
-    assert snr_monte_carlo(cfg).hex() == sampled_hex, f"snr_monte_carlo {drift}"
+
+
+def test_stdlib_draws_match_pins():
+    for transient, sampled_hex in SAMPLED_PINS.items():
+        cfg = _config(n_shots=3 * 4096 + 1, transient=transient)
+        assert snr_monte_carlo(cfg).hex() == sampled_hex
+    rng = random.Random(0)
+    assert [readout._normal(rng).hex() for _ in NORMAL_PINS] == NORMAL_PINS
+    rng = random.Random(0)
+    assert [readout._chi2(rng, 98).hex() for _ in CHI2_98_PINS] == CHI2_98_PINS
+    assert readout._derive_seed(7, 3) == DERIVED_SEED_7_3
 
 
 def test_snr_monte_carlo_partition_independent():
@@ -418,7 +436,10 @@ def test_snr_monte_carlo_samples_the_exact_moment_laws(monkeypatch):
     sigma, signals = readout._shot_map(_config(n_shots=n))
     for seed in range(10_000):
         snr_monte_carlo(_config(n_shots=n, seed=seed))
-    z = np.array([c for c, _ in moments]) - signals[..., 0]
+    centroids, covariances = moments[0]    # plain floats, no numpy
+    assert {type(x) for pair in centroids for x in pair} == {float}
+    assert {type(x) for cov in covariances for row in cov for x in row} == {float}
+    z = np.array([c for c, _ in moments]) - np.array(signals)
     cov = np.array([v for _, v in moments]) / sigma**2
     draws = {"z_i": (z[..., 0] / sigma, 0.0, 1 / n),
              "z_q": (z[..., 1] / sigma, 0.0, 1 / n),
@@ -431,11 +452,36 @@ def test_snr_monte_carlo_samples_the_exact_moment_laws(monkeypatch):
         assert abs(x.var() - variance) < 4 * math.sqrt(_variance_error(x)), name
 
 
+@pytest.mark.parametrize("df", [98, 999_999])
+def test_chi2_sampler_matches_its_law(df):
+    """Over 20 000 draws, _chi2's mean and variance are within 4 standard
+    errors of df and 2 df (a chi-square's fourth central moment is
+    12 df (df + 4)), and a KS test against chi2(df) does not reject at
+    p < 0.001. df = 98 is the smallest snr_monte_carlo asks for."""
+    rng = random.Random(0)
+    x = np.array([readout._chi2(rng, df) for _ in range(20_000)])
+    assert abs(x.mean() - df) < 4 * math.sqrt(2 * df / len(x))
+    variance_error = math.sqrt((12 * df * (df + 4) - 4 * df**2) / len(x))
+    assert abs(x.var() - 2 * df) < 4 * variance_error
+    assert stats.kstest(x, "chi2", args=(df,)).pvalue >= 1e-3
+
+
+def test_normal_sampler_matches_its_law():
+    """Over 20 000 draws, _normal's mean and variance are within 4 standard
+    errors of 0 and 1, and a KS test against N(0, 1) does not reject at
+    p < 0.001."""
+    rng = random.Random(0)
+    x = np.array([readout._normal(rng) for _ in range(20_000)])
+    assert abs(x.mean()) < 4 * math.sqrt(1 / len(x))
+    assert abs(x.var() - 1) < 4 * math.sqrt(2 / len(x))
+    assert stats.kstest(x, "norm").pvalue >= 1e-3
+
+
 def test_snr_monte_carlo_identical_clouds(monkeypatch):
     """Coinciding centroids give zero separation, along a fixed axis: in the
     SNR core directly, and for both states drawn from one stream."""
-    covariances = np.array([np.eye(2), 2.0 * np.eye(2)])
-    assert readout._snr_from_moments(np.ones((2, 2)), covariances) \
+    covariances = [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]
+    assert readout._snr_from_moments([[1.0, 1.0], [1.0, 1.0]], covariances) \
         == (0.0, math.sqrt(1.5))
     draw = readout._draw_block
     monkeypatch.setattr(readout, "_draw_block",
@@ -582,7 +628,10 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(7, 3) == derive_seed(7, 3)
     assert derive_seed(7, 3) != derive_seed(7, 4)
     assert derive_seed(7, 3) != derive_seed(8, 3)
-    assert 0 <= derive_seed(0, 0) < 2**64
+    # 1000 distinct sub-seeds that reach the top bit of the 64-bit range
+    seeds = {derive_seed(seed, index) for seed in range(20) for index in range(50)}
+    assert len(seeds) == 1000
+    assert all(0 <= seed < 2**64 for seed in seeds) and max(seeds) >= 2**63
 
 
 def test_snr_sweep_calibrated_rows():
