@@ -150,6 +150,11 @@ def parse_value(label: str, spec: Key, text: str):
     """``text`` parsed as the key's type and checked by ``check_value``;
     errors name ``label``, a config key or a CSV cell."""
     text = text.strip()
+    if spec.parse == "str" and "\n" in text:
+        # configparser reads an indented line as more of the value above
+        raise ConfigError(
+            f"{label}: must be one line, got {text!r}; an indented line "
+            f"continues the value above it")
     try:
         if spec.parse == "float":
             value = float(text)

@@ -392,6 +392,19 @@ def test_cli_non_finite_config_value_names_the_key(tmp_path, capsys):
     assert "[readout] kappa_inv_ns: must be finite, got nan" in err
 
 
+def test_cli_indented_line_in_a_path_key_fails_on_one_line(tmp_path, capsys):
+    # an indented key reads as a second line of the path above it
+    path = write_config(tmp_path, "[kappa_fit]\ntrace_csv = trace.csv\n"
+                        " offset_csv = offset.csv\n")
+    out = tmp_path / "out"
+    rc = _run(["fit-kappa", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: [kappa_fit] trace_csv: must be one line")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_missing_section_reports_error(tmp_path, capsys):
     path = write_config(tmp_path, "[readout]\nn_shots = 500\n")
     rc = _run(["design-resonator", "--config", str(path),
