@@ -13,18 +13,18 @@ path. Afterwards the fit commands can be replayed directly:
 
 import argparse
 import math
+import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from cqedkit import (
-    CoherenceRecord,
     FilmProperties,
     LossModel,
     PurcellParams,
     build_spiral,
     dataio,
+    floats,
     frequency_band,
     t1_total,
     t2_from_t1,
@@ -61,43 +61,45 @@ seed = 7
 """
 
 
-def write_spiral_survey(outdir: Path, rng) -> Path:
+# Each writer draws its noise from ``normal``, a zero-argument callable
+# that returns one standard normal, one call per row: ``main`` passes the
+# stdlib's stream, and a caller may pass any other, such as
+# ``np.random.default_rng(seed).standard_normal``.
+
+def write_spiral_survey(outdir: Path, normal) -> Path:
     film = FilmProperties(lk_nominal=2.0, lk_low=2.0, lk_high=2.2)
     base = build_spiral(disk_radius=40e-6, line_width=2e-6, gap=2e-6,
                         feed_offset=20e-6, turns=20.0)
-    lengths_um = np.linspace(2000.0, 6000.0, 9)
     rows = []
-    for length_um in lengths_um:
+    for length_um in floats.linspace(2000.0, 6000.0, 9):
         geometry = replace(base, spiral_length=length_um * 1e-6)
         _, f_nominal, _ = frequency_band(geometry, film, 85e-15)
-        measured = f_nominal * (1.0 + 0.004 * rng.standard_normal())
+        measured = f_nominal * (1.0 + 0.004 * normal())
         rows.append([length_um, measured / 1e9])
     return dataio.write_csv(outdir / "spiral_measured.csv",
                             ["spiral_length_um", "f_measured_ghz"], rows)
 
 
-def write_ringdown(outdir: Path, rng, kappa=1.0 / 300e-9) -> Path:
-    t = np.linspace(0.0, 3e-6, 256)
-    clean = np.exp(-0.5 * kappa * t) + 0.05
-    trace = clean + 0.01 * rng.standard_normal(t.size)
+def write_ringdown(outdir: Path, normal, kappa=1.0 / 300e-9) -> Path:
+    rows = [[t, math.exp(-0.5 * kappa * t) + 0.05 + 0.01 * normal()]
+            for t in floats.linspace(0.0, 3e-6, 256)]
     return dataio.write_csv(outdir / "ringdown.csv", ["t_s", "v_amplitude"],
-                            np.column_stack([t, trace]))
+                            rows)
 
 
-def write_kappa_offset(outdir: Path, rng, kappa0=2.5e7, d0=12e-6) -> Path:
-    offsets = np.linspace(5e-6, 45e-6, 6)
-    kappas = kappa0 * np.exp(-offsets / d0)
-    kappas *= 1.0 + 0.02 * rng.standard_normal(offsets.size)
+def write_kappa_offset(outdir: Path, normal, kappa0=2.5e7, d0=12e-6) -> Path:
+    rows = [[offset * 1e6,
+             kappa0 * math.exp(-offset / d0) * (1.0 + 0.02 * normal())]
+            for offset in floats.linspace(5e-6, 45e-6, 6)]
     return dataio.write_csv(outdir / "kappa_offset.csv",
-                            ["d_um", "kappa_per_s"],
-                            np.column_stack([offsets * 1e6, kappas]))
+                            ["d_um", "kappa_per_s"], rows)
 
 
-def write_coherence(outdir: Path, rng, sigma_ln=0.05) -> Path:
+def write_coherence(outdir: Path, normal, sigma_ln=0.05) -> Path:
     model = LossModel(q_diel=Q_DIEL, purcell=PURCELL)
     rows = []
-    for f_q in np.linspace(3.5e9, 4.8e9, 12):
-        t1 = t1_total(f_q, model) * math.exp(sigma_ln * rng.standard_normal())
+    for f_q in floats.linspace(3.5e9, 4.8e9, 12):
+        t1 = t1_total(f_q, model) * math.exp(sigma_ln * normal())
         t2e = 0.94 * t2_from_t1(t1)
         rows.append([f_q / 1e9, t1 * 1e6, sigma_ln * t1 * 1e6, t2e * 1e6])
     return dataio.write_csv(outdir / "coherence.csv",
@@ -111,17 +113,17 @@ def main() -> int:
                         help="directory for the generated files")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-
-    written = [
-        write_spiral_survey(outdir, rng),
-        write_ringdown(outdir, rng),
-        write_kappa_offset(outdir, rng),
-        write_coherence(outdir, rng),
-    ]
+    # floats.normal draws through random() alone, so a seed writes the
+    # same files on every Python version
+    normal = partial(floats.normal, random.Random(args.seed))
+    written = [write(outdir, normal) for write in (
+        write_spiral_survey, write_ringdown, write_kappa_offset,
+        write_coherence)]
     config = outdir / "fits.cfg"
     config.write_text(FITS_CFG, encoding="ascii")
     written.append(config)

@@ -12,19 +12,16 @@ cavity lifetimes are needed before the steady-state law is trustworthy.
 
 import argparse
 import math
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from cqedkit import (
     ReadoutConfig,
     calibrate_epsilon,
     dataio,
     separation_fidelity,
-    snr_asymptotic,
-    snr_monte_carlo,
+    snr_sweep,
 )
+from cqedkit.readout import MIN_SHOTS
 from cqedkit.svgplot import SvgPlot
 
 KAPPA = 1.0 / 300e-9
@@ -45,20 +42,25 @@ def main() -> int:
     parser.add_argument("--shots", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
+    if args.shots < MIN_SHOTS:
+        parser.error(f"--shots must be at least {MIN_SHOTS}, got {args.shots}")
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     config = base_config(args.shots, args.seed)
 
-    kappa_tau_grid = np.array([2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0])
+    kappa_tau_grid = [2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0]
+    # snr_sweep samples each window under its own sub-seed, so the ratios
+    # carry independent Monte-Carlo errors
+    points = snr_sweep(config, [kt / KAPPA for kt in kappa_tau_grid])
     rows = []
     print(f"{'kappa*tau':>9} {'tau_ns':>8} {'snr_closed':>10} "
           f"{'snr_mc':>8} {'ratio':>7} {'fidelity_mc':>12}")
-    for kappa_tau in kappa_tau_grid:
-        tau = kappa_tau / KAPPA
-        cfg = replace(config, tau_m=tau)
-        closed = snr_asymptotic(cfg)
-        mc = snr_monte_carlo(cfg)
+    for kappa_tau, point in zip(kappa_tau_grid, points):
+        tau, closed = point.tau_m, point.snr_closed_form
+        mc = point.snr_monte_carlo
         ratio = mc / closed
         rows.append([kappa_tau, tau * 1e9, closed, mc, ratio,
                      separation_fidelity(mc)])

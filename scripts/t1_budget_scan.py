@@ -13,9 +13,7 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
-from cqedkit import LossModel, PurcellParams, dataio, t1_budget
+from cqedkit import LossModel, PurcellParams, dataio, floats, t1_budget
 from cqedkit.svgplot import SvgPlot
 
 TWO_PI = 2.0 * math.pi
@@ -29,37 +27,45 @@ def main() -> int:
     parser.add_argument("--f-max-ghz", type=float, default=5.8)
     parser.add_argument("--points", type=int, default=101)
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
+    if not 0.0 < args.f_min_ghz <= args.f_max_ghz:
+        parser.error(f"need 0 < --f-min-ghz <= --f-max-ghz, got "
+                     f"{args.f_min_ghz} and {args.f_max_ghz}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(args.f_min_ghz * 1e9, args.f_max_ghz * 1e9, args.points)
-    f_ghz = grid / 1e9
+    grid = floats.linspace(args.f_min_ghz * 1e9, args.f_max_ghz * 1e9,
+                           args.points)
+    f_ghz = [f / 1e9 for f in grid]
     q_values = [0.5e6, 746e3, 1.0e6]
 
-    tables = []
+    rows = []
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
                    "relaxation budget with and without Purcell decay")
     print(f"{'q_diel':>9} {'t1_us at f_min':>14} {'t1_us at f_max':>14} "
           f"{'purcell dominates above':>24}")
     for q_diel in q_values:
-        # t1_budget returns tuples of floats; as arrays they scale in one step
-        *_, t1_bare = map(np.array, t1_budget(grid, LossModel(q_diel=q_diel)))
-        t1_diel, t1_purcell, t1_loaded = map(np.array, t1_budget(
-            grid, LossModel(q_diel=q_diel, purcell=PURCELL)))
-        tables.append(np.column_stack([np.full(grid.size, q_diel), f_ghz,
-                                       t1_bare * 1e6, t1_loaded * 1e6]))
-        plot.add_line(f_ghz, t1_bare * 1e6, color="#999999")
-        plot.add_line(f_ghz, t1_loaded * 1e6)
+        *_, t1_bare = t1_budget(grid, LossModel(q_diel=q_diel))
+        t1_diel, t1_purcell, t1_loaded = t1_budget(
+            grid, LossModel(q_diel=q_diel, purcell=PURCELL))
+        bare_us = [t1 * 1e6 for t1 in t1_bare]
+        loaded_us = [t1 * 1e6 for t1 in t1_loaded]
+        rows += ([q_diel, *row] for row in zip(f_ghz, bare_us, loaded_us))
+        plot.add_line(f_ghz, bare_us, color="#999999")
+        plot.add_line(f_ghz, loaded_us)
         # lowest grid frequency where Purcell loss exceeds dielectric loss
-        purcell_wins = np.nonzero(t1_purcell < t1_diel)[0]
-        label = (f"{grid[purcell_wins[0]] / 1e9:.2f} GHz" if purcell_wins.size
-                 else "never in range")
-        print(f"{q_diel:9.3g} {t1_loaded[0] * 1e6:14.1f} "
-              f"{t1_loaded[-1] * 1e6:14.1f} {label:>24}")
+        crossing = next((f for f, purcell, diel
+                         in zip(f_ghz, t1_purcell, t1_diel) if purcell < diel),
+                        None)
+        label = ("never in range" if crossing is None
+                 else f"{crossing:.2f} GHz")
+        print(f"{q_diel:9.3g} {loaded_us[0]:14.1f} {loaded_us[-1]:14.1f} "
+              f"{label:>24}")
 
     dataio.write_csv(outdir / "budget_scan.csv",
                      ["q_diel", "f_q_ghz", "t1_dielectric_only_us",
-                      "t1_with_purcell_us"], np.vstack(tables))
+                      "t1_with_purcell_us"], rows)
     plot.write(outdir / "budget_scan.svg")
     print(f"\nwrote {outdir / 'budget_scan.csv'} and {outdir / 'budget_scan.svg'}")
     return 0

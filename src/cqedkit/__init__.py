@@ -15,6 +15,8 @@ fitting
     Gaussian moment fits, erfc.
 cli / config / dataio / svgplot
     Command-line front end, config files, CSV schemas, SVG plots.
+floats
+    ``np.linspace``'s grid and a stdlib standard normal on plain floats.
 
 Only ``readout``'s shot path and ``fitting.fit_gaussian_1d`` import
 numpy, when called; everything else computes on plain Python floats, so

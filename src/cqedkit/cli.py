@@ -44,6 +44,7 @@ from . import __version__, dataio, resonator
 from .config import (SCHEMA, RunConfig, check_value, key_error, parse_config,
                      render_resolved)
 from .errors import ConfigError, DomainError, OutputError, ToolError
+from .floats import linspace
 from .svgplot import SvgPlot
 
 if TYPE_CHECKING:
@@ -51,12 +52,6 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------- builders
-
-def _linspace(start: float, stop: float, points: int) -> list[float]:
-    """The bits of np.linspace: i * step + start, the last point exactly stop."""
-    step = (stop - start) / (points - 1)
-    return [*(i * step + start for i in range(points - 1)), stop]
-
 
 def _build_film(values) -> resonator.FilmProperties:
     try:
@@ -221,8 +216,8 @@ def cmd_sweep_spiral(config: RunConfig):
     film = _build_film(config.require("film"))
     c_total = config.require("resonator")["c_total_ff"] * 1e-15
     sweep = config.require("sweep")
-    lengths_um = _linspace(sweep["length_min_um"], sweep["length_max_um"],
-                           sweep["points"])
+    lengths_um = linspace(sweep["length_min_um"], sweep["length_max_um"],
+                          sweep["points"])
     rows = []
     for length_um in lengths_um:
         geometry = replace(base_geometry, spiral_length=length_um * 1e-6)
@@ -312,7 +307,7 @@ def cmd_fit_qdiel(config: RunConfig):
     purcell = _build_purcell(values)
     f_q = [r.f_q for r in records]
     t1 = [r.t1 for r in records]
-    grid = _linspace(min(f_q), max(f_q), 101)
+    grid = linspace(min(f_q), max(f_q), 101)
     try:
         fit = coherence.fit_qdiel(records, purcell=purcell)
         q_diel, = fit.params
@@ -368,7 +363,7 @@ def cmd_budget_t1(config: RunConfig):
     f_min = values["f_q_min_ghz"] * 1e9
     f_max = values["f_q_max_ghz"] * 1e9
     grid = ([f_min] if f_min == f_max
-            else _linspace(f_min, f_max, values["points"]))
+            else linspace(f_min, f_max, values["points"]))
 
     try:
         t1_diel, t1_p, total = coherence.t1_budget(grid, model)

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
                      require_finite, require_nonnegative, require_positive)
 from .fitting import erfc
+from .floats import normal
 from .transmon import dispersive_phase
 
 if TYPE_CHECKING:
@@ -341,13 +342,6 @@ def _moment_fit(config: ReadoutConfig,
                              (sigma**2 * cov_z).tolist())
 
 
-def _normal(rng: random.Random) -> float:
-    """A standard normal from two uniforms of ``rng`` (Box-Muller, cosine
-    branch); ``1 - u`` keeps the logarithm's argument in (0, 1]."""
-    radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-    return radius * math.cos(2.0 * math.pi * rng.random())
-
-
 def _chi2(rng: random.Random, df: int) -> float:
     """A chi-square variate with ``df`` >= 2 degrees of freedom: twice a
     Gamma(df / 2) variate by Marsaglia & Tsang, "A simple method for
@@ -356,7 +350,7 @@ def _chi2(rng: random.Random, df: int) -> float:
     d = 0.5 * df - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
-        x = _normal(rng)
+        x = normal(rng)
         v = 1.0 + c * x
         if v <= 0.0:
             continue
@@ -386,9 +380,9 @@ def snr_monte_carlo(config: ReadoutConfig) -> float:
     scale = sigma**2 / (n - 1)
     centroids, covariances = [], []
     for signal in signals:
-        centroids.append([sigma * (_normal(rng) / root_n) + part for part in signal])
+        centroids.append([sigma * (normal(rng) / root_n) + part for part in signal])
         l11_sq, l22_sq = _chi2(rng, n - 1), _chi2(rng, n - 2)
-        l21 = _normal(rng)
+        l21 = normal(rng)
         s12 = scale * (math.sqrt(l11_sq) * l21)
         covariances.append([[scale * l11_sq, s12],
                             [s12, scale * (l21 * l21 + l22_sq)]])

@@ -61,10 +61,10 @@ MUTATIONS = {
 def pristine(demo_inputs, tmp_path_factory):
     """The bytes of the fit inputs, as ``make_demo_inputs.py`` writes them."""
     outdir = tmp_path_factory.mktemp("pristine")
-    rng = np.random.default_rng(7)
+    normal = np.random.default_rng(7).standard_normal
     for write in (demo_inputs.write_spiral_survey, demo_inputs.write_ringdown,
                   demo_inputs.write_kappa_offset, demo_inputs.write_coherence):
-        write(outdir, rng)
+        write(outdir, normal)
     (outdir / "fits.cfg").write_text(demo_inputs.FITS_CFG, encoding="ascii")
     return {name: (outdir / name).read_bytes() for name in FILES}
 

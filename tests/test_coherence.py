@@ -358,7 +358,8 @@ def test_fit_qdiel_intervals_are_calibrated(tmp_path, demo_inputs):
     seeds = 400
     z_scores = []
     for seed in range(seeds):
-        path = demo_inputs.write_coherence(tmp_path, np.random.default_rng(seed))
+        path = demo_inputs.write_coherence(
+            tmp_path, np.random.default_rng(seed).standard_normal)
         fit = fit_qdiel(load_coherence_csv(path), purcell=demo_inputs.PURCELL)
         z_scores.append(abs(fit.params[0] - demo_inputs.Q_DIEL) / fit.std_errors[0])
     z_scores = np.array(z_scores)

@@ -14,15 +14,17 @@ checked against the same hashes. Both files
 record the numpy version the hashes were taken with. A mismatch means the
 Monte-Carlo stream, a kernel or the CSV/SVG formatting drifted; re-bless
 only deliberately and log the reason in CHANGES.md. ``FIT_BITS`` pins every
-bit of the two iterative fits on five demo seeds, which the 6 to 9 printed
-digits of the corpus cannot show.
+bit of the two iterative fits on five demo seeds of the generator's
+stdlib stream, which the 6 to 9 printed digits of the corpus cannot show.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ import pytest
 from cqedkit import fit_kappa_ringdown, fit_qdiel
 from cqedkit.cli import main
 from cqedkit.dataio import load_coherence_csv, load_ringdown_csv
+from cqedkit.floats import normal
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "readout.json")
@@ -120,26 +123,26 @@ def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):
 # ring-down fit first, then the Q_diel fit with the generator's Purcell
 # channel. The golden corpus prints 6 to 9 digits of one seed.
 FIT_BITS = {
-    1: ("0x1.001111ceef43fp+0 0x1.3efc86d8a7107p+2 0x1.8a54c9ad63c38p-5 "
-        "0x1.4ae762264bb0ep-9 0x1.bfeb15f42f820p-6 0x1.2647bd49a7ccbp-10 "
-        "0x1.2ada8026f5dc5p-3 8",
-        "0x1.68876468bf3e5p+19 0x1.f4c9d34c70fd9p+13 0x1.27c36f3b87fd2p+2 7"),
-    2: ("0x1.002ceda9b13d3p+0 0x1.3ed3b9e93a950p+2 0x1.9015efb9e3478p-5 "
-        "0x1.6862e5058a3dcp-9 0x1.e7882331bf335p-6 0x1.40ba0bc93c17ep-10 "
-        "0x1.458dd6f09dba4p-3 8",
-        "0x1.71ff93767f011p+19 0x1.41ba0b7d007ffp+13 0x1.72212fcc02c7fp+1 7"),
-    3: ("0x1.006a1adfcb51cp+0 0x1.41dbb7515d696p+2 0x1.a365e4f23daf8p-5 "
-        "0x1.6ab04c69727ffp-9 0x1.ebdf09a8106e9p-6 0x1.3e7d6fd05db38p-10 "
-        "0x1.463aff73c2339p-3 8",
-        "0x1.70b7067a7de09p+19 0x1.69835a515a3f6p+13 0x1.a11f8acbcc3d2p+1 7"),
-    4: ("0x1.fefe317297a9cp-1 0x1.4180bcc339fbdp+2 0x1.abca86a881adcp-5 "
-        "0x1.6611e03af7bd0p-9 0x1.e727c9a61dc68p-6 0x1.3aec7073ed04ep-10 "
-        "0x1.423cd7ba9c59ap-3 8",
-        "0x1.70ecb29e17386p+19 0x1.53c57aef6f094p+13 0x1.88375e0e72f2ap+1 7"),
-    5: ("0x1.fdf1b3f56c866p-1 0x1.41a2dd5fc2d18p+2 0x1.a5c73de7e2058p-5 "
-        "0x1.5df442bb78005p-9 0x1.dd2a5863d724bp-6 0x1.339b2c15791a8p-10 "
-        "0x1.3adff2f1ef4f6p-3 8",
-        "0x1.6d14fdf945e9cp+19 0x1.441def0bd175ap+13 0x1.7a33e2957e6e2p+1 7"),
+    1: ("0x1.fe998e05248bep-1 0x1.3e69453802af8p+2 0x1.8d3d8d5d85ce4p-5 "
+        "0x1.86c1f1d0bf085p-9 0x1.09177c1611ad2p-5 0x1.5c666887f2ebap-10 "
+        "0x1.6132ce44f0f5ep-3 8",
+        "0x1.662e3dc2c2e87p+19 0x1.66b216430f54dp+13 0x1.ab466e8d53db7p+1 7"),
+    2: ("0x1.00ff43603511dp+0 0x1.41966cc15753ep+2 0x1.9b5c5612330b4p-5 "
+        "0x1.5526aac2d75b1p-9 0x1.cd78b6bf9bc88p-6 0x1.2bee9fded9754p-10 "
+        "0x1.32f9a697e3d0ap-3 8",
+        "0x1.6b2018727dc05p+19 0x1.7f7232652a333p+13 0x1.c206207c60233p+1 7"),
+    3: ("0x1.012c7c88e5b9cp+0 0x1.40a2a4a5d2932p+2 0x1.925d32c42acc8p-5 "
+        "0x1.783a8efc70977p-9 0x1.fc05ce125c8c4p-6 0x1.4c285ff1eba53p-10 "
+        "0x1.52febfe70fd66p-3 8",
+        "0x1.6fec9c0edfb17p+19 0x1.9cf4f2f8875f8p+13 0x1.dd94fd3d5078cp+1 7"),
+    4: ("0x1.003500cfd790cp+0 0x1.429c3be9d9e48p+2 0x1.ae584d46bb2c4p-5 "
+        "0x1.79315a6b4f898p-9 0x1.0032690f1367ep-5 0x1.4a242475624e1p-10 "
+        "0x1.52eaac26da099p-3 8",
+        "0x1.6b5b2f337e108p+19 0x1.c62ee56c62b95p+12 0x1.0a99139ae03f4p+1 7"),
+    5: ("0x1.01ebe2afe9113p+0 0x1.4272925fffe16p+2 0x1.9a0d96e308dd0p-5 "
+        "0x1.799e445838baap-9 0x1.fd77b789a9757p-6 0x1.4abf7ee413921p-10 "
+        "0x1.536079f5deb8ap-3 8",
+        "0x1.6eec44cd61279p+19 0x1.f9f918654e667p+12 0x1.25c7fc730ac61p+1 7"),
 }
 
 
@@ -151,12 +154,12 @@ def _bits(fit) -> str:
 
 @pytest.mark.parametrize("seed", sorted(FIT_BITS))
 def test_fit_bits_match_pins(seed, demo_inputs, tmp_path):
-    # the writers in make_demo_inputs.py's order, drawing from one stream
-    rng = np.random.default_rng(seed)
-    demo_inputs.write_spiral_survey(tmp_path, rng)
-    ringdown = demo_inputs.write_ringdown(tmp_path, rng)
-    demo_inputs.write_kappa_offset(tmp_path, rng)
-    coherence = demo_inputs.write_coherence(tmp_path, rng)
+    # the writers in make_demo_inputs.py's order, drawing from its stream
+    draw = partial(normal, random.Random(seed))
+    demo_inputs.write_spiral_survey(tmp_path, draw)
+    ringdown = demo_inputs.write_ringdown(tmp_path, draw)
+    demo_inputs.write_kappa_offset(tmp_path, draw)
+    coherence = demo_inputs.write_coherence(tmp_path, draw)
     fits = (fit_kappa_ringdown(*load_ringdown_csv(ringdown)).fit,
             fit_qdiel(load_coherence_csv(coherence), purcell=demo_inputs.PURCELL))
     assert tuple(map(_bits, fits)) == FIT_BITS[seed]

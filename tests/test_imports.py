@@ -9,7 +9,7 @@ only the modules it uses, except that the two readout commands load
 tracer that looks those modules up after the first command relies on.
 Only simulate-readout loads numpy; run as the first importer of numpy it
 loads OpenBLAS with one thread, unless the caller sets
-``OPENBLAS_NUM_THREADS``.
+``OPENBLAS_NUM_THREADS``. The three scripts run without numpy as well.
 ``cqedkit`` resolves its public names on first access, and they must stay
 the same names bound to the same objects.
 """
@@ -42,7 +42,7 @@ NUMERIC = {"fit-kappa": "fits", "fit-qdiel": "fits", "budget-t1": "demo",
 # plain floats.
 READOUT = ("simulate-readout",)
 # What each numeric command loads beyond what every command does
-# (cli, config, dataio, resonator, svgplot, errors)
+# (cli, config, dataio, resonator, svgplot, errors, floats)
 OPTIONAL = {"numpy", "cqedkit.coherence", "cqedkit.fitting", "cqedkit.transmon",
             "cqedkit.readout"}
 LOADS = {"fit-kappa": {"cqedkit.fitting"},
@@ -172,6 +172,34 @@ def test_numpy_free_commands_leave_numpy_unloaded(configs, tmp_path):
     assert len(runs) == 7
     assert "measured_points: 9" in (
         tmp_path / "sweep-spiral" / "report.txt").read_text(encoding="utf-8")
+
+
+# Runs the script named in argv as ``python <script> <args>`` does, then
+# reports its exit code and whether numpy got loaded.
+SCRIPT_PROBE = """
+import json, runpy, sys
+sys.argv = sys.argv[1:]
+code = None
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("script, args", [
+    ("make_demo_inputs.py", []),
+    ("t1_budget_scan.py", ["--out"]),
+    ("readout_tradeoff.py", ["--shots", "2000", "--out"]),
+])
+def test_scripts_run_without_numpy(script, args, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT_PROBE, str(ROOT / "scripts" / script),
+         *args, str(tmp_path)],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"code": 0, "numpy": False}, done.stderr
 
 
 HAS_PROC = os.path.isdir("/proc/self/task")

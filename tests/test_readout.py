@@ -32,7 +32,7 @@ from cqedkit import (
     snr_sweep,
     stream_shots,
 )
-from cqedkit import cli, readout
+from cqedkit import cli, floats, readout
 from cqedkit.config import parse_config
 from cqedkit.dataio import write_shots_csv
 
@@ -329,10 +329,10 @@ BIT_PINS = {
            ["0x1.21471f6f2855bp+1", "0x1.5aafec958321cp-22"],
            "d65f2256dadbcdfa48d23ebca02993dc71b9ce5c745bee00f5d8aa371b0ae59d"),
 }
-# snr_monte_carlo's SNR on the same configs, the first draws of _normal
-# and _chi2 from random.Random(0), and _derive_seed(7, 3). These need no
-# numpy: they follow the stdlib's random() stream, integer- or
-# string-seeded, which Python keeps across versions, and libm, since
+# snr_monte_carlo's SNR on the same configs, the first draws of
+# floats.normal and _chi2 from random.Random(0), and _derive_seed(7, 3).
+# These need no numpy: they follow the stdlib's random() stream, integer-
+# or string-seeded, which Python keeps across versions, and libm, since
 # Box-Muller and Marsaglia-Tsang go through log and cos.
 SAMPLED_PINS = {False: "0x1.41a1dc29add68p+2", True: "0x1.21a1cad05cccdp+1"}
 NORMAL_PINS = ["0x1.8abcec9c58fedp-4", "-0x1.df3b8f053b0b1p-5",
@@ -367,7 +367,7 @@ def test_stdlib_draws_match_pins():
         cfg = _config(n_shots=3 * 4096 + 1, transient=transient)
         assert snr_monte_carlo(cfg).hex() == sampled_hex
     rng = random.Random(0)
-    assert [readout._normal(rng).hex() for _ in NORMAL_PINS] == NORMAL_PINS
+    assert [floats.normal(rng).hex() for _ in NORMAL_PINS] == NORMAL_PINS
     rng = random.Random(0)
     assert [readout._chi2(rng, 98).hex() for _ in CHI2_98_PINS] == CHI2_98_PINS
     assert readout._derive_seed(7, 3) == DERIVED_SEED_7_3
@@ -467,11 +467,11 @@ def test_chi2_sampler_matches_its_law(df):
 
 
 def test_normal_sampler_matches_its_law():
-    """Over 20 000 draws, _normal's mean and variance are within 4 standard
-    errors of 0 and 1, and a KS test against N(0, 1) does not reject at
-    p < 0.001."""
+    """Over 20 000 draws, floats.normal's mean and variance are within 4
+    standard errors of 0 and 1, and a KS test against N(0, 1) does not
+    reject at p < 0.001."""
     rng = random.Random(0)
-    x = np.array([readout._normal(rng) for _ in range(20_000)])
+    x = np.array([floats.normal(rng) for _ in range(20_000)])
     assert abs(x.mean()) < 4 * math.sqrt(1 / len(x))
     assert abs(x.var() - 1) < 4 * math.sqrt(2 / len(x))
     assert stats.kstest(x, "norm").pvalue >= 1e-3

@@ -224,8 +224,9 @@ def test_kappa_offset_fit_intervals_are_calibrated(tmp_path, demo_inputs):
     kappa0, d0, seeds = 2.5e7, 12e-6, 400
     z_scores = []
     for seed in range(seeds):
-        path = demo_inputs.write_kappa_offset(tmp_path, np.random.default_rng(seed),
-                                       kappa0=kappa0, d0=d0)
+        path = demo_inputs.write_kappa_offset(
+            tmp_path, np.random.default_rng(seed).standard_normal,
+            kappa0=kappa0, d0=d0)
         d_um, kappas = load_kappa_offset_csv(path)
         fit = fit_kappa_offset(np.array(d_um) * 1e-6, kappas)
         z_scores.append(np.abs(np.array(fit.params) - [kappa0, d0])
@@ -357,8 +358,8 @@ def test_ringdown_fit_intervals_are_calibrated(tmp_path, demo_inputs):
     truth = np.array([kappa, 1.0, 0.05])
     z_scores = []
     for seed in range(seeds):
-        path = demo_inputs.write_ringdown(tmp_path, np.random.default_rng(seed),
-                                          kappa=kappa)
+        path = demo_inputs.write_ringdown(
+            tmp_path, np.random.default_rng(seed).standard_normal, kappa=kappa)
         fit = fit_kappa_ringdown(*load_ringdown_csv(path))
         estimate = np.array([fit.kappa, fit.amplitude, fit.offset])
         errors = np.array([fit.kappa_std_error, fit.fit.std_errors[0],
