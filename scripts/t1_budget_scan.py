@@ -13,7 +13,8 @@ import argparse
 import math
 from pathlib import Path
 
-from cqedkit import LossModel, PurcellParams, dataio, floats, t1_budget
+from cqedkit import (DomainError, LossModel, PurcellParams, dataio, floats,
+                     t1_budget)
 from cqedkit.svgplot import SvgPlot
 
 TWO_PI = 2.0 * math.pi
@@ -33,22 +34,27 @@ def main() -> int:
         parser.error(f"need 0 < --f-min-ghz <= --f-max-ghz, got "
                      f"{args.f_min_ghz} and {args.f_max_ghz}")
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = floats.linspace(args.f_min_ghz * 1e9, args.f_max_ghz * 1e9,
                            args.points)
     f_ghz = [f / 1e9 for f in grid]
     q_values = [0.5e6, 746e3, 1.0e6]
+    try:
+        budgets = [(t1_budget(grid, LossModel(q_diel=q_diel))[2],
+                    t1_budget(grid, LossModel(q_diel=q_diel, purcell=PURCELL)))
+                   for q_diel in q_values]
+    except DomainError as exc:
+        parser.error(f"--f-min-ghz, --f-max-ghz and --points put a grid point "
+                     f"on the {PURCELL.f_r / 1e9:g} GHz cavity ({exc})")
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
                    "relaxation budget with and without Purcell decay")
     print(f"{'q_diel':>9} {'t1_us at f_min':>14} {'t1_us at f_max':>14} "
           f"{'purcell dominates above':>24}")
-    for q_diel in q_values:
-        *_, t1_bare = t1_budget(grid, LossModel(q_diel=q_diel))
-        t1_diel, t1_purcell, t1_loaded = t1_budget(
-            grid, LossModel(q_diel=q_diel, purcell=PURCELL))
+    for q_diel, (t1_bare, (t1_diel, t1_purcell, t1_loaded)) in zip(
+            q_values, budgets):
         bare_us = [t1 * 1e6 for t1 in t1_bare]
         loaded_us = [t1 * 1e6 for t1 in t1_loaded]
         rows += ([q_diel, *row] for row in zip(f_ghz, bare_us, loaded_us))

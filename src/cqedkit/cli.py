@@ -141,10 +141,9 @@ _READOUT_KEYS = {"kappa": "[readout] kappa_inv_ns", "chi": "[readout] two_chi_kh
 
 def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     if "numpy" not in sys.modules:
-        # cqedkit's BLAS products are far too small for OpenBLAS to thread
-        # and it runs its own drawing threads, so an idle BLAS worker only
-        # burns CPU. Set before simulate-readout loads numpy; a caller's
-        # own value wins.
+        # cqedkit's BLAS products are far too small for OpenBLAS to thread,
+        # so an idle BLAS worker only burns CPU. Set before
+        # simulate-readout loads numpy; a caller's own value wins.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # coherence is unused here; loading it with readout puts every module
     # whose functions bench/tracing.py wraps in sys.modules after one

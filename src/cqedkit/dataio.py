@@ -169,10 +169,10 @@ def write_shots_csv(path, blocks) -> Path:
     """
     path = Path(path)
     number = f"%.{SIGNIFICANT_DIGITS}g"
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write("state,i,q\n")
+    with open(path, "wb") as handle:
+        handle.write(b"state,i,q\n")
         for state, block in blocks:
-            row = f"{state},{number},{number}\n"
+            row = f"{state},{number},{number}\n".encode("ascii")
             # the transpose interleaves each shot's (i, q) pair
             handle.write((row * block.shape[1])
                          % tuple(block.T.ravel().tolist()))

@@ -14,7 +14,9 @@ sub-seeded numpy blocks through one loop, ``_normal_blocks``:
 ``simulate_shots`` draws the clouds as arrays for ``histogram_fit``, and
 ``stream_shots`` fits the SNR and the pooled width from each block's
 moments, then redraws the same blocks, divided by the width, for
-``shots.csv``; its memory does not grow with ``n_shots``.
+``shots.csv``; its memory does not grow with ``n_shots``. Both draw
+every block on the calling thread; only ``simulate_shots(config,
+partitions=k)`` spreads the blocks over k pool threads.
 ``snr_monte_carlo`` (and so ``snr_sweep``) draws no shots: it samples each
 state's centroid and covariance from their exact laws with the stdlib's
 ``random.random()``, so its SNR has the distribution of
@@ -27,9 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import os
 import random
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -44,9 +44,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 SHOT_BLOCK = 4096
-# Blocks that make an extra drawing thread worth its start-up and memory
-# (about 2.6e5 shots, roughly 10 ms of drawing).
-BLOCKS_PER_WORKER = 64
 # Fewest shots per state from which an SNR is estimated.
 MIN_SHOTS = 100
 GROUND = "g"
@@ -182,52 +179,12 @@ def _shot_jobs(n_shots: int):
             for state_index in (0, 1) for b in range(n_blocks)]
 
 
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
 def _draw_block(config: ReadoutConfig, state_index: int, index: int, out) -> None:
     """Fill ``out`` with the standard normals of one (state, block) sub-stream."""
     import numpy as np
 
     seq = np.random.SeedSequence([int(config.seed), state_index, index])
     np.random.Generator(np.random.PCG64(seq)).standard_normal(out=out)
-
-
-def _run_chunks(jobs, partitions: int | None, work) -> None:
-    """Call ``work(chunk)`` on contiguous chunks of ``jobs``, one per thread.
-
-    The first chunk runs on the calling thread. By default one thread per
-    ``BLOCKS_PER_WORKER`` jobs is used, up to the number of available
-    cores. The first worker exception is re-raised after every join.
-    """
-    if partitions is None:
-        partitions = min(_available_cores(),
-                         max(1, len(jobs) // BLOCKS_PER_WORKER))
-    elif partitions < 1:
-        raise DomainError("partitions must be at least 1")
-    size = math.ceil(len(jobs) / partitions)
-    chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
-    errors = []
-
-    def run(chunk):
-        try:
-            work(chunk)
-        except Exception as exc:  # re-raised below, after every join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(chunk,))
-               for chunk in chunks[1:]]
-    for thread in threads:
-        thread.start()
-    run(chunks[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _normal_blocks(config: ReadoutConfig, jobs):
@@ -253,16 +210,19 @@ def _shot_map(config: ReadoutConfig) -> tuple[float, list[tuple[float, float]]]:
     return noise_sigma(config), [(m.real, m.imag) for m in means]
 
 
-def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> ShotSet:
+def simulate_shots(config: ReadoutConfig, partitions: int = 1) -> ShotSet:
     """Draw Gaussian IQ shots around the two pointer-state signals.
 
     Shots are generated in fixed-size blocks, each from a sub-seed derived
     from (seed, state, block index), so the result is byte-identical for
-    any ``partitions`` count; partitions only group blocks onto threads
-    (see ``_run_chunks`` for the default).
+    any ``partitions`` count. Every block is drawn on the calling thread
+    unless ``partitions`` k > 1 splits the blocks into k contiguous chunks,
+    each drawn on its own pool thread.
     """
     import numpy as np
 
+    if partitions < 1:
+        raise DomainError("partitions must be at least 1")
     sigma, signals = _shot_map(config)
     columns = np.array(signals)[..., None]    # each state's (I, Q) column
     # Fortran order, as the draw buffer: each block's copy is one contiguous run
@@ -275,7 +235,16 @@ def simulate_shots(config: ReadoutConfig, partitions: int | None = None) -> Shot
             np.multiply(z, sigma, out=view)
             view += columns[state_index]
 
-    _run_chunks(_shot_jobs(config.n_shots), partitions, fill)
+    jobs = _shot_jobs(config.n_shots)
+    if partitions == 1:
+        fill(jobs)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        size = math.ceil(len(jobs) / partitions)
+        chunks = [jobs[k:k + size] for k in range(0, len(jobs), size)]
+        with ThreadPoolExecutor(len(chunks)) as pool:
+            list(pool.map(fill, chunks))    # re-raises a chunk's exception
     return ShotSet(i_ground=outs[0][0], q_ground=outs[0][1],
                    i_excited=outs[1][0], q_excited=outs[1][1])
 
@@ -313,10 +282,9 @@ def _snr_from_moments(centroids, covariances) -> tuple[float, float]:
     return norm / width, width
 
 
-def _moment_fit(config: ReadoutConfig,
-                partitions: int | None = None) -> tuple[float, float]:
+def _moment_fit(config: ReadoutConfig) -> tuple[float, float]:
     """``histogram_fit(simulate_shots(config))``'s SNR and pooled width to
-    rounding, from block moments summed in a fixed order for any thread count."""
+    rounding, from block moments summed in a fixed order."""
     import numpy as np
 
     n = config.n_shots
@@ -324,15 +292,11 @@ def _moment_fit(config: ReadoutConfig,
     jobs = _shot_jobs(n)
     sums = np.empty((2, len(jobs) // 2, 2))
     seconds = np.empty((2, len(jobs) // 2, 2, 2))
-
-    def reduce(chunk):
-        ones = np.ones(SHOT_BLOCK)
-        for state_index, index, z in _normal_blocks(config, chunk):
-            # a product with ones: z.sum(axis=1) walks this layout shot by shot
-            sums[state_index, index] = z @ ones[:z.shape[1]]
-            seconds[state_index, index] = z @ z.T
-
-    _run_chunks(jobs, partitions, reduce)
+    ones = np.ones(SHOT_BLOCK)
+    for state_index, index, z in _normal_blocks(config, jobs):
+        # a product with ones: z.sum(axis=1) walks this layout shot by shot
+        sums[state_index, index] = z @ ones[:z.shape[1]]
+        seconds[state_index, index] = z @ z.T
     mean_z = sums.sum(axis=1) / n
     # raw sums lose no digits here: z has mean near 0 and unit variance
     cov_z = (seconds.sum(axis=1)

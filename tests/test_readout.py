@@ -181,21 +181,10 @@ def _patch_blocks(monkeypatch, wrapper):
                         lambda config, jobs: wrapper(blocks, config, jobs))
 
 
-def _shot_bytes(cfg, partitions):
-    shots = simulate_shots(cfg, partitions=partitions)
-    return [getattr(shots, name).tobytes()
-            for name in ("i_ground", "q_ground", "i_excited", "q_excited")]
-
-
-def _moment_snr_hex(cfg, partitions):
-    # the moment fit of simulate-readout; snr_monte_carlo draws no blocks
-    return readout._moment_fit(cfg, partitions)[0].hex()
-
-
-def _check_default_partitions_match_serial(monkeypatch, run):
-    """130 jobs make two default workers (at most one per core); the result
-    is the one drawn on one thread, bit for bit."""
-    cfg = _config(n_shots=64 * 4096 + 1)    # 65 blocks per state, 130 jobs
+def test_simulate_shots_draws_on_the_calling_thread_by_default(monkeypatch):
+    """130 jobs (65 blocks per state) draw on the calling thread alone, and
+    ``partitions=2`` on two pool threads, with the same bits."""
+    cfg = _config(n_shots=64 * 4096 + 1)
     threads = []
 
     def recording(blocks, config, jobs):
@@ -203,12 +192,16 @@ def _check_default_partitions_match_serial(monkeypatch, run):
         yield from blocks(config, jobs)
 
     _patch_blocks(monkeypatch, recording)
-    threaded = run(cfg, None)
-    assert len(set(threads)) == min(readout._available_cores(), 2)
-    assert threaded == run(cfg, 1)
+    serial = simulate_shots(cfg)
+    assert threads == [threading.get_ident()]
+    threads.clear()
+    split = simulate_shots(cfg, partitions=2)
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
+        assert np.array_equal(getattr(serial, name), getattr(split, name))
 
 
-def _check_reraises_failure_in_other_thread(monkeypatch, run):
+def test_simulate_shots_reraises_failure_in_other_thread(monkeypatch):
     def failing(blocks, config, jobs):
         if jobs[0] != (0, 0, readout.SHOT_BLOCK):    # not the first chunk
             raise RuntimeError("stream failed")
@@ -216,23 +209,7 @@ def _check_reraises_failure_in_other_thread(monkeypatch, run):
 
     _patch_blocks(monkeypatch, failing)
     with pytest.raises(RuntimeError, match="stream failed"):
-        run(_config(n_shots=4097), 2)
-
-
-def test_simulate_shots_default_partitions_match_serial(monkeypatch):
-    _check_default_partitions_match_serial(monkeypatch, _shot_bytes)
-
-
-def test_moment_fit_default_partitions_match_serial(monkeypatch):
-    _check_default_partitions_match_serial(monkeypatch, _moment_snr_hex)
-
-
-def test_simulate_shots_reraises_failure_in_other_thread(monkeypatch):
-    _check_reraises_failure_in_other_thread(monkeypatch, _shot_bytes)
-
-
-def test_moment_fit_reraises_failure_in_other_thread(monkeypatch):
-    _check_reraises_failure_in_other_thread(monkeypatch, _moment_snr_hex)
+        simulate_shots(_config(n_shots=4097), partitions=2)
 
 
 def test_simulate_shots_shapes_and_sigma():
@@ -317,9 +294,9 @@ def test_histogram_fit_errors():
 
 # The library draws at 3 * 4096 + 1 shots per state and seed 0, recorded with
 # numpy 2.4.6: sha256 of simulate_shots' four arrays, _moment_fit's SNR and
-# width at partitions 1 and 2, and sha256 of stream_shots' (state, block)
-# bytes. The golden corpus runs only the CLI, which never calls
-# simulate_shots; these pin the library paths bit for bit.
+# width, and sha256 of stream_shots' (state, block) bytes. The golden corpus
+# runs only the CLI, which never calls simulate_shots; these pin the library
+# paths bit for bit.
 BIT_PIN_NUMPY = "2.4.6"
 BIT_PINS = {
     False: ("c4f05162f50ad49be74d39f7bd0f0ffd6fdd45a44f60c9770ac34b79c90607d8",
@@ -352,9 +329,8 @@ def test_library_draws_match_bit_pins(transient):
     for name in ("i_ground", "q_ground", "i_excited", "q_excited"):
         digest.update(getattr(shots, name).tobytes())
     assert digest.hexdigest() == arrays_sha, f"simulate_shots {drift}"
-    for partitions in (1, 2):
-        fit = readout._moment_fit(cfg, partitions=partitions)
-        assert [value.hex() for value in fit] == fit_hex, f"_moment_fit {drift}"
+    fit = readout._moment_fit(cfg)
+    assert [value.hex() for value in fit] == fit_hex, f"_moment_fit {drift}"
     digest = hashlib.sha256()
     for state, block in stream_shots(cfg)[1]:
         digest.update(state.encode())
@@ -371,16 +347,6 @@ def test_stdlib_draws_match_pins():
     rng = random.Random(0)
     assert [readout._chi2(rng, 98).hex() for _ in CHI2_98_PINS] == CHI2_98_PINS
     assert readout._derive_seed(7, 3) == DERIVED_SEED_7_3
-
-
-def test_snr_monte_carlo_partition_independent():
-    """The moment fit (SNR and pooled width) is bitwise the same whether its
-    8 jobs run on 1, 2, 3 (chunks of 3, 3, 2) or 7 threads."""
-    cfg = _config(n_shots=3 * 4096 + 1)
-    base = [value.hex() for value in readout._moment_fit(cfg, partitions=1)]
-    for partitions in (2, 3, 7):
-        fit = readout._moment_fit(cfg, partitions=partitions)
-        assert [value.hex() for value in fit] == base
 
 
 @pytest.mark.parametrize("transient", [False, True])

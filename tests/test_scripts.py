@@ -29,10 +29,14 @@ def _run(script, *args):
     ("t1_budget_scan.py", ["--points", 0]),
     ("t1_budget_scan.py", ["--f-min-ghz", 5, "--f-max-ghz", 4]),
     ("t1_budget_scan.py", ["--f-min-ghz", 0]),
+    # 5.5 to 6.5 GHz in 7 points puts one on the 6 GHz cavity
+    ("t1_budget_scan.py", ["--f-min-ghz", 5.5, "--f-max-ghz", 6.5,
+                           "--points", 7]),
     ("readout_tradeoff.py", ["--shots", 50]),
     ("readout_tradeoff.py", ["--seed", -1]),
 ], ids=["negative-seed", "seed-past-64-bits", "no-points", "reversed-band",
-        "zero-frequency", "too-few-shots", "negative-tradeoff-seed"])
+        "zero-frequency", "grid-on-cavity", "too-few-shots",
+        "negative-tradeoff-seed"])
 def test_bad_arguments_fail_with_one_usage_error(script, args, tmp_path):
     out = tmp_path / "out"
     target = [out] if script == "make_demo_inputs.py" else ["--out", out]
