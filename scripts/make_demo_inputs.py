@@ -14,7 +14,6 @@ path. Afterwards the fit commands can be replayed directly:
 import argparse
 import math
 import random
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from cqedkit import (
     FilmProperties,
     LossModel,
     PurcellParams,
+    SpiralGeometry,
     build_spiral,
     dataio,
     floats,
@@ -72,7 +72,8 @@ def write_spiral_survey(outdir: Path, normal) -> Path:
                         feed_offset=20e-6, turns=20.0)
     rows = []
     for length_um in floats.linspace(2000.0, 6000.0, 9):
-        geometry = replace(base, spiral_length=length_um * 1e-6)
+        geometry = SpiralGeometry(**{**base._asdict(),
+                                     "spiral_length": length_um * 1e-6})
         _, f_nominal, _ = frequency_band(geometry, film, 85e-15)
         measured = f_nominal * (1.0 + 0.004 * normal())
         rows.append([length_um, measured / 1e9])

@@ -36,19 +36,14 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__, dataio, resonator
 from .config import (SCHEMA, RunConfig, check_value, key_error, parse_config,
-                     render_resolved)
+                     parse_value, render_resolved)
 from .errors import ConfigError, DomainError, OutputError, ToolError
 from .floats import linspace
 from .svgplot import SvgPlot
-
-if TYPE_CHECKING:
-    from . import coherence, readout
 
 
 # ---------------------------------------------------------------- builders
@@ -219,7 +214,9 @@ def cmd_sweep_spiral(config: RunConfig):
                           sweep["points"])
     rows = []
     for length_um in lengths_um:
-        geometry = replace(base_geometry, spiral_length=length_um * 1e-6)
+        # the constructor, not _replace, so the length is checked
+        geometry = resonator.SpiralGeometry(**{
+            **base_geometry._asdict(), "spiral_length": length_um * 1e-6})
         band = resonator.frequency_band(geometry, film, c_total)
         rows.append([length_um, *(f / 1e9 for f in band)])
     _, f_low, f_nominal, f_high = zip(*rows)
@@ -494,12 +491,15 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
+        run = SCHEMA["run"]
         if args.seed is not None:
-            config.seed = check_value("--seed", SCHEMA["run"]["seed"], args.seed)
+            config = config._replace(
+                seed=check_value("--seed", run["seed"], args.seed))
         if args.out is not None:
-            config.output_dir = Path(args.out)
+            config = config._replace(output_dir=Path(
+                parse_value("--out", run["output_dir"], args.out)))
         if args.plots:
-            config.emit_plots = True
+            config = config._replace(emit_plots=True)
         outdir = config.output_dir
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -10,9 +10,8 @@ only when the fit is called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul, sub
-from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
@@ -23,63 +22,61 @@ from .errors import (
     require_positive,
 )
 
-if TYPE_CHECKING:
-    from . import fitting
-
 T2_BOUND_TOLERANCE = 0.05
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CoherenceRecord:
+class CoherenceRecord(namedtuple("CoherenceRecord", "f_q t1 t1_spread t2e",
+                                 defaults=(None, None))):
     """One qubit's measured coherence point.
 
     ``t1_spread`` is the observed scatter of repeated T1 measurements (used
     as a fit weight); ``t2e`` the echo time. Both optional.
     """
 
-    f_q: float
-    t1: float
-    t1_spread: float | None = None
-    t2e: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(f_q=self.f_q, t1=self.t1, t1_spread=self.t1_spread,
                          t2e=self.t2e)
+        return self
 
 
-@dataclass(frozen=True)
-class PurcellParams:
-    """Fixed resonator parameters entering the Purcell decay channel.
+class PurcellParams(namedtuple("PurcellParams", "g f_r kappa")):
+    """Fixed resonator parameters entering the Purcell decay channel: the
+    coupling ``g`` in rad/s, the resonator frequency ``f_r`` in Hz and its
+    linewidth ``kappa`` in 1/s.
 
     The qubit-resonator detuning is recomputed per qubit frequency from
     ``f_r``, so one parameter set serves a whole frequency sweep.
     """
 
-    g: float       # coupling, rad/s
-    f_r: float     # resonator frequency, Hz
-    kappa: float   # resonator linewidth, 1/s
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_nonnegative(g=self.g)
         require_positive(f_r=self.f_r, kappa=self.kappa)
+        return self
 
     def detuning(self, f_q: float) -> float:
         """Angular qubit-resonator detuning at qubit frequency ``f_q``, rad/s."""
         return TWO_PI * (f_q - self.f_r)
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Loss channels limiting T1 (and, through gamma_phi, T2)."""
+class LossModel(namedtuple("LossModel", "q_diel purcell gamma_phi",
+                           defaults=(None, 0.0))):
+    """Loss channels limiting T1 (and, through gamma_phi, T2): ``purcell``
+    is a PurcellParams or None."""
 
-    q_diel: float
-    purcell: PurcellParams | None = None
-    gamma_phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(q_diel=self.q_diel)
         require_nonnegative(gamma_phi=self.gamma_phi)
+        return self
 
 
 def t1_dielectric(f_q, q_diel: float):
@@ -159,12 +156,11 @@ def t2_from_t1(t1, gamma_phi: float = 0.0):
     return 1.0 / (0.5 / t1 + gamma_phi)
 
 
-@dataclass(frozen=True)
-class T2BoundCheck:
+class T2BoundCheck(namedtuple("T2BoundCheck", "ratio")):
     """Outcome of the t2e <= 2 t1 consistency check: ``ratio`` is t2e / (2 t1),
     None without t2e, which makes the check not applicable (and not failed)."""
 
-    ratio: float | None
+    __slots__ = ()
 
     @property
     def applicable(self) -> bool:

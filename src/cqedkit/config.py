@@ -41,6 +41,13 @@ rejected at parse time, naming the key. This includes
 value (say 1e12) rather than inf. Rules that a model holds (the film band
 order lk_low <= lk_nominal <= lk_high, turns >= 1) are checked where a
 command builds that model, and the error names the keys (``key_error``).
+
+A str value must read back whole from the resolved config that
+``render_resolved`` writes into each report: one line, with no '#' or ';'
+at its start or after a space. ``--out`` and ``CQEDKIT_OUTPUT_DIR`` are
+held to ``[run] output_dir``'s rule and errors name them. ``Key`` and
+``RunConfig`` are named tuples; the command line applies its overrides to
+a RunConfig with ``_replace``, after checking them.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from collections import namedtuple
 from pathlib import Path
-from typing import Any
 
 from .errors import ConfigError, not_utf8
 
@@ -60,12 +67,14 @@ DEFAULT_OUTPUT_DIR = "cqedkit-out"
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Key:
-    parse: str                      # float | int | bool | str | float_list
-    default: Any = _REQUIRED
-    bound: str | None = None        # positive | nonnegative, every entry
-    maximum: int | None = None      # largest allowed value, every entry
+class Key(namedtuple("Key", "parse default bound maximum",
+                     defaults=(_REQUIRED, None, None))):
+    """How a config key or CSV column is read: ``parse`` is float, int,
+    bool, str or float_list; ``default`` is ``_REQUIRED`` for a required key;
+    ``bound`` (positive or nonnegative) and ``maximum`` hold for every
+    entry, unless None."""
+
+    __slots__ = ()
 
     @property
     def required(self) -> bool:
@@ -146,15 +155,22 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
 }
 
+# What configparser cuts from a value: a line break ends it, and a comment
+# prefix at its start or after a space starts an inline comment
+_CUT = re.compile(r"\n|(?:^|\s)[#;]")
+
+
 def parse_value(label: str, spec: Key, text: str):
     """``text`` parsed as the key's type and checked by ``check_value``;
-    errors name ``label``, a config key or a CSV cell."""
+    errors name ``label``, a config key, option or CSV cell. A str must
+    read back whole from the resolved config that ``render_resolved``
+    writes."""
     text = text.strip()
-    if spec.parse == "str" and "\n" in text:
-        # configparser reads an indented line as more of the value above
+    if spec.parse == "str" and _CUT.search(text):
         raise ConfigError(
-            f"{label}: must be one line, got {text!r}; an indented line "
-            f"continues the value above it")
+            f"{label}: must be one line, with no '#' or ';' at its start or "
+            f"after a space, got {text!r}: configparser would not read it "
+            f"back whole")
     try:
         if spec.parse == "float":
             value = float(text)
@@ -203,18 +219,17 @@ def key_error(keys: dict[str, str], exc: Exception) -> ConfigError:
     return ConfigError(f"{keys.get(str(exc).split()[0], keys[''])}: {exc}")
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration: every present section but ``[run]``,
-    whose keys are the last three fields, with defaults filled."""
+class RunConfig(namedtuple("RunConfig",
+                           "source sections seed output_dir emit_plots",
+                           defaults=(0, Path(DEFAULT_OUTPUT_DIR), False))):
+    """Fully resolved configuration: the config file's path, every present
+    section but ``[run]`` as a dict of dicts, and the keys of ``[run]``,
+    with defaults filled. The command line overrides the last three
+    through ``_replace``."""
 
-    source: Path
-    sections: dict[str, dict[str, Any]] = field(default_factory=dict)
-    seed: int = 0
-    output_dir: Path = Path(DEFAULT_OUTPUT_DIR)
-    emit_plots: bool = False
+    __slots__ = ()
 
-    def require(self, section: str) -> dict[str, Any]:
+    def require(self, section: str) -> dict:
         if section not in self.sections:
             raise ConfigError(
                 f"missing required config section [{section}]")
@@ -227,13 +242,13 @@ class RunConfig:
             path = self.source.parent / path
         return path
 
-def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, Any]:
+def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, object]:
     schema = SCHEMA[name]
     unknown = [key for key in raw if key not in schema]
     if unknown:
         raise ConfigError(
             f"[{name}]: unknown key(s) {', '.join(sorted(unknown))}")
-    resolved: dict[str, Any] = {}
+    resolved: dict[str, object] = {}
     for key, spec in schema.items():
         if key in raw:
             resolved[key] = parse_value(f"[{name}] {key}", spec, raw[key])
@@ -244,7 +259,7 @@ def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, Any]:
     return resolved
 
 
-def _cross_validate(name: str, values: dict[str, Any]) -> None:
+def _cross_validate(name: str, values: dict[str, object]) -> None:
     if name == "film":
         nominal = values["lk_nominal_ph_sq"]
         if values["lk_low_ph_sq"] is None:
@@ -314,7 +329,7 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 
-    sections: dict[str, dict[str, Any]] = {}
+    sections: dict[str, dict[str, object]] = {}
     for name in parser.sections():
         if name not in SCHEMA:
             raise ConfigError(f"unknown config section [{name}]")
@@ -325,7 +340,8 @@ def parse_config(path) -> RunConfig:
     run = sections.pop("run", None) or _resolve_section("run", {})
     output_dir = run["output_dir"]
     if output_dir is None:
-        output_dir = os.environ.get(ENV_OUTPUT_DIR, DEFAULT_OUTPUT_DIR)
+        output_dir = parse_value(ENV_OUTPUT_DIR, SCHEMA["run"]["output_dir"],
+                                 os.environ.get(ENV_OUTPUT_DIR, DEFAULT_OUTPUT_DIR))
     return RunConfig(
         source=path,
         sections=sections,

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .config import Key, parse_value
 from .errors import ConfigError, DomainError, not_utf8
-
-if TYPE_CHECKING:
-    from .coherence import CoherenceRecord
 
 SIGNIFICANT_DIGITS = 9
 

@@ -5,7 +5,8 @@ Every error the command-line front end reports maps to one of these; the
 ``error: <slug>: <message>`` line printed on failure.
 
 ``require_finite``, ``require_positive`` and ``require_nonnegative`` are
-the one domain guard of library arguments and record fields: each takes
+the one domain guard of library arguments and of the fields of the
+records, named tuples that check them in ``__new__``: each takes
 the values by name and raises ``DomainError("<name> must be finite")``,
 then ``"... must be positive"`` or ``"... must be nonnegative"``, for
 the first value that breaks its rule. Rules that tie several values

@@ -12,14 +12,16 @@ slope, and builds its Jacobian once, at the optimum, for
 The fits compute on plain Python floats, one point at a time. Their sums
 are ``math.fsum``'s, correctly rounded, so no result depends on a
 summation order. Only ``fit_gaussian_1d`` imports numpy, when called.
+Results are named tuples: ``FitResult``, ``GaussianEstimate`` and
+``least_squares``'s ``Optimum``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import (
     DegenerateDataError,
@@ -34,8 +36,8 @@ MIN_SAMPLES = 100  # fewest samples fit_gaussian_1d estimates from
 EPS = sys.float_info.epsilon
 
 
-@dataclass
-class FitResult:
+class FitResult(namedtuple("FitResult",
+                           "params std_errors residual_norm iterations")):
     """Outcome of a least-squares fit.
 
     ``params`` and ``std_errors`` are aligned tuples; ``residual_norm`` is
@@ -45,10 +47,7 @@ class FitResult:
     True.
     """
 
-    params: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    residual_norm: float
-    iterations: int
+    __slots__ = ()
     converged = True  # a class constant, not a field
 
 
@@ -86,11 +85,8 @@ def standard_errors(jmat, weights, cost: float) -> tuple[float, ...]:
                  for i in range(n_params))
 
 
-class Optimum(NamedTuple):
-    """The parameter ``least_squares`` stopped at, and its slope evaluations."""
-
-    p: float
-    iterations: int
+# The parameter ``least_squares`` stopped at, and its slope evaluations
+Optimum = namedtuple("Optimum", "p iterations")
 
 
 def least_squares(cost: Callable[[float], float],
@@ -180,12 +176,11 @@ def straight_line(x, y) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class GaussianEstimate:
-    mean: float
-    sigma: float
-    mean_err: float
-    sigma_err: float
+class GaussianEstimate(namedtuple("GaussianEstimate",
+                                  "mean sigma mean_err sigma_err")):
+    """A Gaussian's location and width, each with its standard error."""
+
+    __slots__ = ()
 
 
 def fit_gaussian_1d(samples) -> GaussianEstimate:

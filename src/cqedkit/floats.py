@@ -7,10 +7,6 @@ keeps across versions. The demo scripts import this module alone, without
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import random
 
 
 def linspace(start: float, stop: float, points: int) -> list[float]:

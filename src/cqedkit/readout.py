@@ -22,6 +22,11 @@ state's centroid and covariance from their exact laws with the stdlib's
 ``random.random()``, so its SNR has the distribution of
 ``histogram_fit``'s on drawn shots. Only the shot path imports numpy, when
 it runs, so of the commands only simulate-readout loads it.
+
+The records are named tuples. ``ReadoutConfig`` checks its fields in
+``__new__`` and holds ``n_shots`` and ``seed`` as Python ints;
+``snr_sweep`` builds each point's through the constructor, since
+``_replace`` skips those checks.
 """
 
 from __future__ import annotations
@@ -30,18 +35,14 @@ import cmath
 import math
 import numbers
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
                      require_finite, require_nonnegative, require_positive)
 from .fitting import erfc
 from .floats import normal
 from .transmon import dispersive_phase
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SHOT_BLOCK = 4096
 # Fewest shots per state from which an SNR is estimated.
@@ -52,8 +53,8 @@ STATES = (GROUND, EXCITED)
 _STATE_SIGN = {GROUND: -1.0, EXCITED: +1.0}
 
 
-@dataclass(frozen=True)
-class ReadoutConfig:
+class ReadoutConfig(namedtuple("ReadoutConfig",
+                               "epsilon kappa chi tau_m n_shots seed transient")):
     """Drive, cavity and acquisition parameters for one readout setting.
 
     ``epsilon`` is the drive amplitude (rad/s), ``kappa`` the cavity
@@ -62,46 +63,38 @@ class ReadoutConfig:
     the steady-state product to the full ring-up integral.
     """
 
-    epsilon: float
-    kappa: float
-    chi: float
-    tau_m: float
-    n_shots: int = 10_000
-    seed: int = 0
-    transient: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, epsilon, kappa, chi, tau_m, n_shots=10_000, seed=0,
+                transient=False):
         # epsilon last: the CLI derives it from the other three
-        require_positive(kappa=self.kappa, tau_m=self.tau_m)
-        require_finite(chi=self.chi)
-        require_nonnegative(epsilon=self.epsilon)
-        for name in ("n_shots", "seed"):
-            value = getattr(self, name)
+        require_positive(kappa=kappa, tau_m=tau_m)
+        require_finite(chi=chi)
+        require_nonnegative(epsilon=epsilon)
+        for name, value in (("n_shots", n_shots), ("seed", seed)):
             # numbers.Integral covers numpy's integer types; a bool is a flag
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-            # a Python int: a narrow numpy type overflows in the block arithmetic
-            object.__setattr__(self, name, int(value))
-        if self.n_shots < 2:
+        # Python ints: a narrow numpy type overflows in the block arithmetic
+        n_shots, seed = int(n_shots), int(seed)
+        if n_shots < 2:
             raise DomainError("n_shots must be at least 2")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= seed < 2**64):
             raise DomainError("seed must fit an unsigned 64-bit integer")
+        return super().__new__(cls, epsilon, kappa, chi, tau_m, n_shots, seed,
+                               transient)
 
 
-@dataclass
-class ShotSet:
-    """Single-shot IQ clouds for both prepared states."""
+class ShotSet(namedtuple("ShotSet", "i_ground q_ground i_excited q_excited")):
+    """Single-shot IQ clouds for both prepared states, four numpy arrays."""
 
-    i_ground: np.ndarray
-    q_ground: np.ndarray
-    i_excited: np.ndarray
-    q_excited: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        lengths = {len(self.i_ground), len(self.q_ground),
-                   len(self.i_excited), len(self.q_excited)}
-        if len(lengths) != 1:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(set(map(len, self))) != 1:
             raise DomainError("all four shot arrays must share one length")
+        return self
 
 
 def _state_sign(state: str) -> float:
@@ -382,12 +375,10 @@ def stream_shots(config: ReadoutConfig
     return snr, blocks()
 
 
-@dataclass
-class HistogramFit:
+class HistogramFit(namedtuple("HistogramFit", "snr sigma")):
     """SNR of two IQ clouds and the pooled width along their centroid axis."""
 
-    snr: float
-    sigma: float
+    __slots__ = ()
 
 
 def histogram_fit(shots: ShotSet) -> HistogramFit:
@@ -414,13 +405,11 @@ def separation_fidelity(snr: float) -> float:
     return 1.0 - erfc(0.5 * snr)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(namedtuple("SweepPoint",
+                            "tau_m snr_closed_form snr_monte_carlo")):
     """One row of an integration-time sweep."""
 
-    tau_m: float
-    snr_closed_form: float
-    snr_monte_carlo: float
+    __slots__ = ()
 
     @property
     def fidelity(self) -> float:
@@ -451,7 +440,9 @@ def snr_sweep(config: ReadoutConfig, tau_values) -> list[SweepPoint]:
     require_positive(tau_values=tau_values)
     points = []
     for index, tau in enumerate(tau_values):
-        sub = replace(config, tau_m=float(tau), seed=_derive_seed(config.seed, index))
+        # the constructor, not _replace, so the record is checked
+        sub = ReadoutConfig(**{**config._asdict(), "tau_m": float(tau),
+                               "seed": _derive_seed(config.seed, index)})
         closed = snr_asymptotic(sub)
         monte = snr_monte_carlo(sub)
         points.append(SweepPoint(tau_m=float(tau), snr_closed_form=closed,

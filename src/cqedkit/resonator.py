@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateDataError,
@@ -27,9 +26,6 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
-
-if TYPE_CHECKING:
-    from . import fitting
 
 PH_PER_SQUARE = 1e-12  # one pH/square in H/square
 SPIRAL_LENGTH_TOLERANCE = 0.05
@@ -42,8 +38,9 @@ QUARTER_WAVE = "quarter-wave"
 HALF_WAVE = "half-wave"
 
 
-@dataclass(frozen=True)
-class FilmProperties:
+class FilmProperties(namedtuple(
+        "FilmProperties", "lk_nominal lk_low lk_high geometric_l_per_square",
+        defaults=(0.0,))):
     """Sheet-inductance band of the superconducting film, in pH/square.
 
     ``lk_low``/``lk_high`` bracket the wafer-scale spread around the
@@ -51,38 +48,35 @@ class FilmProperties:
     contribution on top of the kinetic one.
     """
 
-    lk_nominal: float
-    lk_low: float
-    lk_high: float
-    geometric_l_per_square: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(lk_nominal=self.lk_nominal, lk_low=self.lk_low,
                          lk_high=self.lk_high)
         require_nonnegative(geometric_l_per_square=self.geometric_l_per_square)
         if not (self.lk_low <= self.lk_nominal <= self.lk_high):
             raise DomainError(
                 "film band must satisfy lk_low <= lk_nominal <= lk_high")
+        return self
 
 
-@dataclass(frozen=True)
-class SpiralGeometry:
+class SpiralGeometry(namedtuple(
+        "SpiralGeometry",
+        "disk_radius line_width gap feed_offset spiral_length turns")):
     """Planar spiral wound from a central disk outward; lengths in metres."""
 
-    disk_radius: float
-    line_width: float
-    gap: float
-    feed_offset: float
-    spiral_length: float
-    turns: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(disk_radius=self.disk_radius, line_width=self.line_width,
                          gap=self.gap, spiral_length=self.spiral_length)
         require_nonnegative(feed_offset=self.feed_offset)
         require_finite(turns=self.turns)
         if self.turns < 1.0:
             raise DomainError("turns must be at least 1")
+        return self
 
 
 def archimedean_spiral_length(start_radius: float, pitch: float, turns: float) -> float:
@@ -135,17 +129,16 @@ def build_spiral(
     )
 
 
-@dataclass(frozen=True)
-class ResonatorMode:
+class ResonatorMode(namedtuple("ResonatorMode", "f_r q_coupling q_internal")):
     """A single resonator mode and its coupling to the feed line."""
 
-    f_r: float
-    q_coupling: float
-    q_internal: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(f_r=self.f_r, q_coupling=self.q_coupling,
                          q_internal=self.q_internal)
+        return self
 
     @property
     def kappa(self) -> float:
@@ -244,25 +237,25 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
     kappa0 = math.exp(intercept)
     d0 = -1.0 / slope
     slope_err, intercept_err = line.std_errors
-    return replace(line, params=(kappa0, d0),
-                   std_errors=(kappa0 * intercept_err, slope_err * d0 * d0))
+    return line._replace(params=(kappa0, d0),
+                         std_errors=(kappa0 * intercept_err, slope_err * d0 * d0))
 
 
-@dataclass(frozen=True)
-class CpwTestStructure:
+class CpwTestStructure(namedtuple(
+        "CpwTestStructure", "length l_per_length c_per_length termination",
+        defaults=(QUARTER_WAVE,))):
     """Straight coplanar-waveguide test resonator, SI units."""
 
-    length: float
-    l_per_length: float
-    c_per_length: float
-    termination: str = QUARTER_WAVE
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(length=self.length, c_per_length=self.c_per_length)
         require_nonnegative(l_per_length=self.l_per_length)
         if self.termination not in (QUARTER_WAVE, HALF_WAVE):
             raise DomainError(
                 f"termination must be '{QUARTER_WAVE}' or '{HALF_WAVE}'")
+        return self
 
 
 def cpw_mode_frequency(
@@ -314,13 +307,12 @@ def extract_lk_cpw(
     return max(lk, 0.0)
 
 
-@dataclass(frozen=True)
-class RingdownFit:
-    """Exponential amplitude-decay fit of a ring-down trace."""
+class RingdownFit(namedtuple("RingdownFit", "kappa kappa_std_error fit")):
+    """Exponential amplitude-decay fit of a ring-down trace: kappa and its
+    standard error in 1/s, and the ``fitting.FitResult`` whose params are
+    the amplitude, the rate in decay times per span and the offset."""
 
-    kappa: float
-    kappa_std_error: float
-    fit: fitting.FitResult  # params: amplitude, rate in decay times per span, offset
+    __slots__ = ()
 
     @property
     def amplitude(self) -> float:

@@ -8,7 +8,7 @@ because that is how device parameters are quoted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, require_finite, require_positive
 
@@ -17,8 +17,8 @@ _ELEMENTARY_CHARGE = 1.602176634e-19  # C
 _PLANCK = 6.62607015e-34  # J s
 
 
-@dataclass(frozen=True)
-class TransmonParams:
+class TransmonParams(namedtuple("TransmonParams", "ej_total ec flux",
+                                defaults=(0.0,))):
     """Flux-tunable transmon with a symmetric two-junction loop.
 
     ``ej_total`` is the summed Josephson energy of both junctions and
@@ -26,26 +26,24 @@ class TransmonParams:
     in units of the flux quantum.
     """
 
-    ej_total: float
-    ec: float
-    flux: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_positive(ej_total=self.ej_total, ec=self.ec)
         require_finite(flux=self.flux)
+        return self
 
 
-@dataclass(frozen=True)
-class DispersiveCoupling:
+class DispersiveCoupling(namedtuple("DispersiveCoupling", "g delta alpha kappa")):
     """Qubit-resonator coupling in the dispersive regime; rates in rad/s."""
 
-    g: float
-    delta: float
-    alpha: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.phi  # the relations reject non-finite or out-of-domain rates
+        return self
 
     @property
     def chi(self) -> float:

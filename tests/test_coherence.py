@@ -18,6 +18,7 @@ from cqedkit import (
     InsufficientDataError,
     LossModel,
     PurcellParams,
+    ReadoutConfig,
     ResonatorMode,
     SpiralGeometry,
     TransmonParams,
@@ -208,7 +209,16 @@ def test_record_validation():
         PurcellParams(g=-1.0, f_r=6e9, kappa=3e6)
 
 
-# One valid instance per validated dataclass, as keyword arguments; every
+def test_records_are_immutable_named_tuples():
+    record = CoherenceRecord(f_q=4e9, t1=25e-6)
+    assert record == (4e9, 25e-6, None, None)
+    f_q, t1, *_ = record
+    assert (f_q, t1) == (4e9, 25e-6)
+    with pytest.raises(AttributeError):
+        record.t1 = 30e-6
+
+
+# One valid instance per validated record, as keyword arguments; every
 # float field is listed, so each one is checked for finiteness below.
 VALID_FIELDS = {
     LossModel: dict(q_diel=746e3, gamma_phi=0.0),
@@ -224,6 +234,8 @@ VALID_FIELDS = {
     TransmonParams: dict(ej_total=9.8, ec=0.2278, flux=0.1),
     DispersiveCoupling: dict(g=TWO_PI * 50e6, delta=TWO_PI * 1.5e9,
                              alpha=-TWO_PI * 0.228e9, kappa=1.0 / 300e-9),
+    ReadoutConfig: dict(epsilon=2e6, kappa=1.0 / 300e-9, chi=TWO_PI * 465e3,
+                        tau_m=700e-9),
 }
 
 

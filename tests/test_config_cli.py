@@ -405,6 +405,42 @@ def test_cli_indented_line_in_a_path_key_fails_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+# Directory names that configparser would cut short when the report's
+# resolved config is read back: at an inline comment, or at a line break
+CUT_NAMES = ["a #b", "a ;b", "a\t#b", "a\nb"]
+
+
+@pytest.mark.parametrize("name", CUT_NAMES, ids=repr)
+@pytest.mark.parametrize("source", ["--out", ENV_OUTPUT_DIR])
+def test_cli_output_dir_that_the_report_cannot_repeat_fails_on_one_line(
+        source, name, tmp_path, capsys, monkeypatch):
+    out = tmp_path / name
+    argv = ["design-resonator", "--config", str(write_config(tmp_path, FULL_CONFIG))]
+    if source == "--out":
+        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv(ENV_OUTPUT_DIR, str(out))
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {source}: must be one line")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_report_repeats_an_output_dir_with_comment_characters(
+        tmp_path, capsys, monkeypatch):
+    # '#' and ';' inside a name, not after a space, start no comment
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    out = tmp_path / "a#b;c"
+    path = write_config(tmp_path, FULL_CONFIG)
+    assert _run(["design-resonator", "--config", str(path), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    resolved = report.split("# resolved configuration (usable as a config file)\n")[1]
+    repeat = write_config(tmp_path, resolved.split("# results")[0], "repeat.cfg")
+    assert parse_config(repeat).output_dir == out
+
+
 def test_cli_missing_section_reports_error(tmp_path, capsys):
     path = write_config(tmp_path, "[readout]\nn_shots = 500\n")
     rc = _run(["design-resonator", "--config", str(path),

@@ -10,15 +10,15 @@ commands run with ``--plots``: the five demo commands on
 the two readout commands are also run as ``python -m cqedkit``
 subprocesses, where the fits and snr-sweep run without numpy loaded at
 all and simulate-readout loads OpenBLAS as the CLI sets it up, and
-checked against the same hashes. Both files
-record the numpy version the hashes were taken with. A mismatch means the
+checked against the same hashes; ``check_golden.py`` holds the one
+reader of ``cli.json``, which CI also runs without pytest or numpy. Both
+files record the numpy version the hashes were taken with. A mismatch means the
 Monte-Carlo stream, a kernel or the CSV/SVG formatting drifted; re-bless
 only deliberately and log the reason in CHANGES.md. ``FIT_BITS`` pins every
 bit of the two iterative fits on five demo seeds of the generator's
 stdlib stream, which the 6 to 9 printed digits of the corpus cannot show.
 """
 
-import hashlib
 import json
 import os
 import random
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from check_golden import CLI_GOLDEN, cli_argv, digest, mismatches
 
 from cqedkit import fit_kappa_ringdown, fit_qdiel
 from cqedkit.cli import main
@@ -38,19 +39,6 @@ from cqedkit.floats import normal
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "readout.json")
                     .read_text(encoding="utf-8"))
-CLI_GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json")
-                        .read_text(encoding="utf-8"))
-
-
-def _digest(path: Path) -> dict:
-    data = path.read_bytes()
-    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _section(lines: list[str], heading: str) -> list[str]:
-    start = lines.index(heading) + 1
-    end = lines.index("", start) if "" in lines[start:] else len(lines)
-    return lines[start:end]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN["commands"]))
@@ -59,7 +47,7 @@ def test_readout_artifacts_match_golden_hashes(command, tmp_path):
                    "--seed", str(GOLDEN["seed"]), "--out", str(tmp_path)])
     assert status == 0
     for name, expected in GOLDEN["commands"][command].items():
-        actual = _digest(tmp_path / name)
+        actual = digest(tmp_path / name)
         assert actual == expected, (
             f"{command}: {name} drifted from the golden hash (pinned with "
             f"numpy {GOLDEN['numpy']}, running numpy {np.__version__})")
@@ -77,29 +65,16 @@ def golden_configs(tmp_path_factory):
 
 
 def _check_cli_golden(command, outdir):
-    golden = CLI_GOLDEN["commands"][command]
-    written = sorted(p.name for p in outdir.iterdir()
-                     if p.suffix in (".csv", ".svg"))
-    assert written == sorted(golden["artifacts"])
-    for name, expected in golden["artifacts"].items():
-        assert _digest(outdir / name) == expected, (
-            f"{command}: {name} drifted from the golden hash (pinned with "
-            f"numpy {CLI_GOLDEN['numpy']}, running numpy {np.__version__})")
-    report = (outdir / "report.txt").read_text(encoding="utf-8").split("\n")
-    assert _section(report, "# results") == golden["results"]
-    assert _section(report, "# artifacts") == golden["artifact_list"]
-
-
-def _cli_argv(command, configs, outdir):
-    config = configs[CLI_GOLDEN["commands"][command]["config"]]
-    return [command, "--config", str(config), "--plots",
-            "--seed", str(CLI_GOLDEN["seed"]), "--out", str(outdir)]
+    found = mismatches(command, outdir)
+    assert not found, "\n".join([
+        *found, f"(pinned with numpy {CLI_GOLDEN['numpy']}, running numpy "
+                f"{np.__version__})"])
 
 
 @pytest.mark.parametrize("command", sorted(CLI_GOLDEN["commands"]))
 def test_cli_artifacts_and_report_match_golden(command, golden_configs,
                                                tmp_path, capsys):
-    assert main(_cli_argv(command, golden_configs, tmp_path)) == 0
+    assert main(cli_argv(command, golden_configs, tmp_path)) == 0
     _check_cli_golden(command, tmp_path)
 
 
@@ -113,7 +88,7 @@ def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):
            if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(ROOT / "src")
     subprocess.run([sys.executable, "-m", "cqedkit",
-                    *_cli_argv(command, golden_configs, tmp_path)],
+                    *cli_argv(command, golden_configs, tmp_path)],
                    env=env, check=True, capture_output=True, timeout=120)
     _check_cli_golden(command, tmp_path)
 

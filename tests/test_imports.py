@@ -10,6 +10,8 @@ tracer that looks those modules up after the first command relies on.
 Only simulate-readout loads numpy; run as the first importer of numpy it
 loads OpenBLAS with one thread, unless the caller sets
 ``OPENBLAS_NUM_THREADS``. The three scripts run without numpy as well.
+No command loads ``dataclasses``, and none but simulate-readout, through
+numpy, loads ``inspect`` or ``typing``: the records are named tuples.
 ``cqedkit`` resolves its public names on first access, and they must stay
 the same names bound to the same objects.
 """
@@ -31,6 +33,12 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = {key: value for key, value in os.environ.items()
        if key != "OPENBLAS_NUM_THREADS"}
 ENV["PYTHONPATH"] = str(ROOT / "src")
+# For ``python -S``, which skips site-packages and so the .pth files there,
+# one of which may preload typing: numpy's directory goes on the path instead
+BARE_ENV = dict(ENV, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "src"), str(Path(np.__file__).resolve().parents[1])]))
+# Stdlib modules that records built by dataclasses would load
+RECORD_MODULES = {"dataclasses", "inspect", "typing"}
 
 # Which config each command runs on: configs/demo.cfg, or the fits.cfg
 # that scripts/make_demo_inputs.py writes.
@@ -51,8 +59,8 @@ LOADS = {"fit-kappa": {"cqedkit.fitting"},
          "simulate-readout": OPTIONAL, "snr-sweep": OPTIONAL - {"numpy"}}
 
 # Runs ``python -m cqedkit <argv>`` as runpy does for -m, then reports the
-# exit code, which of numpy and cqedkit's modules got loaded and how many
-# OS threads are alive at exit (None without /proc).
+# exit code, which of numpy, RECORD_MODULES and cqedkit's modules got
+# loaded and how many OS threads are alive at exit (None without /proc).
 PROBE = """
 import json, os, runpy, sys
 sys.argv[0] = "cqedkit"
@@ -62,7 +70,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
     name for name in sys.modules
-    if name == "numpy" or name.startswith("cqedkit.")),
+    if name in ("numpy", "dataclasses", "inspect", "typing")
+    or name.startswith("cqedkit.")),
     "threads": len(os.listdir("/proc/self/task"))
     if os.path.isdir("/proc/self/task") else None}))
 """
@@ -100,9 +109,9 @@ def configs(tmp_path_factory):
     return {"demo": ROOT / "configs" / "demo.cfg", "fits": inputs / "fits.cfg"}
 
 
-def _run_command(command, config, out, env=ENV):
+def _run_command(command, config, out, env=ENV, flags=()):
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, command, "--config", str(config),
+        [sys.executable, *flags, "-c", PROBE, command, "--config", str(config),
          "--out", str(out), "--plots"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     report = json.loads(done.stdout.splitlines()[-1])
@@ -134,6 +143,17 @@ def test_closed_form_command_runs_without_numpy(command, configs, tmp_path):
 def test_numeric_command_loads_its_modules_together(command, configs, tmp_path):
     modules, _ = _run_command(command, configs[NUMERIC[command]], tmp_path)
     assert OPTIONAL & modules == LOADS[command]
+
+
+@pytest.mark.parametrize("command", sorted({**CLOSED_FORM, **NUMERIC}))
+def test_command_loads_no_dataclasses_inspect_or_typing(command, configs,
+                                                        tmp_path):
+    config = configs[{**CLOSED_FORM, **NUMERIC}[command]]
+    modules, _ = _run_command(command, config, tmp_path, env=BARE_ENV,
+                              flags=["-S"])
+    # numpy itself loads inspect and typing
+    banned = {"dataclasses"} if command in READOUT else RECORD_MODULES
+    assert not banned & modules, sorted(banned & modules)
 
 
 # Runs each command named in argv (as command=config pairs) through

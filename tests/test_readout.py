@@ -507,8 +507,7 @@ def _within_ninth_digit(a: str, b: str) -> bool:
 def test_stream_shots_matches_array_path_at_golden_seed(tmp_path, capsys):
     """simulate-readout on the demo config at the golden seed writes the
     shots.csv and snr_mc of the array path, byte for byte."""
-    config = parse_config(DEMO_CONFIG)
-    config.seed = 7
+    config = parse_config(DEMO_CONFIG)._replace(seed=7)
     snr = _array_shots_csv(cli._build_readout(config),
                            tmp_path / "array.csv")
     out = tmp_path / "out"
