@@ -13,8 +13,7 @@ import argparse
 import math
 from pathlib import Path
 
-from cqedkit import (DomainError, LossModel, PurcellParams, dataio, floats,
-                     t1_budget)
+from cqedkit import LossModel, PurcellParams, dataio, floats, t1_budget
 from cqedkit.svgplot import SvgPlot
 
 TWO_PI = 2.0 * math.pi
@@ -38,13 +37,9 @@ def main() -> int:
                            args.points)
     f_ghz = [f / 1e9 for f in grid]
     q_values = [0.5e6, 746e3, 1.0e6]
-    try:
-        budgets = [(t1_budget(grid, LossModel(q_diel=q_diel))[2],
-                    t1_budget(grid, LossModel(q_diel=q_diel, purcell=PURCELL)))
-                   for q_diel in q_values]
-    except DomainError as exc:
-        parser.error(f"--f-min-ghz, --f-max-ghz and --points put a grid point "
-                     f"on the {PURCELL.f_r / 1e9:g} GHz cavity ({exc})")
+    budgets = [(t1_budget(grid, LossModel(q_diel=q_diel))[2],
+                t1_budget(grid, LossModel(q_diel=q_diel, purcell=PURCELL)))
+               for q_diel in q_values]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

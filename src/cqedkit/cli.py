@@ -286,12 +286,6 @@ def cmd_fit_kappa(config: RunConfig):
     return lines, artifacts
 
 
-# The keys the fit's records and its curve come from, by the library's
-# name for the value it rejects
-_QDIEL_KEYS = {"qubit": "[loss] purcell_f_r_ghz, coherence_csv",
-               "": "[loss] coherence_csv"}
-
-
 def cmd_fit_qdiel(config: RunConfig):
     from . import coherence
 
@@ -310,10 +304,9 @@ def cmd_fit_qdiel(config: RunConfig):
         model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
                                     gamma_phi=values["gamma_phi_per_s"])
         *_, t1_model = coherence.t1_budget(f_q, model)
-        # records either side of f_r can put it on the curve's grid
         *_, curve = coherence.t1_budget(grid, model)
     except DomainError as exc:
-        raise key_error(_QDIEL_KEYS, exc) from None
+        raise ConfigError(f"[loss] coherence_csv: {exc}") from None
     q_err, = fit.std_errors
     checked = [check for check in map(coherence.t2_bound_check, records)
                if check.applicable]
@@ -346,8 +339,7 @@ def cmd_fit_qdiel(config: RunConfig):
 
 # The keys the budget's frequency grid and its T1 come from, by the
 # library's name
-_GRID_KEYS = {"qubit": "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points",
-              "t1": "[loss] q_diel, f_q_min_ghz, f_q_max_ghz",
+_GRID_KEYS = {"t1": "[loss] q_diel, f_q_min_ghz, f_q_max_ghz",
               "": "[loss] f_q_min_ghz, f_q_max_ghz"}
 
 

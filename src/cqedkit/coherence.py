@@ -1,14 +1,17 @@
 """Energy-relaxation budget: dielectric loss, Purcell decay, echo-time checks.
 
-T1 contributions are combined as rates (inverse times). Qubit frequencies
-cross the API in Hz, times in seconds; coupling rates are angular (rad/s)
-as in the transmon module. The budget and the Q_diel fit compute on plain
-Python floats, point by point; numpy is never imported, and ``fitting``
-only when the fit is called.
+T1 contributions are combined as rates (inverse times); the Purcell rate
+is exact, finite with the qubit on the resonator (Blais et al., Rev. Mod.
+Phys. 93, 025005 (2021); Sete et al., Phys. Rev. A 92, 012325 (2015)).
+Qubit frequencies cross the API in Hz, times in seconds; coupling rates
+are angular (rad/s) as in the transmon module. The budget and the Q_diel
+fit compute on plain Python floats, point by point; numpy is never
+imported, and ``fitting`` only when the fit is called.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from operator import mul, sub
@@ -62,7 +65,9 @@ class PurcellParams(namedtuple("PurcellParams", "g f_r kappa")):
 
     def detuning(self, f_q: float) -> float:
         """Angular qubit-resonator detuning at qubit frequency ``f_q``, rad/s."""
-        return TWO_PI * (f_q - self.f_r)
+        delta = TWO_PI * (f_q - self.f_r)
+        require_finite(delta=delta)
+        return delta
 
 
 class LossModel(namedtuple("LossModel", "q_diel purcell gamma_phi",
@@ -85,63 +90,65 @@ def t1_dielectric(f_q, q_diel: float):
     return q_diel / (TWO_PI * f_q)
 
 
-def _require_detuned(delta: float) -> None:
-    # a detuning whose square underflows is on resonance to double precision
-    if delta * delta == 0.0:
-        raise DomainError("qubit on resonance with the readout mode")
+def _purcell_rate(g: float, delta: float, kappa: float) -> float:
+    """Purcell decay rate -2 Im(lambda), 1/s, for checked arguments.
+
+    lambda is the eigenvalue of [[delta, g], [g, -i kappa/2]] nearer the
+    bare qubit, so the rate is g^2 kappa / delta^2 for |delta| >> g, kappa
+    and stays finite through the resonance: kappa/2 at delta = 0 for
+    g > kappa/4. lambda - delta is the small root x = 2 g^2 / (b + q) of
+    x^2 + b x - g^2 = 0, with b = |delta| + i kappa/2 (the rate is even in
+    delta) and q = sqrt(b^2 + 4 g^2); b lies in the first quadrant, where
+    the principal root adds to b, so nothing cancels. Scaling by the
+    largest of |delta|, kappa/2 and 2 g keeps the squares finite.
+    """
+    scale = max(abs(delta), 0.5 * kappa, 2.0 * g)
+    b = complex(abs(delta) / scale, 0.5 * kappa / scale)
+    h = g / scale
+    # Python's complex division, also for numpy scalar arguments
+    x = complex(2.0 * h * h) / (b + cmath.sqrt(b * b + 4.0 * h * h))
+    return -2.0 * scale * x.imag
+
+
+def _purcell_rates(f_q, purcell: PurcellParams | None) -> list[float]:
+    """The Purcell rate at each qubit frequency; 0 without the channel."""
+    return [0.0 if purcell is None else
+            _purcell_rate(purcell.g, purcell.detuning(f), purcell.kappa) for f in f_q]
+
+
+def _t1(rate: float) -> float:
+    """T1 from a decay rate; a rate of zero (g = 0, or underflow) gives inf."""
+    return 1.0 / rate if rate > 0.0 else math.inf
 
 
 def t1_purcell(g: float, delta: float, kappa: float) -> float:
-    """Purcell-limited T1 = delta^2 / (g^2 kappa), seconds.
-
-    Decoupling (g -> 0, or a g^2 kappa that underflows) sends the limit
-    to infinity.
-    """
+    """Purcell-limited T1, seconds: the dispersive delta^2 / (g^2 kappa) for
+    |delta| >> g, kappa, and 2 / kappa at delta = 0 for g > kappa/4."""
     require_finite(g=g, delta=delta, kappa=kappa)
-    _require_detuned(delta)
     require_positive(kappa=kappa)
     require_nonnegative(g=g)
-    rate = g * g * kappa
-    return math.inf if rate == 0.0 else delta * delta / rate
-
-
-def _t1_total(f_q: float, q_diel: float, purcell: PurcellParams | None) -> float:
-    """Inverse of the summed decay rate at a checked and detuned f_q."""
-    rate = TWO_PI * f_q / q_diel
-    if purcell is not None:
-        delta = purcell.detuning(f_q)
-        rate = rate + purcell.g * purcell.g * purcell.kappa / (delta * delta)
-    # a rate that underflows to zero leaves T1 unbounded
-    return 1.0 / rate if rate > 0.0 else math.inf
+    return _t1(_purcell_rate(g, delta, kappa))
 
 
 def t1_total(f_q: float, model: LossModel) -> float:
     """Harmonic combination of all modelled T1 channels, seconds."""
-    require_positive(f_q=f_q)
-    if model.purcell is not None:
-        _require_detuned(model.purcell.detuning(f_q))
-    return _t1_total(f_q, model.q_diel, model.purcell)
+    return t1_budget([f_q], model)[2][0]
 
 
 def t1_budget(f_q, model: LossModel):
     """T1 per channel over a frequency grid: (dielectric, Purcell, total),
     three tuples of seconds aligned with ``f_q``.
 
-    The channels are ``t1_dielectric`` and ``t1_purcell``, the total
-    ``t1_total``, at each grid point; each point is checked once, by the
-    first two. The Purcell limit is inf without a Purcell channel or with
-    g = 0.
+    The channels are ``t1_dielectric`` and ``t1_purcell`` at each grid
+    point, which may lie on the resonator, and the total their harmonic
+    sum. The Purcell limit is inf without a Purcell channel or with g = 0.
     """
     f_q = tuple(map(float, f_q))
-    purcell = model.purcell
     t1_diel = tuple(t1_dielectric(f, model.q_diel) for f in f_q)
-    if purcell is None:
-        t1_p = (math.inf,) * len(f_q)
-    else:
-        t1_p = tuple(t1_purcell(purcell.g, purcell.detuning(f), purcell.kappa)
-                     for f in f_q)
-    total = tuple(_t1_total(f, model.q_diel, purcell) for f in f_q)
-    return t1_diel, t1_p, total
+    rates = _purcell_rates(f_q, model.purcell)
+    total = tuple(_t1(TWO_PI * f / model.q_diel + rate)
+                  for f, rate in zip(f_q, rates))
+    return t1_diel, tuple(map(_t1, rates)), total
 
 
 def t2_from_t1(t1, gamma_phi: float = 0.0):
@@ -202,18 +209,19 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
         if not all(0.0 < w < math.inf for w in weights):
             raise DomainError("t1_spread must give a finite, positive weight "
                               "1/t1_spread^2")
-    if purcell is not None:
-        for f in f_q:
-            _require_detuned(purcell.detuning(f))
     diel = [TWO_PI * f for f in f_q]  # dielectric decay rates times q_diel
+    purcell_rates = _purcell_rates(f_q, purcell)  # fixed: no q in them
+
+    def t1_model(q):
+        return [_t1(d / q + p) for d, p in zip(diel, purcell_rates)]
 
     def cost(q):
-        residuals = [t - _t1_total(f, q, purcell) for f, t in zip(f_q, t1)]
+        residuals = list(map(sub, t1, t1_model(q)))
         return math.fsum(map(mul, weights, map(mul, residuals, residuals)))
 
     def model(q):
         """T1 at each record, and its derivative in q, which is positive."""
-        values = [_t1_total(f, q, purcell) for f in f_q]
+        values = t1_model(q)
         return values, [d / (q * q) * (t * t) for d, t in zip(diel, values)]
 
     def slope(q):

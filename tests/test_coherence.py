@@ -53,21 +53,63 @@ def test_t1_dielectric_values():
 
 
 def test_t1_purcell_values():
+    # the dispersive delta^2 / (g^2 kappa), 270 us at 1.5 GHz, times its
+    # first correction 1 + 3 g^2 / delta^2; the next terms are below
+    # 2 (g / delta)^4 + (kappa / delta)^2 relative
     g = TWO_PI * 50e6
-    delta = TWO_PI * 1.5e9
     kappa = 3.333e6
-    assert t1_purcell(g, delta, kappa) == pytest.approx(270e-6, rel=1e-3)
-    assert t1_purcell(g, 2.0 * delta, kappa) == pytest.approx(
-        4.0 * t1_purcell(g, delta, kappa), rel=1e-12)
-    assert t1_purcell(0.0, delta, kappa) == math.inf
+    for detune_ghz in (1.5, 4.5, 15.0, 150.0):
+        delta = TWO_PI * detune_ghz * 1e9
+        dispersive = delta**2 / (g * g * kappa)
+        ratio = (g / delta)**2
+        assert t1_purcell(g, delta, kappa) == pytest.approx(
+            dispersive * (1.0 + 3.0 * ratio),
+            rel=2.0 * ratio * ratio + (kappa / delta)**2)
+        assert t1_purcell(0.0, delta, kappa) == math.inf
     with pytest.raises(DomainError):
-        t1_purcell(g, 0.0, kappa)
-    with pytest.raises(DomainError):
-        t1_purcell(g, delta, 0.0)
+        t1_purcell(g, TWO_PI * 1.5e9, 0.0)
+
+
+# (g, kappa) in units of the detuning grid's; the last two have g < kappa/4
+PURCELL_SHAPES = [(1.0, 0.5), (0.3, 0.5), (3.0, 1.0), (0.2, 1.0), (0.1, 1.0)]
+DETUNINGS = [0.0, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0]
+
+
+@pytest.mark.parametrize("g, kappa", PURCELL_SHAPES)
+def test_t1_purcell_is_the_exact_eigenmode_decay(g, kappa):
+    # -2 Im of the eigenvalue of [[delta, g], [g, -i kappa/2]] nearer the
+    # bare qubit, on both sides of the resonator and with |delta| < g
+    for delta in [-d for d in DETUNINGS[:0:-1]] + DETUNINGS:
+        eigenvalues = np.linalg.eigvals(np.array([[delta, g],
+                                                  [g, -0.5j * kappa]]))
+        qubit_like = eigenvalues[np.argmin(np.abs(eigenvalues - delta))]
+        assert 1.0 / t1_purcell(g, delta, kappa) == pytest.approx(
+            -2.0 * qubit_like.imag, rel=1e-9), delta
+
+
+@pytest.mark.parametrize("g, kappa", PURCELL_SHAPES[:3])
+def test_t1_purcell_on_resonance_is_half_kappa(g, kappa):
+    assert 1.0 / t1_purcell(g, 0.0, kappa) == pytest.approx(0.5 * kappa,
+                                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("g, kappa", PURCELL_SHAPES)
+def test_t1_purcell_is_even_in_the_detuning(g, kappa):
+    for delta in DETUNINGS:
+        assert t1_purcell(g, -delta, kappa) == t1_purcell(g, delta, kappa)
+
+
+@pytest.mark.parametrize("delta", [0.0, TWO_PI * 1e9, 1e170])
+def test_t1_purcell_is_finite_at_extreme_coupling(delta):
+    # squared unscaled, g = 1e160 rad/s overflows to inf and then nan
+    t1 = t1_purcell(1e160, delta, 3e6)
+    assert 0.0 < t1 < math.inf
+    if delta == 0.0:
+        assert t1 == pytest.approx(2.0 / 3e6, rel=1e-12)
 
 
 def test_t1_total_harmonic_combination():
-    # dielectric limit 29.7 us combined with a 270 us Purcell limit
+    # dielectric limit 29.7 us combined with a Purcell limit near 270 us
     f_q = 4.0e9
     q_diel = 746e3
     diel = t1_dielectric(f_q, q_diel)
@@ -77,8 +119,10 @@ def test_t1_total_harmonic_combination():
     g = math.sqrt(delta**2 / (270e-6 * kappa))
     model = LossModel(q_diel=q_diel,
                       purcell=PurcellParams(g=g, f_r=f_r, kappa=kappa))
+    purcell = t1_purcell(g, delta, kappa)
+    assert purcell == pytest.approx(270e-6, rel=1e-2)
     total = t1_total(f_q, model)
-    assert total == pytest.approx(1.0 / (1.0 / diel + 1.0 / 270e-6), rel=1e-9)
+    assert total == pytest.approx(1.0 / (1.0 / diel + 1.0 / purcell), rel=1e-12)
     assert total == pytest.approx(26.7e-6, rel=2e-3)
 
 
@@ -89,27 +133,18 @@ def test_t1_total_without_purcell_is_dielectric():
 
 
 def test_t1_total_equal_rates_halves():
-    f_q, q_diel = 4.0e9, 1e6
-    diel_rate = TWO_PI * f_q / q_diel
-    f_r, kappa = 6.0e9, 3e6
-    delta = TWO_PI * (f_q - f_r)
-    g = math.sqrt(diel_rate * delta**2 / kappa)
-    model = LossModel(q_diel=q_diel,
-                      purcell=PurcellParams(g=g, f_r=f_r, kappa=kappa))
-    assert t1_total(f_q, model) == pytest.approx(
-        0.5 * t1_dielectric(f_q, q_diel), rel=1e-12)
-
-
-def test_t1_total_on_resonance_rejected():
-    model = LossModel(q_diel=1e6,
-                      purcell=PurcellParams(g=1e8, f_r=6e9, kappa=3e6))
-    # one rule, one message, whichever relation meets the readout mode
-    for on_resonance in (lambda: t1_total(6e9, model),
-                         lambda: t1_purcell(1e8, 0.0, 3e6),
-                         lambda: t1_budget(np.array([5e9, 6e9]), model)):
-        with pytest.raises(DomainError, match=(
-                "^qubit on resonance with the readout mode$")):
-            on_resonance()
+    # a Q_diel that makes the dielectric limit the Purcell limit; at 6 GHz
+    # the qubit sits on the resonator, where the Purcell T1 is 2 / kappa
+    g, f_r, kappa = 1e8, 6.0e9, 3e6
+    for f_q in (4.0e9, 6.0e9):
+        purcell = t1_purcell(g, TWO_PI * (f_q - f_r), kappa)
+        q_diel = TWO_PI * f_q * purcell
+        model = LossModel(q_diel=q_diel,
+                          purcell=PurcellParams(g=g, f_r=f_r, kappa=kappa))
+        assert t1_total(f_q, model) == pytest.approx(0.5 * purcell, rel=1e-12)
+        assert t1_total(f_q, model) == pytest.approx(
+            0.5 * t1_dielectric(f_q, q_diel), rel=1e-12)
+    assert purcell == pytest.approx(2.0 / kappa, rel=1e-12)
 
 
 @given(q_diel=st.floats(min_value=1e4, max_value=1e8),
@@ -136,9 +171,9 @@ PURCELL = PurcellParams(g=TWO_PI * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
     PurcellParams(g=0.0, f_r=6.0e9, kappa=1.0 / 300e-9),
 ], ids=["purcell", "no-purcell", "g-zero"])
 def test_t1_budget_matches_scalar_channels_bitwise(purcell):
-    # both sides of the readout mode, as the scalar functions allow
-    grid = np.concatenate([np.linspace(3.5e9, 5.8e9, 101),
-                           np.linspace(6.2e9, 8.0e9, 7)])
+    # both sides of the readout mode and a point on it, at 6 GHz
+    grid = np.linspace(3.5e9, 8.0e9, 91)
+    assert 6.0e9 in grid
     model = LossModel(q_diel=746e3, purcell=purcell, gamma_phi=2e3)
     t1_diel, t1_p, total = t1_budget(grid, model)
     assert np.array_equal(t1_diel, [t1_dielectric(f, model.q_diel)
@@ -152,12 +187,19 @@ def test_t1_budget_matches_scalar_channels_bitwise(purcell):
     assert np.array_equal(total, [t1_total(f, model) for f in grid])
 
 
-def test_t1_budget_rejects_on_resonance_and_nonpositive_frequency():
+def test_t1_budget_rejects_nonpositive_frequency():
+    with pytest.raises(DomainError, match="^f_q must be positive$"):
+        t1_budget(np.array([0.0, 5e9]), LossModel(q_diel=1e6, purcell=PURCELL))
+
+
+def test_detuning_that_overflows_is_rejected():
     model = LossModel(q_diel=1e6, purcell=PURCELL)
-    with pytest.raises(DomainError):
-        t1_budget(np.array([5e9, 6e9]), model)
-    with pytest.raises(DomainError):
-        t1_budget(np.array([0.0, 5e9]), LossModel(q_diel=1e6))
+    for call in (lambda: t1_total(1e308, model),
+                 lambda: t1_budget([5e9, 1e308], model),
+                 lambda: fit_qdiel([CoherenceRecord(f_q=f, t1=1e-5)
+                                    for f in (5e9, 1e308)], purcell=PURCELL)):
+        with pytest.raises(DomainError, match="^delta must be finite$"):
+            call()
 
 
 @pytest.mark.parametrize("gamma_phi", [0.0, 1e4])

@@ -743,8 +743,9 @@ def test_cli_plots_are_written_only_when_asked(command, csv, svg, tmp_path,
 
 
 # Coherence tables for fit-qdiel: a record on the demo's purcell_f_r_ghz,
-# records either side of it, and a t1_spread whose square in s^2
-# underflows to 0 or whose inverse square overflows
+# records either side of it, whose 101-point curve passes through it, and
+# a t1_spread whose square in s^2 underflows to 0 or whose inverse square
+# overflows
 COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
                   "straddling.csv": "f_q_ghz,t1_us\n5.9,1.0\n6.1,1.0\n",
                   "underflowing-spread.csv":
@@ -753,10 +754,22 @@ COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
                       "f_q_ghz,t1_us,t1_spread_us\n4.0,100,5\n4.5,90,1e-150\n"}
 
 
+def _demo_config(tmp_path, edits):
+    """The demo config with each edit replacing its key's line (None drops
+    the line; a key the demo leaves out joins [loss]), and the coherence
+    tables written beside it."""
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    for key, value in edits.items():
+        line = "" if value is None else f"{key} = {value}\n"
+        text, found = re.subn(rf"^{key} = .*\n", line, text, flags=re.MULTILINE)
+        if not found:
+            text = text.replace("[loss]\n", f"[loss]\n{line}")
+    for name, rows in COHERENCE_CSVS.items():
+        (tmp_path / name).write_text(rows, encoding="utf-8")
+    return write_config(tmp_path, text)
+
+
 @pytest.mark.parametrize("command, edits, message", [
-    ("budget-t1", {"purcell_f_r_ghz": "4.8"},
-     "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, points: "
-     "qubit on resonance with the readout mode"),
     ("design-resonator", {"turns": "0.5"},
      "[geometry] turns: turns must be at least 1"),
     ("budget-t1", {"purcell_kappa_inv_ns": "1e-300"},
@@ -772,40 +785,43 @@ COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
                    "purcell_g_mhz": None, "purcell_f_r_ghz": None,
                    "purcell_kappa_inv_ns": None},
      "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
-    ("fit-qdiel", {"coherence_csv": "resonant.csv"},
-     "[loss] purcell_f_r_ghz, coherence_csv: "
-     "qubit on resonance with the readout mode"),
-    ("fit-qdiel", {"coherence_csv": "straddling.csv"},
-     "[loss] purcell_f_r_ghz, coherence_csv: "
-     "qubit on resonance with the readout mode"),
     ("fit-qdiel", {"coherence_csv": "underflowing-spread.csv"},
      "[loss] coherence_csv: t1_spread must give a finite, positive weight "
      "1/t1_spread^2"),
     ("fit-qdiel", {"coherence_csv": "overflowing-weight.csv"},
      "[loss] coherence_csv: t1_spread must give a finite, positive weight "
      "1/t1_spread^2"),
-], ids=["resonant-grid-point", "turns-below-one", "purcell-kappa-overflow",
+], ids=["turns-below-one", "purcell-kappa-overflow",
         "fit-purcell-kappa-overflow", "zero-anharmonicity", "infinite-t1",
-        "resonant-record", "resonant-curve-point", "underflowing-spread",
-        "overflowing-weight"])
+        "underflowing-spread", "overflowing-weight"])
 def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,
                                               capsys):
-    # a value the key's bound lets through but the model rejects; each edit
-    # replaces its key's line of the demo config, None drops the line, and a
-    # key the demo leaves out joins [loss]
-    text = DEMO_CONFIG.read_text(encoding="utf-8")
-    for key, value in edits.items():
-        line = "" if value is None else f"{key} = {value}\n"
-        text, found = re.subn(rf"^{key} = .*\n", line, text, flags=re.MULTILINE)
-        if not found:
-            text = text.replace("[loss]\n", f"[loss]\n{line}")
-    config = write_config(tmp_path, text)
-    for name, rows in COHERENCE_CSVS.items():
-        (tmp_path / name).write_text(rows, encoding="utf-8")
+    # a value the key's bound lets through but the model rejects
+    config = _demo_config(tmp_path, edits)
     out = tmp_path / "out"
     assert _run([command, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("budget-t1", {"purcell_f_r_ghz": "4.8"}),
+    ("fit-qdiel", {"coherence_csv": "resonant.csv"}),
+    ("fit-qdiel", {"coherence_csv": "straddling.csv"}),
+], ids=["resonant-grid-point", "resonant-record", "resonant-curve-point"])
+def test_cli_runs_through_the_resonator(command, edits, tmp_path, capsys):
+    # the Purcell rate stays finite with the qubit on the resonator: a grid
+    # point, a record or a curve point at purcell_f_r_ghz is a number
+    config = _demo_config(tmp_path, edits)
+    out = tmp_path / "out"
+    assert _run([command, "--config", str(config), "--out", str(out),
+                 "--plots"]) == 0
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        _, *rows = path.read_text(encoding="utf-8").splitlines()
+        values = [float(cell) for row in rows for cell in row.split(",")]
+        assert values and all(map(math.isfinite, values)), path.name
 
 
 def test_cli_infinite_purcell_limit_writes_no_nan(tmp_path, capsys):
