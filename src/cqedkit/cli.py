@@ -39,9 +39,9 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__, dataio, resonator
-from .config import (SCHEMA, RunConfig, check_value, key_error, parse_config,
+from .config import (SCHEMA, RunConfig, check_value, naming_keys, parse_config,
                      parse_value, render_resolved)
-from .errors import ConfigError, DomainError, OutputError, ToolError
+from .errors import ConfigError, OutputError, ToolError
 from .floats import linspace
 from .svgplot import SvgPlot
 
@@ -49,16 +49,13 @@ from .svgplot import SvgPlot
 # ---------------------------------------------------------------- builders
 
 def _build_film(values) -> resonator.FilmProperties:
-    try:
+    with naming_keys({"": "[film] lk_low_ph_sq, lk_nominal_ph_sq, lk_high_ph_sq"}):
         return resonator.FilmProperties(
             lk_nominal=values["lk_nominal_ph_sq"],
             lk_low=values["lk_low_ph_sq"],
             lk_high=values["lk_high_ph_sq"],
             geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
         )
-    except DomainError as exc:
-        raise key_error({"": "[film] lk_low_ph_sq, lk_nominal_ph_sq, "
-                             "lk_high_ph_sq"}, exc) from None
 
 
 # The keys each geometry value comes from, by the library's name for it;
@@ -66,11 +63,14 @@ def _build_film(values) -> resonator.FilmProperties:
 _GEOMETRY_KEYS = {"turns": "[geometry] turns",
                   "": "[geometry] disk_radius_um, line_width_um, gap_um, "
                       "turns, spiral_length_um"}
+# The keys of a band's frequencies besides the spiral's length and width
+_BAND_KEYS = ("[film] lk_nominal_ph_sq, lk_low_ph_sq, lk_high_ph_sq, "
+              "geometric_l_per_square_ph_sq, [resonator] c_total_ff")
 
 
 def _build_geometry(values) -> resonator.SpiralGeometry:
     length = values["spiral_length_um"]
-    try:
+    with naming_keys(_GEOMETRY_KEYS):
         return resonator.build_spiral(
             disk_radius=values["disk_radius_um"] * 1e-6,
             line_width=values["line_width_um"] * 1e-6,
@@ -79,8 +79,6 @@ def _build_geometry(values) -> resonator.SpiralGeometry:
             turns=values["turns"],
             spiral_length=None if length is None else length * 1e-6,
         )
-    except DomainError as exc:
-        raise key_error(_GEOMETRY_KEYS, exc) from None
 
 
 def _build_purcell(values) -> coherence.PurcellParams | None:
@@ -98,7 +96,7 @@ def _build_purcell(values) -> coherence.PurcellParams | None:
             "": route}
     f_r = values["purcell_f_r_ghz"] * 1e9
     kappa = 1.0 / (values["purcell_kappa_inv_ns"] * 1e-9)
-    try:
+    with naming_keys(keys):
         if g_route:
             g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
         else:
@@ -109,21 +107,6 @@ def _build_purcell(values) -> coherence.PurcellParams | None:
             alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
             g = transmon.coupling_from_chi(chi, delta, alpha)
         return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
-    except DomainError as exc:
-        raise key_error(keys, exc) from None
-
-
-def _loss_model(config: RunConfig) -> coherence.LossModel:
-    from . import coherence
-
-    values = config.require("loss")
-    if values["q_diel"] is None:
-        raise ConfigError("[loss]: missing required key q_diel")
-    return coherence.LossModel(
-        q_diel=values["q_diel"],
-        purcell=_build_purcell(values),
-        gamma_phi=values["gamma_phi_per_s"],
-    )
 
 
 # The keys each value comes from (kappa_inv_ns = 1e-300 makes kappa inf);
@@ -131,6 +114,7 @@ def _loss_model(config: RunConfig) -> coherence.LossModel:
 _READOUT_KEYS = {"kappa": "[readout] kappa_inv_ns", "chi": "[readout] two_chi_khz",
                  "tau_m": "[readout] tau_m_ns",
                  "epsilon": "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns",
+                 "snr": "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns",
                  "": "[readout] two_chi_khz, kappa_inv_ns"}
 
 
@@ -153,16 +137,16 @@ def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     chi = math.pi * values["two_chi_khz"] * 1e3   # two_chi in kHz -> chi rad/s
     tau_m = values["tau_m_ns"] * 1e-9
     epsilon = values["epsilon_per_s"]
-    try:
+    with naming_keys(_READOUT_KEYS):
         if epsilon is None:
             epsilon = readout.calibrate_epsilon(
                 values["target_snr"], kappa, chi, tau_m)
-        return readout.ReadoutConfig(
+        rc = readout.ReadoutConfig(
             epsilon=epsilon, kappa=kappa, chi=chi, tau_m=tau_m,
             n_shots=values["n_shots"], seed=config.seed,
             transient=values["transient"])
-    except DomainError as exc:
-        raise key_error(_READOUT_KEYS, exc) from None
+        readout.snr_asymptotic(rc)   # a given epsilon_per_s can overflow it
+        return rc
 
 
 # ---------------------------------------------------------------- commands
@@ -172,9 +156,11 @@ def cmd_design_resonator(config: RunConfig):
     film = _build_film(config.require("film"))
     res = config.require("resonator")
     c_total = res["c_total_ff"] * 1e-15
+    with naming_keys({"": f"{_GEOMETRY_KEYS['']}, {_BAND_KEYS}"}):
+        f_low, f_nominal, f_high = resonator.frequency_band(geometry, film, c_total)
+    # both finite once the band is: it holds the nominal mode's inductance
     n_squares = resonator.squares(geometry.spiral_length, geometry.line_width)
     inductance = resonator.total_inductance(n_squares, film)
-    f_low, f_nominal, f_high = resonator.frequency_band(geometry, film, c_total)
     band = 1.0 - f_low / f_high
 
     columns = {
@@ -189,16 +175,20 @@ def cmd_design_resonator(config: RunConfig):
 
     kappa = None
     if res["kappa0_per_s"] is not None and res["d0_um"] is not None:
+        keys = "[resonator] kappa0_per_s, d0_um, [geometry] feed_offset_um"
         kappa = resonator.kappa_offset_model(
             geometry.feed_offset, res["kappa0_per_s"], res["d0_um"] * 1e-6)
         lines.append(f"kappa_from_offset_per_s: {kappa:.6g}")
     elif res["q_coupling"] is not None:
+        keys = "[resonator] q_coupling"
         kappa = resonator.kappa_from_qc(f_nominal, res["q_coupling"])
         lines.append(f"kappa_from_qc_per_s: {kappa:.6g}")
     if kappa is not None:
-        mode = resonator.ResonatorMode(
-            f_nominal, resonator.q_c_from_kappa(f_nominal, kappa),
-            res["q_internal"])
+        # a kappa that overflows, or so small that Q_c does, fails here
+        with naming_keys({"": keys}):
+            mode = resonator.ResonatorMode(
+                f_nominal, resonator.q_c_from_kappa(f_nominal, kappa),
+                res["q_internal"])
         lines.append(f"kappa_inv_ns: {1e9 / kappa:.6g}")
         lines.append(f"over_coupled: {str(mode.over_coupled).lower()}")
         columns.update(kappa_per_s=kappa, kappa_inv_ns=1e9 / kappa)
@@ -213,12 +203,14 @@ def cmd_sweep_spiral(config: RunConfig):
     lengths_um = linspace(sweep["length_min_um"], sweep["length_max_um"],
                           sweep["points"])
     rows = []
-    for length_um in lengths_um:
-        # the constructor, not _replace, so the length is checked
-        geometry = resonator.SpiralGeometry(**{
-            **base_geometry._asdict(), "spiral_length": length_um * 1e-6})
-        band = resonator.frequency_band(geometry, film, c_total)
-        rows.append([length_um, *(f / 1e9 for f in band)])
+    with naming_keys({"": "[sweep] length_min_um, length_max_um, [geometry] "
+                          f"line_width_um, {_BAND_KEYS}"}):
+        for length_um in lengths_um:
+            # the constructor, not _replace, so the length is checked
+            geometry = resonator.SpiralGeometry(**{
+                **base_geometry._asdict(), "spiral_length": length_um * 1e-6})
+            band = resonator.frequency_band(geometry, film, c_total)
+            rows.append([length_um, *(f / 1e9 for f in band)])
     _, f_low, f_nominal, f_high = zip(*rows)
     lines = [f"points: {len(rows)}",
              f"f_nominal_ghz_range: {f_nominal[-1]:.6g} .. {f_nominal[0]:.6g}"]
@@ -239,18 +231,20 @@ def cmd_sweep_spiral(config: RunConfig):
 
 def cmd_fit_lk(config: RunConfig):
     values = config.require("lk")
-    structure = resonator.CpwTestStructure(
-        length=values["cpw_length_um"] * 1e-6,
-        l_per_length=values["l_per_m_nh"] * 1e-9,
-        c_per_length=values["c_per_m_pf"] * 1e-12,
-        termination=values["termination"],
-    )
-    lk = resonator.extract_lk_cpw(
-        measured_f=values["measured_f_ghz"] * 1e9,
-        structure=structure,
-        line_width=values["line_width_um"] * 1e-6,
-        geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
-    )
+    # every key enters the one relation
+    with naming_keys({"measured_f": "[lk] measured_f_ghz",
+                      "": f"[lk] {', '.join(values)}"}):
+        structure = resonator.CpwTestStructure(
+            length=values["cpw_length_um"] * 1e-6,
+            l_per_length=values["l_per_m_nh"] * 1e-9,
+            c_per_length=values["c_per_m_pf"] * 1e-12,
+        )
+        lk = resonator.extract_lk_cpw(
+            measured_f=values["measured_f_ghz"] * 1e9,
+            structure=structure,
+            line_width=values["line_width_um"] * 1e-6,
+            geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
+        )
     table = (["measured_f_ghz", "lk_ph_sq"], [[values["measured_f_ghz"], lk]])
     return [f"lk_ph_sq: {lk:.6g}"], {"lk_extraction.csv": table}
 
@@ -298,15 +292,14 @@ def cmd_fit_qdiel(config: RunConfig):
     f_q = [r.f_q for r in records]
     t1 = [r.t1 for r in records]
     grid = linspace(min(f_q), max(f_q), 101)
-    try:
+    with naming_keys({"delta": "[loss] purcell_f_r_ghz, coherence_csv",
+                      "": "[loss] coherence_csv"}):
         fit = coherence.fit_qdiel(records, purcell=purcell)
         q_diel, = fit.params
         model = coherence.LossModel(q_diel=q_diel, purcell=purcell,
                                     gamma_phi=values["gamma_phi_per_s"])
         *_, t1_model = coherence.t1_budget(f_q, model)
         *_, curve = coherence.t1_budget(grid, model)
-    except DomainError as exc:
-        raise ConfigError(f"[loss] coherence_csv: {exc}") from None
     q_err, = fit.std_errors
     checked = [check for check in map(coherence.t2_bound_check, records)
                if check.applicable]
@@ -340,6 +333,7 @@ def cmd_fit_qdiel(config: RunConfig):
 # The keys the budget's frequency grid and its T1 come from, by the
 # library's name
 _GRID_KEYS = {"t1": "[loss] q_diel, f_q_min_ghz, f_q_max_ghz",
+              "delta": "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz",
               "": "[loss] f_q_min_ghz, f_q_max_ghz"}
 
 
@@ -347,17 +341,18 @@ def cmd_budget_t1(config: RunConfig):
     from . import coherence
 
     values = config.require("loss")
-    model = _loss_model(config)
+    if values["q_diel"] is None:
+        raise ConfigError("[loss]: missing required key q_diel")
+    model = coherence.LossModel(q_diel=values["q_diel"], purcell=_build_purcell(values),
+                                gamma_phi=values["gamma_phi_per_s"])
     f_min = values["f_q_min_ghz"] * 1e9
     f_max = values["f_q_max_ghz"] * 1e9
     grid = ([f_min] if f_min == f_max
             else linspace(f_min, f_max, values["points"]))
 
-    try:
+    with naming_keys(_GRID_KEYS):
         t1_diel, t1_p, total = coherence.t1_budget(grid, model)
         t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
-    except DomainError as exc:
-        raise key_error(_GRID_KEYS, exc) from None
     f_ghz = [f / 1e9 for f in grid]
     lines = [f"points: {len(grid)}",
              f"t1_total_us_at_f_min: {total[0] * 1e6:.6g}",
@@ -403,7 +398,10 @@ def cmd_snr_sweep(config: RunConfig):
     from . import readout  # loaded by _build_readout, after the BLAS default
 
     tau_list_ns = config.require("readout")["tau_list_ns"]
-    points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
+    # an SNR that overflows at a long tau
+    with naming_keys({"": "[readout] tau_list_ns, epsilon_per_s, target_snr, "
+                          "kappa_inv_ns, tau_m_ns"}):
+        points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
     rows = [[tau_ns, p.snr_closed_form, p.snr_monte_carlo, p.fidelity]
             for tau_ns, p in zip(tau_list_ns, points)]
     lines = [f"epsilon_per_s: {rc.epsilon:.6g}",
@@ -526,7 +524,3 @@ def main(argv=None) -> int:
         print(line)
     print(f"wrote {', '.join(names)} to {outdir}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

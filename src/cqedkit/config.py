@@ -18,8 +18,7 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              measured_csv (none)
 [lk]         cpw_length_um -, l_per_m_nh -, c_per_m_pf -,
              measured_f_ghz -, line_width_um -,
-             geometric_l_per_square_ph_sq (0),
-             termination (quarter-wave)
+             geometric_l_per_square_ph_sq (0)
 [kappa_fit]  trace_csv (none), offset_csv (none); at least one required
 [loss]       q_diel -, f_q_min_ghz (3.5), f_q_max_ghz (4.8),
              points (25, at least 2 unless f_q_min_ghz = f_q_max_ghz),
@@ -32,7 +31,7 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              epsilon_per_s (calibrated), target_snr (5.0),
              n_shots (10000), transient (false),
              tau_list_ns (175, 350, 700, 1400, 2800)
-[run]        seed (0, at most 2**64 - 1), output_dir (none),
+[run]        seed (0, at most 2**64 - 1), output_dir (cqedkit-out),
              emit_plots (false)
 
 Every float and float-list value must be finite: nan and +-inf are
@@ -40,12 +39,12 @@ rejected at parse time, naming the key. This includes
 ``[loss] q_diel``; write negligible dielectric loss as a large finite
 value (say 1e12) rather than inf. Rules that a model holds (the film band
 order lk_low <= lk_nominal <= lk_high, turns >= 1) are checked where a
-command builds that model, and the error names the keys (``key_error``).
+command builds that model, and the error names the keys (``naming_keys``).
 
 A str value must read back whole from the resolved config that
 ``render_resolved`` writes into each report: one line, with no '#' or ';'
-at its start or after a space. ``--out`` and ``CQEDKIT_OUTPUT_DIR`` are
-held to ``[run] output_dir``'s rule and errors name them. ``Key`` and
+at its start or after a space. ``--out`` is held to ``[run]
+output_dir``'s rule and its errors name it. ``Key`` and
 ``RunConfig`` are named tuples; the command line applies its overrides to
 a RunConfig with ``_replace``, after checking them.
 """
@@ -53,15 +52,14 @@ a RunConfig with ``_replace``, after checking them.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
-import os
 import re
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ConfigError, not_utf8
+from .errors import ConfigError, DomainError, not_utf8
 
-ENV_OUTPUT_DIR = "CQEDKIT_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "cqedkit-out"
 
 _REQUIRED = object()
@@ -116,7 +114,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "measured_f_ghz": Key("float", bound="positive"),
         "line_width_um": Key("float", bound="positive"),
         "geometric_l_per_square_ph_sq": Key("float", default=0.0, bound="nonnegative"),
-        "termination": Key("str", default="quarter-wave"),
     },
     "kappa_fit": {
         "trace_csv": Key("str", default=None),
@@ -210,18 +207,23 @@ def check_value(label: str, spec: Key, value):
     return value
 
 
-def key_error(keys: dict[str, str], exc: Exception) -> ConfigError:
-    """A library error as a ConfigError naming the keys its value came from.
+@contextlib.contextmanager
+def naming_keys(keys: dict[str, str]):
+    """A DomainError raised in the block, raised again as a ConfigError
+    naming the keys its value came from.
 
     ``keys`` maps the word that leads the library's text, the name of the
     value it rejects, to those keys, and "" to the keys of any other text.
     """
-    return ConfigError(f"{keys.get(str(exc).split()[0], keys[''])}: {exc}")
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(
+            f"{keys.get(str(exc).split()[0], keys[''])}: {exc}") from None
 
 
 class RunConfig(namedtuple("RunConfig",
-                           "source sections seed output_dir emit_plots",
-                           defaults=(0, Path(DEFAULT_OUTPUT_DIR), False))):
+                           "source sections seed output_dir emit_plots")):
     """Fully resolved configuration: the config file's path, every present
     section but ``[run]`` as a dict of dicts, and the keys of ``[run]``,
     with defaults filled. The command line overrides the last three
@@ -338,15 +340,11 @@ def parse_config(path) -> RunConfig:
         sections[name] = resolved
 
     run = sections.pop("run", None) or _resolve_section("run", {})
-    output_dir = run["output_dir"]
-    if output_dir is None:
-        output_dir = parse_value(ENV_OUTPUT_DIR, SCHEMA["run"]["output_dir"],
-                                 os.environ.get(ENV_OUTPUT_DIR, DEFAULT_OUTPUT_DIR))
     return RunConfig(
         source=path,
         sections=sections,
         seed=run["seed"],
-        output_dir=Path(output_dir),
+        output_dir=Path(run["output_dir"] or DEFAULT_OUTPUT_DIR),
         emit_plots=run["emit_plots"],
     )
 

@@ -105,11 +105,14 @@ def _state_sign(state: str) -> float:
 
 
 def snr_asymptotic(config: ReadoutConfig) -> float:
-    """Closed-form long-time SNR of the configured readout."""
+    """Closed-form long-time SNR of the configured readout; one that
+    overflows is a DomainError naming snr."""
     phi = dispersive_phase(config.chi, config.kappa)
-    return (2.0 * config.epsilon / config.kappa) \
+    snr = (2.0 * config.epsilon / config.kappa) \
         * math.sqrt(2.0 * config.kappa * config.tau_m) \
         * abs(math.sin(2.0 * phi))
+    require_finite(snr=snr)
+    return snr
 
 
 def calibrate_epsilon(target_snr: float, kappa: float, chi: float,

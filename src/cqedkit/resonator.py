@@ -34,9 +34,6 @@ RINGDOWN_MIN_DECAY_SPANS = 2.0
 # searched decay times per span, reaching below RINGDOWN_MIN_DECAY_SPANS
 RINGDOWN_RATE_BRACKET = (1e-3, 1e3)
 
-QUARTER_WAVE = "quarter-wave"
-HALF_WAVE = "half-wave"
-
 
 class FilmProperties(namedtuple(
         "FilmProperties", "lk_nominal lk_low lk_high geometric_l_per_square",
@@ -164,9 +161,13 @@ def total_inductance(n_squares: float, film: FilmProperties) -> float:
 
 
 def resonance_frequency(inductance: float, capacitance: float) -> float:
-    """LC resonance 1/(2 pi sqrt(LC)), SI in, Hz out."""
+    """LC resonance 1/(2 pi sqrt(LC)), SI in, Hz out; a product LC that
+    underflows to 0 or overflows to inf is a DomainError naming f_r."""
     require_positive(inductance=inductance, capacitance=capacitance)
-    return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
+    lc = inductance * capacitance
+    f_r = 1.0 / (2.0 * math.pi * math.sqrt(lc)) if lc else math.inf
+    require_positive(f_r=f_r)
+    return f_r
 
 
 def frequency_band(geometry: SpiralGeometry, film: FilmProperties,
@@ -242,9 +243,8 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
 
 
 class CpwTestStructure(namedtuple(
-        "CpwTestStructure", "length l_per_length c_per_length termination",
-        defaults=(QUARTER_WAVE,))):
-    """Straight coplanar-waveguide test resonator, SI units."""
+        "CpwTestStructure", "length l_per_length c_per_length")):
+    """Straight quarter-wave coplanar-waveguide test resonator, SI units."""
 
     __slots__ = ()
 
@@ -252,9 +252,6 @@ class CpwTestStructure(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         require_positive(length=self.length, c_per_length=self.c_per_length)
         require_nonnegative(l_per_length=self.l_per_length)
-        if self.termination not in (QUARTER_WAVE, HALF_WAVE):
-            raise DomainError(
-                f"termination must be '{QUARTER_WAVE}' or '{HALF_WAVE}'")
         return self
 
 
@@ -264,7 +261,7 @@ def cpw_mode_frequency(
     line_width: float,
     geometric_l_per_square: float = 0.0,
 ) -> float:
-    """Fundamental frequency of a CPW test structure with film sheet inductance.
+    """Quarter-wave frequency of a CPW test structure with film sheet inductance.
 
     The per-length inductance is the structure's magnetic term plus the
     film's sheet terms (kinetic plus geometric, pH/square) divided by the
@@ -277,8 +274,7 @@ def cpw_mode_frequency(
     per_length = structure.l_per_length + sheet / line_width
     if per_length <= 0.0:
         raise DomainError("total per-length inductance must be positive")
-    fraction = 4.0 if structure.termination == QUARTER_WAVE else 2.0
-    return 1.0 / (fraction * structure.length
+    return 1.0 / (4.0 * structure.length
                   * math.sqrt(per_length * structure.c_per_length))
 
 
@@ -291,19 +287,21 @@ def extract_lk_cpw(
     """Kinetic sheet inductance (pH/square) from a quarter-wave frequency.
 
     Inverts the quarter-wave relation
-    f = 1 / (4 L sqrt((l_geo + L_k/w) c)) for L_k.
+    f = 1 / (4 L sqrt((l_geo + L_k/w) c)) for L_k. An L_k that overflows
+    is a DomainError naming lk.
     """
-    if structure.termination != QUARTER_WAVE:
-        raise DomainError("extraction assumes a quarter-wave test structure")
     require_positive(measured_f=measured_f, line_width=line_width)
     require_nonnegative(geometric_l_per_square=geometric_l_per_square)
-    per_length = 1.0 / (16.0 * structure.length**2 * measured_f**2
-                        * structure.c_per_length)
+    # products, not powers: ** raises OverflowError where * gives inf
+    denominator = (16.0 * (structure.length * structure.length)
+                   * (measured_f * measured_f) * structure.c_per_length)
+    per_length = 1.0 / denominator if denominator else math.inf
     lk = ((per_length - structure.l_per_length) * line_width / PH_PER_SQUARE
           - geometric_l_per_square)
     if lk < -1e-9:
         raise DomainError(
             "measured frequency implies a negative kinetic inductance")
+    require_finite(lk=lk)
     return max(lk, 0.0)
 
 

@@ -17,7 +17,6 @@ from cqedkit import ConfigError, readout
 from cqedkit.cli import main
 from cqedkit.config import (
     DEFAULT_OUTPUT_DIR,
-    ENV_OUTPUT_DIR,
     SCHEMA,
     parse_config,
     render_resolved,
@@ -78,6 +77,16 @@ def test_unknown_section_and_key_are_named(tmp_path):
     bad_key = write_config(tmp_path, "[readout]\nshots = 3\n", "b.cfg")
     with pytest.raises(ConfigError, match=r"\[readout\]: unknown key.*shots"):
         parse_config(bad_key)
+
+
+def test_cpw_termination_is_an_unknown_key(tmp_path, capsys):
+    # the CPW test structure is a quarter-wave resonator; nothing sets that
+    path = write_config(tmp_path, LK_SECTION + "termination = quarter-wave\n")
+    out = tmp_path / "out"
+    assert main(["fit-lk", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: [lk]: unknown key(s) termination\n")
+    assert not out.exists()
 
 
 def test_missing_required_key_named(tmp_path):
@@ -220,14 +229,9 @@ def test_kappa_fit_requires_an_input(tmp_path):
         parse_config(path)
 
 
-def test_output_dir_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+def test_output_dir_resolution(tmp_path):
     plain = parse_config(write_config(tmp_path, FULL_CONFIG, "plain.cfg"))
     assert str(plain.output_dir) == DEFAULT_OUTPUT_DIR
-
-    monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / "envdir"))
-    via_env = parse_config(write_config(tmp_path, FULL_CONFIG, "env.cfg"))
-    assert via_env.output_dir == tmp_path / "envdir"
 
     explicit = parse_config(write_config(
         tmp_path,
@@ -236,8 +240,7 @@ def test_output_dir_resolution(tmp_path, monkeypatch):
     assert str(explicit.output_dir) == "chosen"
 
 
-def test_render_resolved_reparses_identically(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+def test_render_resolved_reparses_identically(tmp_path):
     source = write_config(tmp_path, FULL_CONFIG)
     config = parse_config(source)
     rendered = write_config(tmp_path, render_resolved(config), "resolved.cfg")
@@ -410,28 +413,21 @@ def test_cli_indented_line_in_a_path_key_fails_on_one_line(tmp_path, capsys):
 CUT_NAMES = ["a #b", "a ;b", "a\t#b", "a\nb"]
 
 
-@pytest.mark.parametrize("name", CUT_NAMES, ids=repr)
-@pytest.mark.parametrize("source", ["--out", ENV_OUTPUT_DIR])
+@pytest.mark.parametrize("name", CUT_NAMES, ids=lambda name: f"--out-{name!r}")
 def test_cli_output_dir_that_the_report_cannot_repeat_fails_on_one_line(
-        source, name, tmp_path, capsys, monkeypatch):
+        name, tmp_path, capsys):
     out = tmp_path / name
-    argv = ["design-resonator", "--config", str(write_config(tmp_path, FULL_CONFIG))]
-    if source == "--out":
-        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
-        argv += ["--out", str(out)]
-    else:
-        monkeypatch.setenv(ENV_OUTPUT_DIR, str(out))
-    assert _run(argv) == 1
+    assert _run(["design-resonator", "--config",
+                 str(write_config(tmp_path, FULL_CONFIG)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config: {source}: must be one line")
+    assert err.startswith("error: config: --out: must be one line")
     assert err.count("\n") == 1
     assert not out.exists()
 
 
 def test_cli_report_repeats_an_output_dir_with_comment_characters(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys):
     # '#' and ';' inside a name, not after a space, start no comment
-    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     out = tmp_path / "a#b;c"
     path = write_config(tmp_path, FULL_CONFIG)
     assert _run(["design-resonator", "--config", str(path), "--out", str(out)]) == 0
@@ -754,24 +750,83 @@ COHERENCE_CSVS = {"resonant.csv": "f_q_ghz,t1_us\n4.0,100\n6.0,50\n",
                       "f_q_ghz,t1_us,t1_spread_us\n4.0,100,5\n4.5,90,1e-150\n"}
 
 
+# fit-lk's test structure, from make_demo_inputs.py's fits.cfg
+LK_SECTION = """
+[lk]
+cpw_length_um = 4000
+l_per_m_nh = 400
+c_per_m_pf = 160
+measured_f_ghz = 4.176
+line_width_um = 2
+"""
+
+
 def _demo_config(tmp_path, edits):
-    """The demo config with each edit replacing its key's line (None drops
-    the line; a key the demo leaves out joins [loss]), and the coherence
-    tables written beside it."""
-    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    """The demo config and LK_SECTION with each edit replacing its key's
+    line (None drops the line; a key they leave out joins the first
+    section that has it), and the coherence tables written beside it."""
+    text = DEMO_CONFIG.read_text(encoding="utf-8") + LK_SECTION
     for key, value in edits.items():
         line = "" if value is None else f"{key} = {value}\n"
         text, found = re.subn(rf"^{key} = .*\n", line, text, flags=re.MULTILINE)
         if not found:
-            text = text.replace("[loss]\n", f"[loss]\n{line}")
+            section = next(name for name in SCHEMA if key in SCHEMA[name])
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}")
     for name, rows in COHERENCE_CSVS.items():
         (tmp_path / name).write_text(rows, encoding="utf-8")
     return write_config(tmp_path, text)
 
 
+# The keys that design-resonator's and sweep-spiral's resonance band and
+# fit-lk's extraction name
+DESIGN_BAND = ("[geometry] disk_radius_um, line_width_um, gap_um, turns, "
+               "spiral_length_um, [film] lk_nominal_ph_sq, lk_low_ph_sq, "
+               "lk_high_ph_sq, geometric_l_per_square_ph_sq, [resonator] c_total_ff")
+SWEEP_BAND = ("[sweep] length_min_um, length_max_um, [geometry] line_width_um, "
+              "[film] lk_nominal_ph_sq, lk_low_ph_sq, lk_high_ph_sq, "
+              "geometric_l_per_square_ph_sq, [resonator] c_total_ff")
+LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
+           "line_width_um, geometric_l_per_square_ph_sq")
+
+
 @pytest.mark.parametrize("command, edits, message", [
     ("design-resonator", {"turns": "0.5"},
      "[geometry] turns: turns must be at least 1"),
+    # L*C underflows to 0; a length that far from the turns' also warns
+    pytest.param("design-resonator", {"spiral_length_um": "1e-300"},
+                 f"{DESIGN_BAND}: f_r must be finite", marks=pytest.mark.filterwarnings(
+                     "ignore:supplied spiral_length")),
+    ("sweep-spiral", {"c_total_ff": "1e-300"}, f"{SWEEP_BAND}: f_r must be finite"),
+    ("sweep-spiral", {"length_min_um": "1e-300"}, f"{SWEEP_BAND}: f_r must be finite"),
+    ("design-resonator", {"lk_high_ph_sq": "1e308"},
+     f"{DESIGN_BAND}: inductance must be finite"),
+    ("sweep-spiral", {"lk_high_ph_sq": "1e308"},
+     f"{SWEEP_BAND}: inductance must be finite"),
+    ("design-resonator", {"q_coupling": "1e-300"},
+     "[resonator] q_coupling: kappa must be finite"),
+    # (L f)^2 overflows, or underflows to 0
+    ("fit-lk", {"cpw_length_um": "1e300"},
+     f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
+    ("fit-lk", {"cpw_length_um": "1e308"},
+     f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
+    ("fit-lk", {"cpw_length_um": "1e-300"}, f"{LK_KEYS}: lk must be finite"),
+    ("fit-lk", {"measured_f_ghz": "1e-300"}, f"{LK_KEYS}: lk must be finite"),
+    ("fit-lk", {"l_per_m_nh": "1e300"},
+     f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
+    ("fit-lk", {"measured_f_ghz": "1e300"},
+     "[lk] measured_f_ghz: measured_f must be finite"),
+    ("simulate-readout", {"epsilon_per_s": "1e308"},
+     "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns: snr must be finite"),
+    ("snr-sweep", {"epsilon_per_s": "1e308"},
+     "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns: snr must be finite"),
+    ("snr-sweep", {"epsilon_per_s": "1e300", "tau_list_ns": "175, 1e308"},
+     "[readout] tau_list_ns, epsilon_per_s, target_snr, kappa_inv_ns, "
+     "tau_m_ns: snr must be finite"),
+    # 2 pi (f_q - f_r) overflows
+    ("budget-t1", {"purcell_f_r_ghz": "1e299"},
+     "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz: delta must be finite"),
+    ("fit-qdiel", {"purcell_f_r_ghz": "1e299", "coherence_csv": "resonant.csv"},
+     "[loss] purcell_f_r_ghz, coherence_csv: delta must be finite"),
     ("budget-t1", {"purcell_kappa_inv_ns": "1e-300"},
      "[loss] purcell_kappa_inv_ns: kappa must be finite"),
     ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-300",
@@ -791,7 +846,14 @@ def _demo_config(tmp_path, edits):
     ("fit-qdiel", {"coherence_csv": "overflowing-weight.csv"},
      "[loss] coherence_csv: t1_spread must give a finite, positive weight "
      "1/t1_spread^2"),
-], ids=["turns-below-one", "purcell-kappa-overflow",
+], ids=["turns-below-one", "design-lc-underflow", "sweep-c-underflow",
+        "sweep-length-underflow", "design-inductance-overflow",
+        "sweep-inductance-overflow", "kappa-overflow", "lk-length-1e300",
+        "lk-length-1e308", "lk-length-underflow", "lk-frequency-underflow",
+        "lk-per-length-overflow", "lk-frequency-overflow",
+        "simulate-snr-overflow", "sweep-snr-overflow", "sweep-long-tau-snr-overflow",
+        "budget-detuning-overflow", "fit-detuning-overflow",
+        "purcell-kappa-overflow",
         "fit-purcell-kappa-overflow", "zero-anharmonicity", "infinite-t1",
         "underflowing-spread", "overflowing-weight"])
 def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,

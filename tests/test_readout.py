@@ -68,6 +68,11 @@ def test_snr_sqrt_time_scaling():
     assert snr_asymptotic(_config(epsilon=0.0)) == 0.0
 
 
+def test_overflowing_snr_is_a_domain_error():
+    with pytest.raises(DomainError, match="^snr must be finite$"):
+        snr_asymptotic(_config(epsilon=1e308))
+
+
 @given(eps=st.floats(min_value=1e5, max_value=1e8),
        kappa=st.floats(min_value=1e5, max_value=1e8),
        chi=st.floats(min_value=1e4, max_value=1e8),

@@ -34,7 +34,6 @@ from cqedkit import (
     total_inductance,
 )
 from cqedkit.dataio import load_kappa_offset_csv, load_ringdown_csv
-from cqedkit.resonator import HALF_WAVE, QUARTER_WAVE
 
 KAPPA_REF = 1.0 / 300e-9
 
@@ -73,6 +72,14 @@ def test_resonance_frequency_values():
         resonance_frequency(0.0, 1e-12)
     with pytest.raises(DomainError):
         resonance_frequency(1e-9, -1e-12)
+
+
+def test_resonance_frequency_with_lc_out_of_range():
+    # L*C underflows to 0 (the frequency would be infinite) or overflows
+    with pytest.raises(DomainError, match="^f_r must be finite$"):
+        resonance_frequency(1e-312, 85e-15)
+    with pytest.raises(DomainError, match="^f_r must be positive$"):
+        resonance_frequency(1e300, 1e10)
 
 
 def test_resonance_frequency_exact_halving():
@@ -276,22 +283,21 @@ def test_lk_extraction_domain():
     f0 = cpw_mode_frequency(structure, 0.0, width)
     with pytest.raises(DomainError, match="negative kinetic inductance"):
         extract_lk_cpw(1.2 * f0, structure, width)
-    half = CpwTestStructure(length=4e-3, l_per_length=4.0e-7,
-                            c_per_length=1.6e-10, termination=HALF_WAVE)
-    with pytest.raises(DomainError, match="quarter-wave"):
-        extract_lk_cpw(f0, half, width)
 
 
-def test_cpw_termination_modes():
-    quarter = _cpw()
-    half = CpwTestStructure(length=4e-3, l_per_length=4.0e-7,
-                            c_per_length=1.6e-10, termination=HALF_WAVE)
-    assert quarter.termination == QUARTER_WAVE
-    assert cpw_mode_frequency(half, 2.0, 2e-6) == pytest.approx(
-        2.0 * cpw_mode_frequency(quarter, 2.0, 2e-6), rel=1e-12)
-    with pytest.raises(DomainError):
-        CpwTestStructure(length=4e-3, l_per_length=4.0e-7,
-                         c_per_length=1.6e-10, termination="open")
+@pytest.mark.parametrize("length, measured_f, message", [
+    # (L f)^2 overflows: the implied per-length inductance is 0
+    (1e294, 4.176e9, "negative kinetic inductance"),
+    (1e302, 4.176e9, "negative kinetic inductance"),
+    (4e-3, 1e300, "negative kinetic inductance"),
+    # (L f)^2 underflows: the implied kinetic inductance is infinite
+    (1e-306, 4.176e9, "^lk must be finite$"),
+    (4e-3, 1e-291, "^lk must be finite$"),
+])
+def test_lk_extraction_out_of_range_is_a_domain_error(length, measured_f, message):
+    with pytest.raises(DomainError, match=message):
+        extract_lk_cpw(measured_f, _cpw(length), 2e-6)
+
 
 
 def _ringdown_trace(kappa=KAPPA_REF, n=64, span=3e-6, offset=0.05):
