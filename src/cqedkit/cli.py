@@ -61,15 +61,13 @@ def _build_film(values) -> resonator.FilmProperties:
 # The keys each geometry value comes from, by the library's name for it;
 # the other values derive from several keys
 _GEOMETRY_KEYS = {"turns": "[geometry] turns",
-                  "": "[geometry] disk_radius_um, line_width_um, gap_um, "
-                      "turns, spiral_length_um"}
+                  "": "[geometry] disk_radius_um, line_width_um, gap_um, turns"}
 # The keys of a band's frequencies besides the spiral's length and width
 _BAND_KEYS = ("[film] lk_nominal_ph_sq, lk_low_ph_sq, lk_high_ph_sq, "
               "geometric_l_per_square_ph_sq, [resonator] c_total_ff")
 
 
 def _build_geometry(values) -> resonator.SpiralGeometry:
-    length = values["spiral_length_um"]
     with naming_keys(_GEOMETRY_KEYS):
         return resonator.build_spiral(
             disk_radius=values["disk_radius_um"] * 1e-6,
@@ -77,45 +75,30 @@ def _build_geometry(values) -> resonator.SpiralGeometry:
             gap=values["gap_um"] * 1e-6,
             feed_offset=values["feed_offset_um"] * 1e-6,
             turns=values["turns"],
-            spiral_length=None if length is None else length * 1e-6,
         )
 
 
 def _build_purcell(values) -> coherence.PurcellParams | None:
     from . import coherence
 
-    g_route = values["purcell_g_mhz"] is not None
-    chi_route = values["purcell_two_chi_khz"] is not None
-    if not g_route and not chi_route:
+    if values["purcell_g_mhz"] is None:
         return None
-    # the keys each value comes from, by the library's name for it; the
-    # coupling and any other text come from the route's keys
-    route = ("[loss] purcell_g_mhz" if g_route else "[loss] purcell_two_chi_khz, "
-             "purcell_ref_f_q_ghz, purcell_f_r_ghz, anharmonicity_ghz")
-    keys = {"kappa": "[loss] purcell_kappa_inv_ns", "f_r": "[loss] purcell_f_r_ghz",
-            "": route}
-    f_r = values["purcell_f_r_ghz"] * 1e9
-    kappa = 1.0 / (values["purcell_kappa_inv_ns"] * 1e-9)
-    with naming_keys(keys):
-        if g_route:
-            g = coherence.TWO_PI * values["purcell_g_mhz"] * 1e6
-        else:
-            from . import transmon
-
-            chi = math.pi * values["purcell_two_chi_khz"] * 1e3
-            delta = coherence.TWO_PI * (values["purcell_ref_f_q_ghz"] * 1e9 - f_r)
-            alpha = coherence.TWO_PI * values["anharmonicity_ghz"] * 1e9
-            g = transmon.coupling_from_chi(chi, delta, alpha)
-        return coherence.PurcellParams(g=g, f_r=f_r, kappa=kappa)
+    # the keys each value comes from, by the library's name for it
+    with naming_keys({"kappa": "[loss] purcell_kappa_inv_ns",
+                      "f_r": "[loss] purcell_f_r_ghz", "": "[loss] purcell_g_mhz"}):
+        inverse = values["purcell_kappa_inv_ns"] * 1e-9   # 1e-320 ns underflows
+        return coherence.PurcellParams(
+            g=coherence.TWO_PI * values["purcell_g_mhz"] * 1e6,
+            f_r=values["purcell_f_r_ghz"] * 1e9,
+            kappa=1.0 / inverse if inverse else math.inf)
 
 
 # The keys each value comes from (kappa_inv_ns = 1e-300 makes kappa inf);
 # a text naming no value is the dispersive phase's
+_SNR_KEYS = "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns"
 _READOUT_KEYS = {"kappa": "[readout] kappa_inv_ns", "chi": "[readout] two_chi_khz",
-                 "tau_m": "[readout] tau_m_ns",
-                 "epsilon": "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns",
-                 "snr": "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns",
-                 "": "[readout] two_chi_khz, kappa_inv_ns"}
+                 "tau_m": "[readout] tau_m_ns", "epsilon": _SNR_KEYS,
+                 "snr": _SNR_KEYS, "": "[readout] two_chi_khz, kappa_inv_ns"}
 
 
 def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
@@ -133,19 +116,16 @@ def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     if values["n_shots"] < readout.MIN_SHOTS:
         raise ConfigError(f"[readout] n_shots: need at least {readout.MIN_SHOTS} "
                           f"shots per state, got {values['n_shots']}")
-    kappa = 1.0 / (values["kappa_inv_ns"] * 1e-9)
     chi = math.pi * values["two_chi_khz"] * 1e3   # two_chi in kHz -> chi rad/s
     tau_m = values["tau_m_ns"] * 1e-9
-    epsilon = values["epsilon_per_s"]
     with naming_keys(_READOUT_KEYS):
-        if epsilon is None:
-            epsilon = readout.calibrate_epsilon(
-                values["target_snr"], kappa, chi, tau_m)
+        inverse = values["kappa_inv_ns"] * 1e-9   # 1e-320 ns underflows
+        kappa = 1.0 / inverse if inverse else math.inf
         rc = readout.ReadoutConfig(
-            epsilon=epsilon, kappa=kappa, chi=chi, tau_m=tau_m,
-            n_shots=values["n_shots"], seed=config.seed,
-            transient=values["transient"])
-        readout.snr_asymptotic(rc)   # a given epsilon_per_s can overflow it
+            epsilon=readout.calibrate_epsilon(values["target_snr"], kappa, chi, tau_m),
+            kappa=kappa, chi=chi, tau_m=tau_m, n_shots=values["n_shots"],
+            seed=config.seed, transient=values["transient"])
+        readout.snr_asymptotic(rc)   # the calibrated SNR can still overflow
         return rc
 
 
@@ -173,19 +153,11 @@ def cmd_design_resonator(config: RunConfig):
     }
     lines = [f"{name}: {value:.6g}" for name, value in columns.items()]
 
-    kappa = None
-    if res["kappa0_per_s"] is not None and res["d0_um"] is not None:
-        keys = "[resonator] kappa0_per_s, d0_um, [geometry] feed_offset_um"
-        kappa = resonator.kappa_offset_model(
-            geometry.feed_offset, res["kappa0_per_s"], res["d0_um"] * 1e-6)
-        lines.append(f"kappa_from_offset_per_s: {kappa:.6g}")
-    elif res["q_coupling"] is not None:
-        keys = "[resonator] q_coupling"
+    if res["q_coupling"] is not None:
         kappa = resonator.kappa_from_qc(f_nominal, res["q_coupling"])
         lines.append(f"kappa_from_qc_per_s: {kappa:.6g}")
-    if kappa is not None:
         # a kappa that overflows, or so small that Q_c does, fails here
-        with naming_keys({"": keys}):
+        with naming_keys({"": "[resonator] q_coupling"}):
             mode = resonator.ResonatorMode(
                 f_nominal, resonator.q_c_from_kappa(f_nominal, kappa),
                 res["q_internal"])
@@ -293,6 +265,8 @@ def cmd_fit_qdiel(config: RunConfig):
     t1 = [r.t1 for r in records]
     grid = linspace(min(f_q), max(f_q), 101)
     with naming_keys({"delta": "[loss] purcell_f_r_ghz, coherence_csv",
+                      "purcell": "[loss] purcell_g_mhz, purcell_f_r_ghz, "
+                                 "purcell_kappa_inv_ns, coherence_csv",
                       "": "[loss] coherence_csv"}):
         fit = coherence.fit_qdiel(records, purcell=purcell)
         q_diel, = fit.params
@@ -399,8 +373,8 @@ def cmd_snr_sweep(config: RunConfig):
 
     tau_list_ns = config.require("readout")["tau_list_ns"]
     # an SNR that overflows at a long tau
-    with naming_keys({"": "[readout] tau_list_ns, epsilon_per_s, target_snr, "
-                          "kappa_inv_ns, tau_m_ns"}):
+    with naming_keys({"": "[readout] tau_list_ns, target_snr, kappa_inv_ns, "
+                          "two_chi_khz, tau_m_ns"}):
         points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
     rows = [[tau_ns, p.snr_closed_form, p.snr_monte_carlo, p.fidelity]
             for tau_ns, p in zip(tau_list_ns, points)]

@@ -189,10 +189,11 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
 
     Weighted least squares with weights 1/t1_spread^2, each a finite
     positive float, when every record carries a spread; uniform otherwise.
-    Any Purcell channel is held fixed at the supplied parameters. Q_diel is
-    searched from a tenth of the smallest omega_q * T1 (a record's Q under
-    dielectric loss alone, which Purcell loss only raises) to a thousand
-    times the largest.
+    Any Purcell channel is held fixed at the supplied parameters; one whose
+    limit alone is below every record's T1 leaves no dielectric loss to
+    fit, a DomainError naming purcell. Q_diel is searched from a tenth of
+    the smallest omega_q * T1 (a record's Q under dielectric loss alone,
+    which Purcell loss only raises) to a thousand times the largest.
     Returns a FitResult whose single parameter is q_diel.
     """
     from . import fitting
@@ -211,6 +212,9 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
                               "1/t1_spread^2")
     diel = [TWO_PI * f for f in f_q]  # dielectric decay rates times q_diel
     purcell_rates = _purcell_rates(f_q, purcell)  # fixed: no q in them
+    if all(_t1(p) < t for p, t in zip(purcell_rates, t1)):
+        raise DomainError("purcell limit is below T1 at every record, leaving "
+                          "no dielectric loss to fit")
 
     def t1_model(q):
         return [_t1(d / q + p) for d, p in zip(diel, purcell_rates)]

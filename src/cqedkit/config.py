@@ -9,26 +9,24 @@ builders.
 Sections and keys (defaults in parentheses, '-' marks required keys):
 
 [geometry]   disk_radius_um -, line_width_um -, gap_um -, turns -,
-             feed_offset_um (20), spiral_length_um (derived from turns)
+             feed_offset_um (20)
 [film]       lk_nominal_ph_sq (2.0), lk_low_ph_sq (lk_nominal),
              lk_high_ph_sq (lk_nominal), geometric_l_per_square_ph_sq (0)
-[resonator]  c_total_ff -, q_coupling (none), q_internal (1e6),
-             kappa0_per_s (none), d0_um (none)
+[resonator]  c_total_ff -, q_coupling (none), q_internal (1e6)
 [sweep]      length_min_um -, length_max_um -, points (25, at least 2),
              measured_csv (none)
 [lk]         cpw_length_um -, l_per_m_nh -, c_per_m_pf -,
              measured_f_ghz -, line_width_um -,
              geometric_l_per_square_ph_sq (0)
 [kappa_fit]  trace_csv (none), offset_csv (none); at least one required
-[loss]       q_diel -, f_q_min_ghz (3.5), f_q_max_ghz (4.8),
+[loss]       q_diel (for budget-t1; fit-qdiel fits it), f_q_min_ghz (3.5),
+             f_q_max_ghz (4.8),
              points (25, at least 2 unless f_q_min_ghz = f_q_max_ghz),
              gamma_phi_per_s (0), coherence_csv (for fit-qdiel),
              purcell_g_mhz (none), purcell_f_r_ghz (none),
-             purcell_kappa_inv_ns (none),
-             purcell_two_chi_khz (none), purcell_ref_f_q_ghz (none),
-             anharmonicity_ghz (none)
+             purcell_kappa_inv_ns (none)
 [readout]    kappa_inv_ns (300), two_chi_khz (930), tau_m_ns (700),
-             epsilon_per_s (calibrated), target_snr (5.0),
+             target_snr (5.0, sets the drive amplitude),
              n_shots (10000), transient (false),
              tau_list_ns (175, 350, 700, 1400, 2800)
 [run]        seed (0, at most 2**64 - 1), output_dir (cqedkit-out),
@@ -86,7 +84,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "gap_um": Key("float", bound="positive"),
         "feed_offset_um": Key("float", default=20.0, bound="nonnegative"),
         "turns": Key("float", bound="positive"),
-        "spiral_length_um": Key("float", default=None, bound="positive"),
     },
     "film": {
         "lk_nominal_ph_sq": Key("float", default=2.0, bound="positive"),
@@ -98,8 +95,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "c_total_ff": Key("float", bound="positive"),
         "q_coupling": Key("float", default=None, bound="positive"),
         "q_internal": Key("float", default=1e6, bound="positive"),
-        "kappa0_per_s": Key("float", default=None, bound="positive"),
-        "d0_um": Key("float", default=None, bound="positive"),
     },
     "sweep": {
         "length_min_um": Key("float", bound="positive"),
@@ -129,15 +124,11 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "purcell_g_mhz": Key("float", default=None, bound="nonnegative"),
         "purcell_f_r_ghz": Key("float", default=None, bound="positive"),
         "purcell_kappa_inv_ns": Key("float", default=None, bound="positive"),
-        "purcell_two_chi_khz": Key("float", default=None),
-        "purcell_ref_f_q_ghz": Key("float", default=None, bound="positive"),
-        "anharmonicity_ghz": Key("float", default=None),
     },
     "readout": {
         "kappa_inv_ns": Key("float", default=300.0, bound="positive"),
         "two_chi_khz": Key("float", default=930.0),
         "tau_m_ns": Key("float", default=700.0, bound="positive"),
-        "epsilon_per_s": Key("float", default=None, bound="nonnegative"),
         "target_snr": Key("float", default=5.0, bound="nonnegative"),
         "n_shots": Key("int", default=10_000, bound="positive"),
         "transient": Key("bool", default=False),
@@ -289,17 +280,7 @@ def _cross_validate(name: str, values: dict[str, object]) -> None:
             raise ConfigError(
                 f"[loss] points: must be at least 2 unless f_q_min_ghz "
                 f"equals f_q_max_ghz, got {values['points']}")
-        g_route = values["purcell_g_mhz"] is not None
-        chi_route = values["purcell_two_chi_khz"] is not None
-        if g_route and chi_route:
-            raise ConfigError(
-                "[loss]: give purcell_g_mhz or purcell_two_chi_khz, not both")
-        if chi_route and (values["purcell_ref_f_q_ghz"] is None
-                          or values["anharmonicity_ghz"] is None):
-            raise ConfigError(
-                "[loss]: purcell_two_chi_khz needs purcell_ref_f_q_ghz "
-                "and anharmonicity_ghz")
-        if (g_route or chi_route) and (
+        if values["purcell_g_mhz"] is not None and (
                 values["purcell_f_r_ghz"] is None
                 or values["purcell_kappa_inv_ns"] is None):
             raise ConfigError(

@@ -13,7 +13,6 @@ not load it.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from operator import mul
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 
 PH_PER_SQUARE = 1e-12  # one pH/square in H/square
-SPIRAL_LENGTH_TOLERANCE = 0.05
 RINGDOWN_MIN_SAMPLES = 8
 RINGDOWN_MIN_DECAY_SPANS = 2.0
 # searched decay times per span, reaching below RINGDOWN_MIN_DECAY_SPANS
@@ -99,29 +97,15 @@ def build_spiral(
     gap: float,
     feed_offset: float,
     turns: float,
-    spiral_length: float | None = None,
 ) -> SpiralGeometry:
-    """Construct a SpiralGeometry, deriving the trace length from the turn count.
-
-    A directly supplied ``spiral_length`` wins but triggers a warning when
-    it disagrees with the turn count by more than 5%.
-    """
-    computed = archimedean_spiral_length(disk_radius, line_width + gap, turns)
-    if spiral_length is None:
-        spiral_length = computed
-    elif abs(spiral_length - computed) > SPIRAL_LENGTH_TOLERANCE * computed:
-        warnings.warn(
-            f"supplied spiral_length {spiral_length:.4g} m deviates more than "
-            f"{SPIRAL_LENGTH_TOLERANCE:.0%} from {computed:.4g} m implied by "
-            f"{turns} turns",
-            stacklevel=2,
-        )
+    """Construct a SpiralGeometry, deriving the trace length from the turn
+    count; for a given length, construct ``SpiralGeometry`` directly."""
     return SpiralGeometry(
         disk_radius=disk_radius,
         line_width=line_width,
         gap=gap,
         feed_offset=feed_offset,
-        spiral_length=spiral_length,
+        spiral_length=archimedean_spiral_length(disk_radius, line_width + gap, turns),
         turns=turns,
     )
 

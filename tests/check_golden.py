@@ -15,7 +15,8 @@ nor numpy:
 It writes the demo inputs with ``scripts/make_demo_inputs.py`` into a
 temporary directory, runs the seven commands that do not load numpy as
 ``python -m cqedkit`` subprocesses on this interpreter, checks each one
-and the pinned bits, and exits 1 after naming every mismatch.
+(a run that exits 0 must also leave stderr empty) and the pinned bits,
+and exits 1 after naming every mismatch.
 """
 
 import hashlib
@@ -198,6 +199,9 @@ def main() -> int:
                 env=env, capture_output=True, text=True)
             if done.returncode != 0:
                 found.append(f"{command}: exit {done.returncode}: "
+                             f"{done.stderr.strip()}")
+            elif done.stderr:
+                found.append(f"{command}: exit 0 but wrote to stderr: "
                              f"{done.stderr.strip()}")
             else:
                 found += mismatches(command, outdir)

@@ -400,6 +400,21 @@ def test_fit_qdiel_raises_when_the_solver_does_not_converge():
         f"({1e3 * largest:.6g})")
 
 
+def test_fit_qdiel_rejects_a_purcell_limit_below_every_t1():
+    """Records that outlive the Purcell limit fit no Q_diel at all: the
+    search is not started."""
+    purcell = PurcellParams(g=TWO_PI * 50e6, f_r=6.0e9, kappa=3.333e6)
+    records = [CoherenceRecord(f_q=f, t1=1.01 * t1_purcell(
+                   purcell.g, TWO_PI * (f - purcell.f_r), purcell.kappa))
+               for f in np.linspace(3.5e9, 4.8e9, 4)]
+    with pytest.raises(DomainError, match="^purcell limit is below T1 at every "
+                                          "record, leaving no dielectric loss to fit$"):
+        fit_qdiel(records, purcell=purcell)
+    # one record the dielectric loss can explain is enough to fit
+    records[0] = records[0]._replace(t1=0.5 * records[0].t1)
+    assert fit_qdiel(records, purcell=purcell).params[0] > 0.0
+
+
 def test_fit_qdiel_intervals_are_calibrated(tmp_path, demo_inputs):
     """The Q_diel fit's +-1 and +-2 sigma intervals cover the truth as stated.
 

@@ -59,7 +59,6 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     assert config.seed == 3
     geometry = config.require("geometry")
     assert geometry["feed_offset_um"] == 20.0     # documented default
-    assert geometry["spiral_length_um"] is None   # derived downstream
     readout = config.require("readout")
     assert readout["kappa_inv_ns"] == 300.0
     assert readout["two_chi_khz"] == 930.0
@@ -86,6 +85,23 @@ def test_cpw_termination_is_an_unknown_key(tmp_path, capsys):
     assert main(["fit-lk", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: config: [lk]: unknown key(s) termination\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("loss", "purcell_two_chi_khz"), ("loss", "purcell_ref_f_q_ghz"),
+    ("loss", "anharmonicity_ghz"), ("readout", "epsilon_per_s"),
+    ("geometry", "spiral_length_um"), ("resonator", "kappa0_per_s"),
+    ("resonator", "d0_um"),
+])
+def test_dropped_route_keys_are_unknown(section, key, tmp_path, capsys):
+    # each quantity has one key: purcell_g_mhz, target_snr, turns, q_coupling
+    path = write_config(tmp_path, DEMO_CONFIG.read_text(encoding="utf-8").replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+    out = tmp_path / "out"
+    assert main(["design-resonator", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config: [{section}]: unknown key(s) {key}\n")
     assert not out.exists()
 
 
@@ -192,28 +208,7 @@ def test_grid_over_a_range_needs_ordered_ends_and_two_points(
     assert not (tmp_path / "out").exists()
 
 
-def test_loss_purcell_route_exclusivity(tmp_path):
-    both = write_config(tmp_path, """
-[loss]
-q_diel = 1e6
-purcell_g_mhz = 50
-purcell_two_chi_khz = 930
-purcell_f_r_ghz = 6
-purcell_kappa_inv_ns = 300
-purcell_ref_f_q_ghz = 4.2
-anharmonicity_ghz = -0.23
-""", "both.cfg")
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config(both)
-    incomplete = write_config(tmp_path, """
-[loss]
-q_diel = 1e6
-purcell_two_chi_khz = 930
-purcell_f_r_ghz = 6
-purcell_kappa_inv_ns = 300
-""", "incomplete.cfg")
-    with pytest.raises(ConfigError, match="purcell_ref_f_q_ghz"):
-        parse_config(incomplete)
+def test_loss_purcell_coupling_needs_the_resonator(tmp_path):
     no_resonator = write_config(tmp_path, """
 [loss]
 q_diel = 1e6
@@ -260,8 +255,7 @@ def _run_fields(config):
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # a grid over a range of two distinct ends needs both of them
 SPANNING_POINTS = st.integers(min_value=2, max_value=10**9)
-PURCELL_KEYS = [key for key in SCHEMA["loss"] if key.startswith("purcell_")
-                or key == "anharmonicity_ghz"]
+PURCELL_KEYS = [key for key in SCHEMA["loss"] if key.startswith("purcell_")]
 
 
 def _valid_value(spec):
@@ -308,17 +302,12 @@ def valid_configs(draw):
         sections["loss"].update(f_q_min_ghz=low, f_q_max_ghz=high)
         if "points" in sections["loss"] and low != high:
             sections["loss"]["points"] = draw(SPANNING_POINTS)
-        # no Purcell channel, or one set by g or by chi, never both
-        route = draw(st.sampled_from([
-            [],
-            ["purcell_f_r_ghz", "purcell_kappa_inv_ns", "purcell_g_mhz"],
-            ["purcell_f_r_ghz", "purcell_kappa_inv_ns", "purcell_two_chi_khz",
-             "purcell_ref_f_q_ghz", "anharmonicity_ghz"],
-        ]))
+        # a Purcell channel has all three of its keys, or none
         for key in PURCELL_KEYS:
             sections["loss"].pop(key, None)
-        for key in route:
-            sections["loss"][key] = draw(_valid_value(SCHEMA["loss"][key]))
+        if draw(st.booleans()):
+            for key in PURCELL_KEYS:
+                sections["loss"][key] = draw(_valid_value(SCHEMA["loss"][key]))
     return sections
 
 
@@ -687,12 +676,15 @@ def _unreached(*counts):
 @pytest.mark.parametrize("command", ["simulate-readout", "snr-sweep"])
 @pytest.mark.parametrize("line, message", [
     ("kappa_inv_ns = 1e-300", "[readout] kappa_inv_ns: kappa must be finite"),
+    # the inverse linewidth in s underflows to 0
+    ("kappa_inv_ns = 1e-320", "[readout] kappa_inv_ns: kappa must be finite"),
     ("two_chi_khz = 0", "[readout] two_chi_khz, kappa_inv_ns: "
      "zero dispersive phase produces no signal to calibrate"),
     ("n_shots = 5", "[readout] n_shots: need at least 100 shots per state, got 5"),
     ("seed = 18446744073709551616",
      "[run] seed: must be at most 18446744073709551615, got 18446744073709551616"),
-], ids=["kappa-overflow", "zero-phase", "few-shots", "seed-overflow"])
+], ids=["kappa-overflow", "kappa-underflow", "zero-phase", "few-shots",
+        "seed-overflow"])
 def test_cli_readout_value_errors_name_the_keys(command, line, message, tmp_path,
                                                 capsys, monkeypatch):
     # a value the key's bound lets through but the readout model rejects; the
@@ -780,8 +772,8 @@ def _demo_config(tmp_path, edits):
 # The keys that design-resonator's and sweep-spiral's resonance band and
 # fit-lk's extraction name
 DESIGN_BAND = ("[geometry] disk_radius_um, line_width_um, gap_um, turns, "
-               "spiral_length_um, [film] lk_nominal_ph_sq, lk_low_ph_sq, "
-               "lk_high_ph_sq, geometric_l_per_square_ph_sq, [resonator] c_total_ff")
+               "[film] lk_nominal_ph_sq, lk_low_ph_sq, lk_high_ph_sq, "
+               "geometric_l_per_square_ph_sq, [resonator] c_total_ff")
 SWEEP_BAND = ("[sweep] length_min_um, length_max_um, [geometry] line_width_um, "
               "[film] lk_nominal_ph_sq, lk_low_ph_sq, lk_high_ph_sq, "
               "geometric_l_per_square_ph_sq, [resonator] c_total_ff")
@@ -792,10 +784,9 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
 @pytest.mark.parametrize("command, edits, message", [
     ("design-resonator", {"turns": "0.5"},
      "[geometry] turns: turns must be at least 1"),
-    # L*C underflows to 0; a length that far from the turns' also warns
-    pytest.param("design-resonator", {"spiral_length_um": "1e-300"},
-                 f"{DESIGN_BAND}: f_r must be finite", marks=pytest.mark.filterwarnings(
-                     "ignore:supplied spiral_length")),
+    # L*C underflows to 0 at the band's low-inductance end
+    ("design-resonator", {"c_total_ff": "1e-300", "lk_low_ph_sq": "1e-300"},
+     f"{DESIGN_BAND}: f_r must be finite"),
     ("sweep-spiral", {"c_total_ff": "1e-300"}, f"{SWEEP_BAND}: f_r must be finite"),
     ("sweep-spiral", {"length_min_um": "1e-300"}, f"{SWEEP_BAND}: f_r must be finite"),
     ("design-resonator", {"lk_high_ph_sq": "1e308"},
@@ -815,12 +806,13 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
      f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
     ("fit-lk", {"measured_f_ghz": "1e300"},
      "[lk] measured_f_ghz: measured_f must be finite"),
-    ("simulate-readout", {"epsilon_per_s": "1e308"},
-     "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns: snr must be finite"),
-    ("snr-sweep", {"epsilon_per_s": "1e308"},
-     "[readout] epsilon_per_s, kappa_inv_ns, tau_m_ns: snr must be finite"),
-    ("snr-sweep", {"epsilon_per_s": "1e300", "tau_list_ns": "175, 1e308"},
-     "[readout] tau_list_ns, epsilon_per_s, target_snr, kappa_inv_ns, "
+    # the calibrated drive gives an SNR that rounds past the largest float
+    ("simulate-readout", {"target_snr": "1e308", "kappa_inv_ns": "1e250"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: snr must be finite"),
+    ("snr-sweep", {"target_snr": "1e308", "kappa_inv_ns": "1e250"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: snr must be finite"),
+    ("snr-sweep", {"target_snr": "1e300", "tau_list_ns": "175, 1e308"},
+     "[readout] tau_list_ns, target_snr, kappa_inv_ns, two_chi_khz, "
      "tau_m_ns: snr must be finite"),
     # 2 pi (f_q - f_r) overflows
     ("budget-t1", {"purcell_f_r_ghz": "1e299"},
@@ -832,10 +824,17 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
     ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-300",
                    "coherence_csv": "resonant.csv"},
      "[loss] purcell_kappa_inv_ns: kappa must be finite"),
-    ("budget-t1", {"purcell_g_mhz": None, "purcell_two_chi_khz": "930",
-                   "purcell_ref_f_q_ghz": "4.2", "anharmonicity_ghz": "0"},
-     "[loss] purcell_two_chi_khz, purcell_ref_f_q_ghz, purcell_f_r_ghz, "
-     "anharmonicity_ghz: zero anharmonicity produces no dispersive shift"),
+    # the inverse linewidth in s underflows to 0
+    ("budget-t1", {"purcell_kappa_inv_ns": "1e-320"},
+     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-320",
+                   "coherence_csv": "resonant.csv"},
+     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    # the Purcell limit alone is below every record's T1
+    ("fit-qdiel", {"purcell_g_mhz": "1e300", "coherence_csv": "resonant.csv"},
+     "[loss] purcell_g_mhz, purcell_f_r_ghz, purcell_kappa_inv_ns, coherence_csv: "
+     "purcell limit is below T1 at every record, leaving no dielectric loss "
+     "to fit"),
     ("budget-t1", {"q_diel": "1e308", "f_q_min_ghz": "1e-300",
                    "purcell_g_mhz": None, "purcell_f_r_ghz": None,
                    "purcell_kappa_inv_ns": None},
@@ -853,8 +852,9 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
         "lk-per-length-overflow", "lk-frequency-overflow",
         "simulate-snr-overflow", "sweep-snr-overflow", "sweep-long-tau-snr-overflow",
         "budget-detuning-overflow", "fit-detuning-overflow",
-        "purcell-kappa-overflow",
-        "fit-purcell-kappa-overflow", "zero-anharmonicity", "infinite-t1",
+        "purcell-kappa-overflow", "fit-purcell-kappa-overflow",
+        "purcell-kappa-underflow", "fit-purcell-kappa-underflow",
+        "fit-purcell-takes-all", "infinite-t1",
         "underflowing-spread", "overflowing-weight"])
 def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,
                                               capsys):

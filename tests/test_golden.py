@@ -8,7 +8,7 @@ demo commands on ``configs/demo.cfg`` and the three fit commands on the
 two fit commands and the two readout commands are also run as ``python
 -m cqedkit`` subprocesses, where the fits and snr-sweep run without numpy
 loaded at all and simulate-readout loads OpenBLAS as the CLI sets it up,
-and checked against the same hashes. ``check_golden.py`` is the one
+and checked against the same hashes. No run may write to stderr. ``check_golden.py`` is the one
 reader of ``cli.json``, and it pins the bits that the 6 to 9 printed
 digits of the corpus cannot show: ``FIT_BITS`` (the two iterative fits),
 ``SNR_MC_BITS`` (snr-sweep's Monte-Carlo SNR) and ``NORMAL_BITS`` (the
@@ -56,6 +56,7 @@ def _check_cli_golden(command, outdir):
 def test_cli_artifacts_and_report_match_golden(command, golden_configs,
                                                tmp_path, capsys):
     assert main(cli_argv(command, golden_configs, tmp_path)) == 0
+    assert capsys.readouterr().err == ""
     _check_cli_golden(command, tmp_path)
 
 
@@ -68,9 +69,10 @@ def test_cli_subprocess_matches_golden(command, golden_configs, tmp_path):
     env = {key: value for key, value in os.environ.items()
            if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    subprocess.run([sys.executable, "-m", "cqedkit",
-                    *cli_argv(command, golden_configs, tmp_path)],
-                   env=env, check=True, capture_output=True, timeout=120)
+    done = subprocess.run([sys.executable, "-m", "cqedkit",
+                           *cli_argv(command, golden_configs, tmp_path)],
+                          env=env, check=True, capture_output=True, timeout=120)
+    assert done.stderr == b""
     _check_cli_golden(command, tmp_path)
 
 
