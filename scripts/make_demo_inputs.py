@@ -30,12 +30,10 @@ from cqedkit import (
     t2_from_t1,
 )
 
-TWO_PI = 2.0 * math.pi
-
 # The generated coherence table includes a Purcell channel; fits.cfg
-# declares the same channel so fit-qdiel recovers Q_DIEL unbiased.
+# declares it too (kappa in [readout]), so fit-qdiel recovers Q_DIEL unbiased.
 Q_DIEL = 746e3
-PURCELL = PurcellParams(g=TWO_PI * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
+PURCELL = PurcellParams(g=2.0 * math.pi * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
 
 FITS_CFG = """\
 [lk]
@@ -54,7 +52,9 @@ q_diel = 746e3
 coherence_csv = coherence.csv
 purcell_g_mhz = 50
 purcell_f_r_ghz = 6.0
-purcell_kappa_inv_ns = 300
+
+[readout]
+kappa_inv_ns = 300
 
 [run]
 seed = 7

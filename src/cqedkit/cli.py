@@ -78,19 +78,25 @@ def _build_geometry(values) -> resonator.SpiralGeometry:
         )
 
 
-def _build_purcell(values) -> coherence.PurcellParams | None:
+def _kappa(values) -> float:
+    """``[readout] kappa_inv_ns`` in 1/s; 1e-320 ns underflows to inf."""
+    inverse = values["kappa_inv_ns"] * 1e-9
+    return 1.0 / inverse if inverse else math.inf
+
+
+def _build_purcell(config: RunConfig) -> coherence.PurcellParams | None:
     from . import coherence
 
+    values = config.require("loss")
     if values["purcell_g_mhz"] is None:
         return None
     # the keys each value comes from, by the library's name for it
-    with naming_keys({"kappa": "[loss] purcell_kappa_inv_ns",
+    with naming_keys({"kappa": "[readout] kappa_inv_ns",
                       "f_r": "[loss] purcell_f_r_ghz", "": "[loss] purcell_g_mhz"}):
-        inverse = values["purcell_kappa_inv_ns"] * 1e-9   # 1e-320 ns underflows
         return coherence.PurcellParams(
             g=coherence.TWO_PI * values["purcell_g_mhz"] * 1e6,
             f_r=values["purcell_f_r_ghz"] * 1e9,
-            kappa=1.0 / inverse if inverse else math.inf)
+            kappa=_kappa(config.require("readout")))
 
 
 # The keys each value comes from (kappa_inv_ns = 1e-300 makes kappa inf);
@@ -119,8 +125,7 @@ def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
     chi = math.pi * values["two_chi_khz"] * 1e3   # two_chi in kHz -> chi rad/s
     tau_m = values["tau_m_ns"] * 1e-9
     with naming_keys(_READOUT_KEYS):
-        inverse = values["kappa_inv_ns"] * 1e-9   # 1e-320 ns underflows
-        kappa = 1.0 / inverse if inverse else math.inf
+        kappa = _kappa(values)
         rc = readout.ReadoutConfig(
             epsilon=readout.calibrate_epsilon(values["target_snr"], kappa, chi, tau_m),
             kappa=kappa, chi=chi, tau_m=tau_m, n_shots=values["n_shots"],
@@ -260,13 +265,13 @@ def cmd_fit_qdiel(config: RunConfig):
         raise ConfigError("[loss]: fit-qdiel needs coherence_csv")
     records = dataio.load_coherence_csv(
         config.input_path(values["coherence_csv"]))
-    purcell = _build_purcell(values)
+    purcell = _build_purcell(config)
     f_q = [r.f_q for r in records]
     t1 = [r.t1 for r in records]
     grid = linspace(min(f_q), max(f_q), 101)
     with naming_keys({"delta": "[loss] purcell_f_r_ghz, coherence_csv",
                       "purcell": "[loss] purcell_g_mhz, purcell_f_r_ghz, "
-                                 "purcell_kappa_inv_ns, coherence_csv",
+                                 "coherence_csv, [readout] kappa_inv_ns",
                       "": "[loss] coherence_csv"}):
         fit = coherence.fit_qdiel(records, purcell=purcell)
         q_diel, = fit.params
@@ -317,7 +322,7 @@ def cmd_budget_t1(config: RunConfig):
     values = config.require("loss")
     if values["q_diel"] is None:
         raise ConfigError("[loss]: missing required key q_diel")
-    model = coherence.LossModel(q_diel=values["q_diel"], purcell=_build_purcell(values),
+    model = coherence.LossModel(q_diel=values["q_diel"], purcell=_build_purcell(config),
                                 gamma_phi=values["gamma_phi_per_s"])
     f_min = values["f_q_min_ghz"] * 1e9
     f_max = values["f_q_max_ghz"] * 1e9
@@ -351,7 +356,8 @@ def cmd_simulate_readout(config: RunConfig):
     rc = _build_readout(config)
     from . import readout  # loaded by _build_readout, after the BLAS default
 
-    snr, shots = readout.stream_shots(rc)
+    with naming_keys({"": _SNR_KEYS}):   # moments that overflow
+        snr, shots = readout.stream_shots(rc)
     closed = readout.snr_asymptotic(rc)
     fidelity = readout.separation_fidelity(closed)
     lines = [
@@ -442,8 +448,7 @@ def main(argv=None) -> int:
         prog="cqedkit",
         description="Design and analysis tools for kinetic-inductance "
                     "readout circuits.")
-    parser.add_argument("command",
-                        choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")
@@ -457,8 +462,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
         run = SCHEMA["run"]
         if args.seed is not None:
-            config = config._replace(
-                seed=check_value("--seed", run["seed"], args.seed))
+            config = config._replace(seed=check_value("--seed", run["seed"], args.seed))
         if args.out is not None:
             config = config._replace(output_dir=Path(
                 parse_value("--out", run["output_dir"], args.out)))

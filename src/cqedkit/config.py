@@ -23,8 +23,8 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              f_q_max_ghz (4.8),
              points (25, at least 2 unless f_q_min_ghz = f_q_max_ghz),
              gamma_phi_per_s (0), coherence_csv (for fit-qdiel),
-             purcell_g_mhz (none), purcell_f_r_ghz (none),
-             purcell_kappa_inv_ns (none)
+             purcell_g_mhz and purcell_f_r_ghz (none; both or neither,
+             and a Purcell channel takes kappa from [readout] kappa_inv_ns)
 [readout]    kappa_inv_ns (300), two_chi_khz (930), tau_m_ns (700),
              target_snr (5.0, sets the drive amplitude),
              n_shots (10000), transient (false),
@@ -123,7 +123,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "coherence_csv": Key("str", default=None),
         "purcell_g_mhz": Key("float", default=None, bound="nonnegative"),
         "purcell_f_r_ghz": Key("float", default=None, bound="positive"),
-        "purcell_kappa_inv_ns": Key("float", default=None, bound="positive"),
     },
     "readout": {
         "kappa_inv_ns": Key("float", default=300.0, bound="positive"),
@@ -254,11 +253,9 @@ def _resolve_section(name: str, raw: dict[str, str]) -> dict[str, object]:
 
 def _cross_validate(name: str, values: dict[str, object]) -> None:
     if name == "film":
-        nominal = values["lk_nominal_ph_sq"]
-        if values["lk_low_ph_sq"] is None:
-            values["lk_low_ph_sq"] = nominal
-        if values["lk_high_ph_sq"] is None:
-            values["lk_high_ph_sq"] = nominal
+        for key in ("lk_low_ph_sq", "lk_high_ph_sq"):
+            if values[key] is None:
+                values[key] = values["lk_nominal_ph_sq"]
     elif name == "sweep":
         if values["length_min_um"] >= values["length_max_um"]:
             raise ConfigError(
@@ -280,12 +277,9 @@ def _cross_validate(name: str, values: dict[str, object]) -> None:
             raise ConfigError(
                 f"[loss] points: must be at least 2 unless f_q_min_ghz "
                 f"equals f_q_max_ghz, got {values['points']}")
-        if values["purcell_g_mhz"] is not None and (
-                values["purcell_f_r_ghz"] is None
-                or values["purcell_kappa_inv_ns"] is None):
+        if (values["purcell_g_mhz"] is None) != (values["purcell_f_r_ghz"] is None):
             raise ConfigError(
-                "[loss]: a Purcell channel needs purcell_f_r_ghz and "
-                "purcell_kappa_inv_ns")
+                "[loss]: a Purcell channel needs purcell_g_mhz and purcell_f_r_ghz")
 
 
 def parse_config(path) -> RunConfig:
@@ -307,8 +301,7 @@ def parse_config(path) -> RunConfig:
     except configparser.ParsingError as exc:
         first = exc.errors[0] if getattr(exc, "errors", None) else None
         line = first[0] if first else "?"
-        raise ConfigError(
-            f"{path}: parse error at line {line}") from exc
+        raise ConfigError(f"{path}: parse error at line {line}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 
@@ -319,6 +312,9 @@ def parse_config(path) -> RunConfig:
         resolved = _resolve_section(name, dict(parser[name]))
         _cross_validate(name, resolved)
         sections[name] = resolved
+    loss = sections.get("loss", {})
+    if loss.get("purcell_g_mhz") is not None and "readout" not in sections:
+        raise ConfigError("[loss]: a Purcell channel needs [readout] kappa_inv_ns")
 
     run = sections.pop("run", None) or _resolve_section("run", {})
     return RunConfig(

@@ -123,7 +123,8 @@ def calibrate_epsilon(target_snr: float, kappa: float, chi: float,
     signal = abs(math.sin(2.0 * dispersive_phase(chi, kappa)))
     if signal == 0.0:
         raise DomainError("zero dispersive phase produces no signal to calibrate")
-    return target_snr * kappa / (2.0 * math.sqrt(2.0 * kappa * tau_m) * signal)
+    window = 2.0 * math.sqrt(2.0 * kappa * tau_m) * signal
+    return target_snr * kappa / window if window else math.inf   # kappa tau_m underflows
 
 
 def cavity_response(state: str, config: ReadoutConfig, t):
@@ -275,6 +276,7 @@ def _snr_from_moments(centroids, covariances) -> tuple[float, float]:
     if any(variance <= 0.0 for variance in variances):
         raise DegenerateDataError("shots have zero variance along the centroid axis")
     width = math.sqrt(0.5 * (variances[0] + variances[1]))
+    require_finite(snr=norm / width)    # an inf separation gives nan
     return norm / width, width
 
 
@@ -298,8 +300,9 @@ def _moment_fit(config: ReadoutConfig) -> tuple[float, float]:
     cov_z = (seconds.sum(axis=1)
              - n * mean_z[:, :, None] * mean_z[:, None, :]) / (n - 1)
     sigma, signals = _shot_map(config)
-    return _snr_from_moments((sigma * mean_z + np.array(signals)).tolist(),
-                             (sigma**2 * cov_z).tolist())
+    with np.errstate(over="ignore"):    # _snr_from_moments names an overflow
+        return _snr_from_moments((sigma * mean_z + np.array(signals)).tolist(),
+                                 (sigma**2 * cov_z).tolist())
 
 
 def _chi2(rng: random.Random, df: int) -> float:

@@ -26,6 +26,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _axis(low: float, high: float, pad: float) -> tuple[float, float]:
+    """Axis ends for data from ``low`` to ``high``, padded by ``pad`` of the
+    span; one value widens by 1, or by a quarter of it where 1 rounds away."""
+    if low == high:
+        half = 1.0 if abs(low) < 2.0**52 else 0.25 * abs(low)
+        low, high = low - half, high + half
+    return low - pad * (high - low), high + pad * (high - low)
+
+
 class SvgPlot:
     """Accumulates series, then writes one self-contained SVG file."""
 
@@ -65,23 +74,11 @@ class SvgPlot:
         self._add("band", None, xs, y_low, y_high)
 
     def _limits(self):
-        xs, ys = [], []
-        for _, sx, sy, sy2, _ in self._series:
-            xs.extend(sx)
-            ys.extend(sy)
-            if sy2 is not None:
-                ys.extend(sy2)
+        xs = [x for _, sx, *_ in self._series for x in sx]
+        ys = [y for _, _, sy, sy2, _ in self._series for y in sy + (sy2 or [])]
         if not xs:
             raise ValueError("no data series to plot")
-        x_min, x_max = min(xs), max(xs)
-        y_min, y_max = min(ys), max(ys)
-        if x_min == x_max:
-            x_min, x_max = x_min - 1.0, x_max + 1.0
-        if y_min == y_max:
-            y_min, y_max = y_min - 1.0, y_max + 1.0
-        x_pad = 0.04 * (x_max - x_min)
-        y_pad = 0.06 * (y_max - y_min)
-        return x_min - x_pad, x_max + x_pad, y_min - y_pad, y_max + y_pad
+        return (*_axis(min(xs), max(xs), 0.04), *_axis(min(ys), max(ys), 0.06))
 
     def write(self, path) -> Path:
         path = Path(path)

@@ -2,10 +2,12 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqedkit import ConfigError, readout
+from cqedkit import ConfigError, coherence, readout
 from cqedkit.cli import main
 from cqedkit.config import (
     DEFAULT_OUTPUT_DIR,
@@ -21,7 +23,8 @@ from cqedkit.config import (
     parse_config,
     render_resolved,
 )
-from cqedkit.dataio import write_csv
+from cqedkit.dataio import format_number, load_coherence_csv, write_csv
+from cqedkit.floats import linspace, normal
 
 FULL_CONFIG = """
 [geometry]
@@ -92,10 +95,11 @@ def test_cpw_termination_is_an_unknown_key(tmp_path, capsys):
     ("loss", "purcell_two_chi_khz"), ("loss", "purcell_ref_f_q_ghz"),
     ("loss", "anharmonicity_ghz"), ("readout", "epsilon_per_s"),
     ("geometry", "spiral_length_um"), ("resonator", "kappa0_per_s"),
-    ("resonator", "d0_um"),
+    ("resonator", "d0_um"), ("loss", "purcell_kappa_inv_ns"),
 ])
 def test_dropped_route_keys_are_unknown(section, key, tmp_path, capsys):
-    # each quantity has one key: purcell_g_mhz, target_snr, turns, q_coupling
+    # each quantity has one key: purcell_g_mhz, target_snr, turns,
+    # q_coupling, and [readout] kappa_inv_ns for the one resonator's linewidth
     path = write_config(tmp_path, DEMO_CONFIG.read_text(encoding="utf-8").replace(
         f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
     out = tmp_path / "out"
@@ -302,12 +306,14 @@ def valid_configs(draw):
         sections["loss"].update(f_q_min_ghz=low, f_q_max_ghz=high)
         if "points" in sections["loss"] and low != high:
             sections["loss"]["points"] = draw(SPANNING_POINTS)
-        # a Purcell channel has all three of its keys, or none
+        # a Purcell channel has both of its keys, or neither
         for key in PURCELL_KEYS:
             sections["loss"].pop(key, None)
         if draw(st.booleans()):
             for key in PURCELL_KEYS:
                 sections["loss"][key] = draw(_valid_value(SCHEMA["loss"][key]))
+            # which takes its kappa from [readout]
+            sections.setdefault("readout", {})
     return sections
 
 
@@ -814,30 +820,44 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
     ("snr-sweep", {"target_snr": "1e300", "tau_list_ns": "175, 1e308"},
      "[readout] tau_list_ns, target_snr, kappa_inv_ns, two_chi_khz, "
      "tau_m_ns: snr must be finite"),
+    # the shots' centroids are finite but their separation overflows
+    ("simulate-readout", {"target_snr": "6.729016907704121e+210",
+                          "tau_m_ns": "4.758133486156517e+210"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: snr must be finite"),
+    # sigma^2 is finite, the shots' covariance is not
+    ("simulate-readout", {"kappa_inv_ns": "9.516266972313034e+210",
+                          "tau_m_ns": "3.768911102347066e+115"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: "
+     "covariances must be finite"),
+    # kappa * tau_m underflows to 0, so no finite drive reaches the SNR
+    ("simulate-readout", {"tau_m_ns": "1e-300", "kappa_inv_ns": "1e24"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: "
+     "epsilon must be finite"),
+    ("snr-sweep", {"tau_m_ns": "1e-300", "kappa_inv_ns": "1e24"},
+     "[readout] target_snr, kappa_inv_ns, two_chi_khz, tau_m_ns: "
+     "epsilon must be finite"),
     # 2 pi (f_q - f_r) overflows
     ("budget-t1", {"purcell_f_r_ghz": "1e299"},
      "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz: delta must be finite"),
     ("fit-qdiel", {"purcell_f_r_ghz": "1e299", "coherence_csv": "resonant.csv"},
      "[loss] purcell_f_r_ghz, coherence_csv: delta must be finite"),
-    ("budget-t1", {"purcell_kappa_inv_ns": "1e-300"},
-     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
-    ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-300",
-                   "coherence_csv": "resonant.csv"},
-     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    # the Purcell channel takes the readout resonator's linewidth
+    ("budget-t1", {"kappa_inv_ns": "1e-300"},
+     "[readout] kappa_inv_ns: kappa must be finite"),
+    ("fit-qdiel", {"kappa_inv_ns": "1e-300", "coherence_csv": "resonant.csv"},
+     "[readout] kappa_inv_ns: kappa must be finite"),
     # the inverse linewidth in s underflows to 0
-    ("budget-t1", {"purcell_kappa_inv_ns": "1e-320"},
-     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
-    ("fit-qdiel", {"purcell_kappa_inv_ns": "1e-320",
-                   "coherence_csv": "resonant.csv"},
-     "[loss] purcell_kappa_inv_ns: kappa must be finite"),
+    ("budget-t1", {"kappa_inv_ns": "1e-320"},
+     "[readout] kappa_inv_ns: kappa must be finite"),
+    ("fit-qdiel", {"kappa_inv_ns": "1e-320", "coherence_csv": "resonant.csv"},
+     "[readout] kappa_inv_ns: kappa must be finite"),
     # the Purcell limit alone is below every record's T1
     ("fit-qdiel", {"purcell_g_mhz": "1e300", "coherence_csv": "resonant.csv"},
-     "[loss] purcell_g_mhz, purcell_f_r_ghz, purcell_kappa_inv_ns, coherence_csv: "
+     "[loss] purcell_g_mhz, purcell_f_r_ghz, coherence_csv, [readout] kappa_inv_ns: "
      "purcell limit is below T1 at every record, leaving no dielectric loss "
      "to fit"),
     ("budget-t1", {"q_diel": "1e308", "f_q_min_ghz": "1e-300",
-                   "purcell_g_mhz": None, "purcell_f_r_ghz": None,
-                   "purcell_kappa_inv_ns": None},
+                   "purcell_g_mhz": None, "purcell_f_r_ghz": None},
      "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
     ("fit-qdiel", {"coherence_csv": "underflowing-spread.csv"},
      "[loss] coherence_csv: t1_spread must give a finite, positive weight "
@@ -851,6 +871,8 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
         "lk-length-1e308", "lk-length-underflow", "lk-frequency-underflow",
         "lk-per-length-overflow", "lk-frequency-overflow",
         "simulate-snr-overflow", "sweep-snr-overflow", "sweep-long-tau-snr-overflow",
+        "simulate-separation-overflow", "simulate-covariance-overflow",
+        "simulate-window-underflow", "sweep-window-underflow",
         "budget-detuning-overflow", "fit-detuning-overflow",
         "purcell-kappa-overflow", "fit-purcell-kappa-overflow",
         "purcell-kappa-underflow", "fit-purcell-kappa-underflow",
@@ -899,6 +921,68 @@ def test_cli_infinite_purcell_limit_writes_no_nan(tmp_path, capsys):
     assert ",inf," in (out / "t1_budget.csv").read_text(encoding="utf-8")
     assert (out / "t1_budget.svg").read_text(encoding="utf-8").count(
         "<polyline") == 2
+
+
+def test_cli_plot_of_one_large_value_has_an_axis(tmp_path, capsys):
+    # one tau of 2**53 + 4 ns: widening its axis by 1 would round away
+    config = _demo_config(tmp_path, {"tau_list_ns": "9007199254740996"})
+    out = tmp_path / "out"
+    assert _run(["snr-sweep", "--config", str(config), "--out", str(out),
+                 "--plots"]) == 0
+    assert "nan" not in (out / "snr_sweep.svg").read_text(encoding="utf-8")
+
+
+def _column(path, name):
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    index = header.split(",").index(name)
+    return [row.split(",")[index] for row in rows]
+
+
+def test_purcell_channel_takes_kappa_from_the_readout_section(
+        demo_inputs, tmp_path, capsys):
+    # the demo channel (g = 50 MHz, f_r = 6 GHz) with the one resonator's
+    # 1/kappa set to 150 ns in [readout]: both commands match the library
+    # at kappa = 1/(150 ns) to the CSV's 9 digits
+    purcell = coherence.PurcellParams(g=coherence.TWO_PI * 50.0 * 1e6,
+                                      f_r=6.0 * 1e9, kappa=1.0 / (150.0 * 1e-9))
+    demo_inputs.write_coherence(tmp_path, partial(normal, random.Random(7)))
+    config = _demo_config(tmp_path, {"kappa_inv_ns": "150",
+                                     "coherence_csv": "coherence.csv"})
+    out = tmp_path / "out"
+    assert _run(["budget-t1", "--config", str(config), "--out", str(out)]) == 0
+    _, t1_purcell, _ = coherence.t1_budget(
+        linspace(3.5e9, 4.8e9, 25), coherence.LossModel(746e3, purcell))
+    assert _column(out / "t1_budget.csv", "t1_purcell_us") == [
+        format_number(t1 * 1e6) for t1 in t1_purcell]
+
+    assert _run(["fit-qdiel", "--config", str(config), "--out", str(out)]) == 0
+    records = load_coherence_csv(tmp_path / "coherence.csv")
+    q_diel, = coherence.fit_qdiel(records, purcell=purcell).params
+    *_, t1_model = coherence.t1_budget([r.f_q for r in records],
+                                       coherence.LossModel(q_diel, purcell))
+    assert _column(out / "qdiel_fit.csv", "t1_model_us") == [
+        format_number(t1 * 1e6) for t1 in t1_model]
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"purcell_g_mhz": None},
+     "[loss]: a Purcell channel needs purcell_g_mhz and purcell_f_r_ghz"),
+    ({"purcell_f_r_ghz": None},
+     "[loss]: a Purcell channel needs purcell_g_mhz and purcell_f_r_ghz"),
+    ({"readout": None}, "[loss]: a Purcell channel needs [readout] kappa_inv_ns"),
+], ids=["f-r-alone", "g-alone", "no-readout-section"])
+def test_purcell_channel_is_two_keys_and_the_readout_section(
+        edits, message, tmp_path, capsys):
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    if edits.pop("readout", 0) is None:
+        text = re.sub(r"^\[readout\]\n(.+\n)*\n", "", text, flags=re.MULTILINE)
+    for key in edits:
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.MULTILINE)
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert _run(["budget-t1", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_failed_command_writes_no_artifacts(tmp_path, capsys):

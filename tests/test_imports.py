@@ -210,7 +210,6 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 
 @pytest.mark.parametrize("script, args", [
     ("make_demo_inputs.py", []),
-    ("t1_budget_scan.py", ["--out"]),
     ("readout_tradeoff.py", ["--out"]),
 ])
 def test_scripts_run_without_numpy(script, args, tmp_path):
