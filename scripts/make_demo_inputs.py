@@ -29,13 +29,18 @@ from cqedkit import (
     t1_total,
     t2_from_t1,
 )
+from cqedkit.coherence import TWO_PI
 
 # The generated coherence table includes a Purcell channel; fits.cfg
-# declares it too (kappa in [readout]), so fit-qdiel recovers Q_DIEL unbiased.
+# declares it too (kappa in [readout]), so fit-qdiel recovers Q_DIEL
+# unbiased. Each number is stated once, in the config's units, and
+# PURCELL converts it as the CLI does, to the same bits.
 Q_DIEL = 746e3
-PURCELL = PurcellParams(g=2.0 * math.pi * 50e6, f_r=6.0e9, kappa=1.0 / 300e-9)
+G_MHZ, F_R_GHZ, KAPPA_INV_NS = 50, 6.0, 300
+PURCELL = PurcellParams(g=TWO_PI * G_MHZ * 1e6, f_r=F_R_GHZ * 1e9,
+                        kappa=1.0 / (KAPPA_INV_NS * 1e-9))
 
-FITS_CFG = """\
+FITS_CFG = f"""\
 [lk]
 cpw_length_um = 4000
 l_per_m_nh = 400
@@ -48,13 +53,13 @@ trace_csv = ringdown.csv
 offset_csv = kappa_offset.csv
 
 [loss]
-q_diel = 746e3
+q_diel = {Q_DIEL!r}
 coherence_csv = coherence.csv
-purcell_g_mhz = 50
-purcell_f_r_ghz = 6.0
+purcell_g_mhz = {G_MHZ!r}
+purcell_f_r_ghz = {F_R_GHZ!r}
 
 [readout]
-kappa_inv_ns = 300
+kappa_inv_ns = {KAPPA_INV_NS!r}
 
 [run]
 seed = 7

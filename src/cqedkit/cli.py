@@ -3,7 +3,8 @@
     cqedkit <command> --config <path> [--seed N] [--out DIR] [--plots]
 
 Commands: design-resonator, sweep-spiral, fit-lk, fit-kappa, fit-qdiel,
-budget-t1, simulate-readout, snr-sweep.
+budget-t1, simulate-readout, snr-sweep. Results go to ``--out``, a plain
+path, or ``cqedkit-out`` by default.
 
 Commands compute; ``main`` writes. Each ``cmd_*`` takes the resolved
 config and returns its report lines plus an ordered map from file name to
@@ -12,9 +13,10 @@ artifact: a ``(header, rows)`` table, an ``SvgPlot``, or for
 ``readout.stream_shots`` returns, which draws the shots only as
 ``main`` writes them. ``main`` writes the tables and the shots, the plots
 only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
-report that echoes the resolved configuration, overrides included, and
-the tool version, then lists the results and the artifacts in map order;
-the report alone is enough to repeat the run. A command that fails writes
+report that echoes the resolved configuration, ``--seed`` and
+``--plots`` included, and the tool version, then lists the results and
+the artifacts in map order; the report alone is enough to repeat the run
+into any output directory. A command that fails writes
 no artifacts, and a failed write removes the files the run wrote. Failures
 print a single ``error: <category>: <message>`` line and exit 1.
 
@@ -40,7 +42,7 @@ from pathlib import Path
 
 from . import __version__, dataio, resonator
 from .config import (SCHEMA, RunConfig, check_value, naming_keys, parse_config,
-                     parse_value, render_resolved)
+                     render_resolved)
 from .errors import ConfigError, OutputError, ToolError
 from .floats import linspace
 from .svgplot import SvgPlot
@@ -129,7 +131,7 @@ def _build_readout(config: RunConfig) -> readout.ReadoutConfig:
         rc = readout.ReadoutConfig(
             epsilon=readout.calibrate_epsilon(values["target_snr"], kappa, chi, tau_m),
             kappa=kappa, chi=chi, tau_m=tau_m, n_shots=values["n_shots"],
-            seed=config.seed, transient=values["transient"])
+            seed=config.require("run")["seed"])
         readout.snr_asymptotic(rc)   # the calibrated SNR can still overflow
         return rc
 
@@ -452,30 +454,27 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")
-    parser.add_argument("--out", default=None,
-                        help="override the output directory")
+    parser.add_argument("--out", default="cqedkit-out",
+                        help="output directory (default: cqedkit-out)")
     parser.add_argument("--plots", action="store_true",
                         help="emit SVG plots where the command has one")
     args = parser.parse_args(argv)
 
     try:
         config = parse_config(args.config)
-        run = SCHEMA["run"]
+        run = config.require("run")
         if args.seed is not None:
-            config = config._replace(seed=check_value("--seed", run["seed"], args.seed))
-        if args.out is not None:
-            config = config._replace(output_dir=Path(
-                parse_value("--out", run["output_dir"], args.out)))
+            run["seed"] = check_value("--seed", SCHEMA["run"]["seed"], args.seed)
         if args.plots:
-            config = config._replace(emit_plots=True)
-        outdir = config.output_dir
+            run["emit_plots"] = True
+        outdir = Path(args.out)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise OutputError(f"cannot create output directory {outdir}: "
                               f"{exc.strerror or exc}") from exc
         lines, artifacts = COMMANDS[args.command](config)
-        if not config.emit_plots:
+        if not run["emit_plots"]:
             artifacts = {name: artifact for name, artifact in artifacts.items()
                          if not isinstance(artifact, SvgPlot)}
         names = [*artifacts, "report.txt"]
@@ -483,7 +482,7 @@ def main(argv=None) -> int:
             f"tool: cqedkit {__version__}",
             f"command: {args.command}",
             f"config: {config.source}",
-            f"seed: {config.seed}",
+            f"seed: {run['seed']}",
             "",
             "# resolved configuration (usable as a config file)",
             render_resolved(config).rstrip(),

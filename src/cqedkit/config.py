@@ -27,10 +27,8 @@ Sections and keys (defaults in parentheses, '-' marks required keys):
              and a Purcell channel takes kappa from [readout] kappa_inv_ns)
 [readout]    kappa_inv_ns (300), two_chi_khz (930), tau_m_ns (700),
              target_snr (5.0, sets the drive amplitude),
-             n_shots (10000), transient (false),
-             tau_list_ns (175, 350, 700, 1400, 2800)
-[run]        seed (0, at most 2**64 - 1), output_dir (cqedkit-out),
-             emit_plots (false)
+             n_shots (10000), tau_list_ns (175, 350, 700, 1400, 2800)
+[run]        seed (0, at most 2**64 - 1), emit_plots (false)
 
 Every float and float-list value must be finite: nan and +-inf are
 rejected at parse time, naming the key. This includes
@@ -41,10 +39,9 @@ command builds that model, and the error names the keys (``naming_keys``).
 
 A str value must read back whole from the resolved config that
 ``render_resolved`` writes into each report: one line, with no '#' or ';'
-at its start or after a space. ``--out`` is held to ``[run]
-output_dir``'s rule and its errors name it. ``Key`` and
-``RunConfig`` are named tuples; the command line applies its overrides to
-a RunConfig with ``_replace``, after checking them.
+at its start or after a space. ``Key`` and ``RunConfig`` are named tuples;
+the command line checks its overrides and sets them in the ``[run]``
+section, which every RunConfig holds.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, not_utf8
-
-DEFAULT_OUTPUT_DIR = "cqedkit-out"
 
 _REQUIRED = object()
 
@@ -130,14 +125,12 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "tau_m_ns": Key("float", default=700.0, bound="positive"),
         "target_snr": Key("float", default=5.0, bound="nonnegative"),
         "n_shots": Key("int", default=10_000, bound="positive"),
-        "transient": Key("bool", default=False),
         "tau_list_ns": Key("float_list", bound="positive",
                            default=(175.0, 350.0, 700.0, 1400.0, 2800.0)),
     },
     "run": {
         # numpy's seed streams take an unsigned 64-bit integer
         "seed": Key("int", default=0, bound="nonnegative", maximum=2**64 - 1),
-        "output_dir": Key("str", default=None),
         "emit_plots": Key("bool", default=False),
     },
 }
@@ -149,7 +142,7 @@ _CUT = re.compile(r"\n|(?:^|\s)[#;]")
 
 def parse_value(label: str, spec: Key, text: str):
     """``text`` parsed as the key's type and checked by ``check_value``;
-    errors name ``label``, a config key, option or CSV cell. A str must
+    errors name ``label``, a config key or CSV cell. A str must
     read back whole from the resolved config that ``render_resolved``
     writes."""
     text = text.strip()
@@ -212,12 +205,11 @@ def naming_keys(keys: dict[str, str]):
             f"{keys.get(str(exc).split()[0], keys[''])}: {exc}") from None
 
 
-class RunConfig(namedtuple("RunConfig",
-                           "source sections seed output_dir emit_plots")):
-    """Fully resolved configuration: the config file's path, every present
-    section but ``[run]`` as a dict of dicts, and the keys of ``[run]``,
-    with defaults filled. The command line overrides the last three
-    through ``_replace``."""
+class RunConfig(namedtuple("RunConfig", "source sections")):
+    """Fully resolved configuration: the config file's path and every
+    present section, with ``[run]`` always among them, as a dict of dicts
+    with defaults filled. The command line sets its overrides in
+    ``sections["run"]``."""
 
     __slots__ = ()
 
@@ -289,8 +281,11 @@ def parse_config(path) -> RunConfig:
     offending key and constraint on validation errors.
     """
     path = Path(path)
+    # no header can spell a line break, so [DEFAULT] is a section like any
+    # other, and an unknown one
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"))
+        interpolation=None, inline_comment_prefixes=("#", ";"),
+        default_section="\n")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
@@ -315,15 +310,8 @@ def parse_config(path) -> RunConfig:
     loss = sections.get("loss", {})
     if loss.get("purcell_g_mhz") is not None and "readout" not in sections:
         raise ConfigError("[loss]: a Purcell channel needs [readout] kappa_inv_ns")
-
-    run = sections.pop("run", None) or _resolve_section("run", {})
-    return RunConfig(
-        source=path,
-        sections=sections,
-        seed=run["seed"],
-        output_dir=Path(run["output_dir"] or DEFAULT_OUTPUT_DIR),
-        emit_plots=run["emit_plots"],
-    )
+    sections.setdefault("run", _resolve_section("run", {}))
+    return RunConfig(source=path, sections=sections)
 
 
 def render_resolved(config: RunConfig) -> str:
@@ -332,15 +320,12 @@ def render_resolved(config: RunConfig) -> str:
     Floats are written in their shortest round-trip form (``str`` equals
     ``repr`` for floats), so parsing the text back gives equal values.
     """
-    sections = {**config.sections, "run": {
-        "seed": config.seed, "output_dir": str(config.output_dir),
-        "emit_plots": config.emit_plots}}
     lines = []
     for name in SCHEMA:
-        if name not in sections:
+        if name not in config.sections:
             continue
         lines.append(f"[{name}]")
-        for key, value in sections[name].items():   # in SCHEMA order
+        for key, value in config.sections[name].items():   # in SCHEMA order
             if value is None:
                 continue
             if isinstance(value, bool):

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 
 from cqedkit import ConfigError, coherence, readout
 from cqedkit.cli import main
-from cqedkit.config import (
-    DEFAULT_OUTPUT_DIR,
-    SCHEMA,
-    parse_config,
-    render_resolved,
-)
+from cqedkit.config import SCHEMA, parse_config, render_resolved
 from cqedkit.dataio import format_number, load_coherence_csv, write_csv
 from cqedkit.floats import linspace, normal
 
@@ -59,7 +54,7 @@ def write_config(tmp_path, text, name="run.cfg"):
 def test_parse_minimal_config_fills_defaults(tmp_path):
     path = write_config(tmp_path, FULL_CONFIG)
     config = parse_config(path)
-    assert config.seed == 3
+    assert config.require("run") == {"seed": 3, "emit_plots": False}
     geometry = config.require("geometry")
     assert geometry["feed_offset_um"] == 20.0     # documented default
     readout = config.require("readout")
@@ -68,7 +63,6 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     assert readout["tau_m_ns"] == 700.0
     assert readout["target_snr"] == 5.0
     assert readout["n_shots"] == 2000
-    assert readout["transient"] is False
     assert readout["tau_list_ns"] == (175.0, 350.0, 700.0, 1400.0, 2800.0)
 
 
@@ -96,10 +90,13 @@ def test_cpw_termination_is_an_unknown_key(tmp_path, capsys):
     ("loss", "anharmonicity_ghz"), ("readout", "epsilon_per_s"),
     ("geometry", "spiral_length_um"), ("resonator", "kappa0_per_s"),
     ("resonator", "d0_um"), ("loss", "purcell_kappa_inv_ns"),
+    ("readout", "transient"), ("run", "output_dir"),
 ])
 def test_dropped_route_keys_are_unknown(section, key, tmp_path, capsys):
     # each quantity has one key: purcell_g_mhz, target_snr, turns,
-    # q_coupling, and [readout] kappa_inv_ns for the one resonator's linewidth
+    # q_coupling, and [readout] kappa_inv_ns for the one resonator's
+    # linewidth; the CLI's shots are steady-state, and --out alone names
+    # the output directory
     path = write_config(tmp_path, DEMO_CONFIG.read_text(encoding="utf-8").replace(
         f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
     out = tmp_path / "out"
@@ -228,15 +225,25 @@ def test_kappa_fit_requires_an_input(tmp_path):
         parse_config(path)
 
 
-def test_output_dir_resolution(tmp_path):
-    plain = parse_config(write_config(tmp_path, FULL_CONFIG, "plain.cfg"))
-    assert str(plain.output_dir) == DEFAULT_OUTPUT_DIR
+def test_output_dir_resolution(tmp_path, monkeypatch, capsys):
+    # without --out, a run writes cqedkit-out/ under the working directory
+    config = write_config(tmp_path, FULL_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    assert main(["design-resonator", "--config", str(config)]) == 0
+    assert sorted(path.name for path in (tmp_path / "cqedkit-out").iterdir()) \
+        == ["design.csv", "report.txt"]
 
-    explicit = parse_config(write_config(
-        tmp_path,
-        FULL_CONFIG.replace("seed = 3", "seed = 3\noutput_dir = chosen"),
-        "explicit.cfg"))
-    assert str(explicit.output_dir) == "chosen"
+
+@pytest.mark.parametrize("header", ["[DEFAULT]\n", "[DEFAULT]\nturns = 5\n"],
+                         ids=["empty", "with-key"])
+def test_default_section_is_an_unknown_section(header, tmp_path, capsys):
+    # configparser would otherwise take [DEFAULT] as keys for every section
+    path = write_config(tmp_path, header + DEMO_CONFIG.read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    assert main(["design-resonator", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: unknown config section [DEFAULT]\n")
+    assert not out.exists()
 
 
 def test_render_resolved_reparses_identically(tmp_path):
@@ -244,16 +251,7 @@ def test_render_resolved_reparses_identically(tmp_path):
     config = parse_config(source)
     rendered = write_config(tmp_path, render_resolved(config), "resolved.cfg")
     reparsed = parse_config(rendered)
-    assert "run" not in config.sections     # [run] lives in the fields only
     assert reparsed.sections == config.sections
-    # the rendered text pins the resolved output directory explicitly
-    assert _run_fields(reparsed) == _run_fields(config)
-
-
-def _run_fields(config):
-    """The [run] values of a RunConfig, as its fields hold them."""
-    return {"seed": config.seed, "output_dir": str(config.output_dir),
-            "emit_plots": config.emit_plots}
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -339,15 +337,13 @@ def test_any_valid_config_survives_render_and_reparse(sections):
         source = Path(tmp) / "drawn.cfg"
         source.write_text(_config_text(sections), encoding="utf-8")
         config = parse_config(source)
-        resolved = {**config.sections, "run": _run_fields(config)}
         for name, values in sections.items():
             for key, value in values.items():
-                assert resolved[name][key] == value, (name, key)
+                assert config.sections[name][key] == value, (name, key)
         rendered = Path(tmp) / "rendered.cfg"
         rendered.write_text(render_resolved(config), encoding="utf-8")
         reparsed = parse_config(rendered)
     assert reparsed.sections == config.sections
-    assert _run_fields(reparsed) == _run_fields(config)
 
 
 def _run(args):
@@ -403,33 +399,17 @@ def test_cli_indented_line_in_a_path_key_fails_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-# Directory names that configparser would cut short when the report's
-# resolved config is read back: at an inline comment, or at a line break
-CUT_NAMES = ["a #b", "a ;b", "a\t#b", "a\nb"]
-
-
-@pytest.mark.parametrize("name", CUT_NAMES, ids=lambda name: f"--out-{name!r}")
-def test_cli_output_dir_that_the_report_cannot_repeat_fails_on_one_line(
-        name, tmp_path, capsys):
+# Directory names that configparser would cut short as config values:
+# --out is a plain path, which the report does not echo
+@pytest.mark.parametrize("name", ["a #b", "a ;b", "a\t#b"],
+                         ids=lambda name: f"--out-{name!r}")
+def test_cli_output_dir_is_a_plain_path(name, tmp_path, capsys):
     out = tmp_path / name
     assert _run(["design-resonator", "--config",
-                 str(write_config(tmp_path, FULL_CONFIG)), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config: --out: must be one line")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_cli_report_repeats_an_output_dir_with_comment_characters(
-        tmp_path, capsys):
-    # '#' and ';' inside a name, not after a space, start no comment
-    out = tmp_path / "a#b;c"
-    path = write_config(tmp_path, FULL_CONFIG)
-    assert _run(["design-resonator", "--config", str(path), "--out", str(out)]) == 0
-    report = (out / "report.txt").read_text(encoding="utf-8")
-    resolved = report.split("# resolved configuration (usable as a config file)\n")[1]
-    repeat = write_config(tmp_path, resolved.split("# results")[0], "repeat.cfg")
-    assert parse_config(repeat).output_dir == out
+                 str(write_config(tmp_path, FULL_CONFIG)), "--out", str(out)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [name, "run.cfg"]
+    assert sorted(path.name for path in out.iterdir()) == ["design.csv", "report.txt"]
+    assert capsys.readouterr().out.endswith(f" to {out}\n")
 
 
 def test_cli_missing_section_reports_error(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The scripts under ``scripts/``: the demo generator's seed check and the
-readout trade-off's exact ratio."""
+"""The scripts under ``scripts/``: the demo generator's seed check and
+Purcell channel, and the readout trade-off's exact ratio."""
 
 import csv
 import importlib.util
@@ -9,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cqedkit.cli import _build_purcell
+from cqedkit.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -29,6 +32,17 @@ def test_bad_arguments_fail_with_one_usage_error(seed, tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines()[-1].startswith("make_demo_inputs.py: error: ")
     assert not out.exists()
+
+
+def test_demo_purcell_channel_is_the_one_fits_cfg_declares(demo_inputs, tmp_path):
+    # the coherence table is drawn with the channel that fit-qdiel builds
+    # from fits.cfg, to the bit
+    config = tmp_path / "fits.cfg"
+    config.write_text(demo_inputs.FITS_CFG, encoding="ascii")
+    parsed = parse_config(config)
+    built = _build_purcell(parsed)
+    assert [x.hex() for x in built] == [x.hex() for x in demo_inputs.PURCELL]
+    assert parsed.require("loss")["q_diel"] == demo_inputs.Q_DIEL
 
 
 def test_readout_tradeoff_reports_the_exact_ratio(tmp_path):
