@@ -161,21 +161,22 @@ def cmd_design_resonator(config: RunConfig):
     lines = [f"{name}: {value:.6g}" for name, value in columns.items()]
 
     if res["q_coupling"] is not None:
-        kappa = resonator.kappa_from_qc(f_nominal, res["q_coupling"])
-        lines.append(f"kappa_from_qc_per_s: {kappa:.6g}")
-        # a kappa that overflows, or so small that Q_c does, fails here
+        mode = resonator.ResonatorMode(f_nominal, res["q_coupling"],
+                                       res["q_internal"])
+        # a kappa that overflows, or underflows to 0, fails here
         with naming_keys({"": "[resonator] q_coupling"}):
-            mode = resonator.ResonatorMode(
-                f_nominal, resonator.q_c_from_kappa(f_nominal, kappa),
-                res["q_internal"])
-        lines.append(f"kappa_inv_ns: {1e9 / kappa:.6g}")
-        lines.append(f"over_coupled: {str(mode.over_coupled).lower()}")
+            kappa = mode.kappa
+        lines += [f"kappa_from_qc_per_s: {kappa:.6g}",
+                  f"kappa_inv_ns: {1e9 / kappa:.6g}",
+                  f"over_coupled: {str(mode.over_coupled).lower()}"]
         columns.update(kappa_per_s=kappa, kappa_inv_ns=1e9 / kappa)
     return lines, {"design.csv": (list(columns), [list(columns.values())])}
 
 
 def cmd_sweep_spiral(config: RunConfig):
-    base_geometry = _build_geometry(config.require("geometry"))
+    values = config.require("geometry")
+    line_width = values["line_width_um"] * 1e-6
+    feed_offset = values["feed_offset_um"] * 1e-6
     film = _build_film(config.require("film"))
     c_total = config.require("resonator")["c_total_ff"] * 1e-15
     sweep = config.require("sweep")
@@ -185,9 +186,8 @@ def cmd_sweep_spiral(config: RunConfig):
     with naming_keys({"": "[sweep] length_min_um, length_max_um, [geometry] "
                           f"line_width_um, {_BAND_KEYS}"}):
         for length_um in lengths_um:
-            # the constructor, not _replace, so the length is checked
-            geometry = resonator.SpiralGeometry(**{
-                **base_geometry._asdict(), "spiral_length": length_um * 1e-6})
+            geometry = resonator.SpiralGeometry(line_width, length_um * 1e-6,
+                                                feed_offset)
             band = resonator.frequency_band(geometry, film, c_total)
             rows.append([length_um, *(f / 1e9 for f in band)])
     _, f_low, f_nominal, f_high = zip(*rows)

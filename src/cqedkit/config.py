@@ -293,10 +293,11 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from exc
+    except configparser.MissingSectionHeaderError as exc:
+        # a key before the first header: the one ParsingError without errors
+        raise ConfigError(f"{path}: parse error at line {exc.lineno}") from exc
     except configparser.ParsingError as exc:
-        first = exc.errors[0] if getattr(exc, "errors", None) else None
-        line = first[0] if first else "?"
-        raise ConfigError(f"{path}: parse error at line {line}") from exc
+        raise ConfigError(f"{path}: parse error at line {exc.errors[0][0]}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 

@@ -57,20 +57,18 @@ class FilmProperties(namedtuple(
 
 
 class SpiralGeometry(namedtuple(
-        "SpiralGeometry",
-        "disk_radius line_width gap feed_offset spiral_length turns")):
-    """Planar spiral wound from a central disk outward; lengths in metres."""
+        "SpiralGeometry", "line_width spiral_length feed_offset")):
+    """A spiral's trace: its width, its length and its offset from the
+    feed line, in metres. ``build_spiral`` works the length out from the
+    winding; ``frequency_band`` reads the width and the length."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        require_positive(disk_radius=self.disk_radius, line_width=self.line_width,
-                         gap=self.gap, spiral_length=self.spiral_length)
+        require_positive(line_width=self.line_width,
+                         spiral_length=self.spiral_length)
         require_nonnegative(feed_offset=self.feed_offset)
-        require_finite(turns=self.turns)
-        if self.turns < 1.0:
-            raise DomainError("turns must be at least 1")
         return self
 
 
@@ -98,16 +96,12 @@ def build_spiral(
     feed_offset: float,
     turns: float,
 ) -> SpiralGeometry:
-    """Construct a SpiralGeometry, deriving the trace length from the turn
-    count; for a given length, construct ``SpiralGeometry`` directly."""
-    return SpiralGeometry(
-        disk_radius=disk_radius,
-        line_width=line_width,
-        gap=gap,
-        feed_offset=feed_offset,
-        spiral_length=archimedean_spiral_length(disk_radius, line_width + gap, turns),
-        turns=turns,
-    )
+    """The trace of a spiral wound ``turns`` times from a central disk
+    outward at a pitch of ``line_width + gap``; for a given length,
+    construct ``SpiralGeometry`` directly."""
+    spiral_length = archimedean_spiral_length(disk_radius, line_width + gap, turns)
+    require_positive(line_width=line_width, gap=gap)
+    return SpiralGeometry(line_width, spiral_length, feed_offset)
 
 
 class ResonatorMode(namedtuple("ResonatorMode", "f_r q_coupling q_internal")):
@@ -171,9 +165,12 @@ def frequency_band(geometry: SpiralGeometry, film: FilmProperties,
 
 
 def kappa_from_qc(f_r: float, q_coupling: float) -> float:
-    """Coupling-limited linewidth kappa = 2 pi f_r / Q_c, in 1/s."""
+    """Coupling-limited linewidth kappa = 2 pi f_r / Q_c, in 1/s; a kappa
+    that overflows to inf or underflows to 0 is a DomainError naming kappa."""
     require_positive(f_r=f_r, q_coupling=q_coupling)
-    return 2.0 * math.pi * f_r / q_coupling
+    kappa = 2.0 * math.pi * f_r / q_coupling
+    require_positive(kappa=kappa)
+    return kappa
 
 
 def q_c_from_kappa(f_r: float, kappa: float) -> float:

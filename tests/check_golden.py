@@ -136,14 +136,10 @@ def fit_bits(seed: int, outdir: Path) -> tuple[str, str]:
         "make_demo_inputs", ROOT / "scripts" / "make_demo_inputs.py")
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    # the writers in the script's order, drawing from its stream
-    draw = partial(normal, random.Random(seed))
-    demo.write_spiral_survey(outdir, draw)
-    ringdown = demo.write_ringdown(outdir, draw)
-    demo.write_kappa_offset(outdir, draw)
-    coherence = demo.write_coherence(outdir, draw)
-    fits = (fit_kappa_ringdown(*load_ringdown_csv(ringdown)).fit,
-            fit_qdiel(load_coherence_csv(coherence), purcell=demo.PURCELL))
+    demo.write_inputs(outdir, partial(normal, random.Random(seed)))
+    fits = (fit_kappa_ringdown(*load_ringdown_csv(outdir / "ringdown.csv")).fit,
+            fit_qdiel(load_coherence_csv(outdir / "coherence.csv"),
+                      purcell=demo.PURCELL))
     return tuple(map(_bits, fits))
 
 

@@ -52,13 +52,9 @@ def inputs(demo_inputs, tmp_path_factory):
     """A directory of the two base configs and the fit inputs that fits.cfg
     names."""
     outdir = tmp_path_factory.mktemp("inputs")
-    normal = np.random.default_rng(7).standard_normal
-    for write in (demo_inputs.write_spiral_survey, demo_inputs.write_ringdown,
-                  demo_inputs.write_kappa_offset, demo_inputs.write_coherence):
-        write(outdir, normal)
+    demo_inputs.write_inputs(outdir, np.random.default_rng(7).standard_normal)
     (outdir / "demo.cfg").write_text(DEMO_CONFIG.read_text(encoding="utf-8"),
                                      encoding="utf-8")
-    (outdir / "fits.cfg").write_text(demo_inputs.FITS_CFG, encoding="utf-8")
     return outdir
 
 

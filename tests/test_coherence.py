@@ -268,8 +268,7 @@ VALID_FIELDS = {
     CoherenceRecord: dict(f_q=4e9, t1=25e-6, t1_spread=1e-6, t2e=47e-6),
     FilmProperties: dict(lk_nominal=2.0, lk_low=2.0, lk_high=2.2,
                          geometric_l_per_square=0.0),
-    SpiralGeometry: dict(disk_radius=40e-6, line_width=2e-6, gap=2e-6,
-                         feed_offset=20e-6, spiral_length=5e-3, turns=20.0),
+    SpiralGeometry: dict(line_width=2e-6, spiral_length=5e-3, feed_offset=20e-6),
     CpwTestStructure: dict(length=4e-3, l_per_length=4e-7,
                            c_per_length=1.6e-10),
     ResonatorMode: dict(f_r=6e9, q_coupling=1e4, q_internal=1e6),

@@ -167,6 +167,12 @@ def test_parse_error_reports_line_number(tmp_path):
         parse_config(path)
 
 
+def test_key_before_any_section_reports_its_line_number(tmp_path):
+    path = write_config(tmp_path, "# no header yet\nturns = 5\n[geometry]\n")
+    with pytest.raises(ConfigError, match=r": parse error at line 2$"):
+        parse_config(path)
+
+
 def test_film_band_constraint_named(tmp_path, capsys):
     # one check and one text, FilmProperties'; the command names the keys
     path = write_config(tmp_path, FULL_CONFIG.replace(
@@ -655,6 +661,20 @@ def test_cli_sweep_spiral_measurements_must_be_positive(tmp_path, capsys):
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
 
+@pytest.mark.parametrize("turns", ["0.5", "1e300"])
+def test_cli_sweep_spiral_does_not_wind_a_spiral(turns, tmp_path, capsys):
+    # the sweep sets each length; [geometry] turns is design-resonator's
+    config = write_config(tmp_path, re.sub(
+        r"^turns = .*$", f"turns = {turns}",
+        DEMO_CONFIG.read_text(encoding="utf-8"), flags=re.MULTILINE))
+    demo, edited = tmp_path / "demo", tmp_path / "edited"
+    for path, out in ((DEMO_CONFIG, demo), (config, edited)):
+        assert _run(["sweep-spiral", "--config", str(path), "--out", str(out),
+                     "--plots"]) == 0
+    for name in ("spiral_sweep.csv", "spiral_sweep.svg"):
+        assert (edited / name).read_bytes() == (demo / name).read_bytes()
+
+
 def _unreached(*counts):
     raise AssertionError("the library's shot-count check was reached")
 
@@ -781,6 +801,9 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
      f"{SWEEP_BAND}: inductance must be finite"),
     ("design-resonator", {"q_coupling": "1e-300"},
      "[resonator] q_coupling: kappa must be finite"),
+    # a band far below 1 Hz over a huge Q_c: kappa underflows to 0
+    ("design-resonator", {"c_total_ff": "1e300", "q_coupling": "1e300"},
+     "[resonator] q_coupling: kappa must be positive"),
     # (L f)^2 overflows, or underflows to 0
     ("fit-lk", {"cpw_length_um": "1e300"},
      f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
@@ -847,7 +870,8 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
      "1/t1_spread^2"),
 ], ids=["turns-below-one", "design-lc-underflow", "sweep-c-underflow",
         "sweep-length-underflow", "design-inductance-overflow",
-        "sweep-inductance-overflow", "kappa-overflow", "lk-length-1e300",
+        "sweep-inductance-overflow", "kappa-overflow", "kappa-underflow",
+        "lk-length-1e300",
         "lk-length-1e308", "lk-length-underflow", "lk-frequency-underflow",
         "lk-per-length-overflow", "lk-frequency-overflow",
         "simulate-snr-overflow", "sweep-snr-overflow", "sweep-long-tau-snr-overflow",

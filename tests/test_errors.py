@@ -170,3 +170,20 @@ def test_closed_form_relations_reject_non_finite_arguments_by_name(relation, bad
     call, name = RELATIONS[relation]
     with pytest.raises(DomainError, match=f"^{name} must be finite$"):
         call(bad)
+
+
+# Finite arguments whose result overflows to inf or underflows to 0: (call,
+# the error that names the result).
+OUT_OF_RANGE = {
+    "kappa_from_qc-overflow": (lambda: kappa_from_qc(6e9, 1e-300),
+                               "kappa must be finite"),
+    "kappa_from_qc-underflow": (lambda: kappa_from_qc(1e-300, 1e308),
+                                "kappa must be positive"),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(OUT_OF_RANGE))
+def test_closed_form_results_out_of_range_are_named(relation):
+    call, message = OUT_OF_RANGE[relation]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()

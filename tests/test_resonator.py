@@ -115,11 +115,20 @@ def test_spiral_length_matches_quadrature():
 
 
 def test_spiral_geometry_validation():
-    with pytest.raises(DomainError):
-        SpiralGeometry(disk_radius=-1e-6, line_width=2e-6, gap=2e-6,
-                       feed_offset=0.0, spiral_length=1e-3, turns=10.0)
-    with pytest.raises(DomainError):
+    assert SpiralGeometry._fields == ("line_width", "spiral_length", "feed_offset")
+    with pytest.raises(DomainError, match="^line_width must be positive$"):
+        SpiralGeometry(line_width=-2e-6, spiral_length=1e-3, feed_offset=0.0)
+    with pytest.raises(DomainError, match="^feed_offset must be nonnegative$"):
+        SpiralGeometry(line_width=2e-6, spiral_length=1e-3, feed_offset=-1e-6)
+    # the winding is build_spiral's to check, as it works out the length
+    with pytest.raises(DomainError, match="^start_radius must be positive$"):
+        _demo_geometry(disk_radius=-1e-6)
+    with pytest.raises(DomainError, match="^gap must be positive$"):
+        _demo_geometry(line_width=5e-6, gap=-1e-6)
+    with pytest.raises(DomainError, match="^turns must be at least 1$"):
         _demo_geometry(turns=0.5)
+    assert _demo_geometry() == (2e-6, archimedean_spiral_length(40e-6, 4e-6, 20.0),
+                                20e-6)
 
 
 def test_frequency_band_ratio():
@@ -217,12 +226,11 @@ def test_kappa_offset_fit_intervals_are_calibrated(tmp_path, demo_inputs):
     degrees of freedom the nominal coverage is Student t's, and the
     measured share must lie within four binomial standard deviations.
     """
-    kappa0, d0, seeds = 2.5e7, 12e-6, 400
+    kappa0, d0, seeds = demo_inputs.KAPPA0, demo_inputs.D0, 400
     z_scores = []
     for seed in range(seeds):
         path = demo_inputs.write_kappa_offset(
-            tmp_path, np.random.default_rng(seed).standard_normal,
-            kappa0=kappa0, d0=d0)
+            tmp_path, np.random.default_rng(seed).standard_normal)
         d_um, kappas = load_kappa_offset_csv(path)
         fit = fit_kappa_offset(np.array(d_um) * 1e-6, kappas)
         z_scores.append(np.abs(np.array(fit.params) - [kappa0, d0])
@@ -349,12 +357,12 @@ def test_ringdown_fit_intervals_are_calibrated(tmp_path, demo_inputs):
     the offset must each cover at Student t's rate for n - 3 = 253 degrees
     of freedom, within four binomial standard deviations.
     """
-    kappa, seeds = KAPPA_REF, 400
-    truth = np.array([kappa, 1.0, 0.05])
+    seeds = 400
+    truth = np.array([demo_inputs.PURCELL.kappa, 1.0, 0.05])
     z_scores = []
     for seed in range(seeds):
         path = demo_inputs.write_ringdown(
-            tmp_path, np.random.default_rng(seed).standard_normal, kappa=kappa)
+            tmp_path, np.random.default_rng(seed).standard_normal)
         fit = fit_kappa_ringdown(*load_ringdown_csv(path))
         estimate = np.array([fit.kappa, fit.amplitude, fit.offset])
         errors = np.array([fit.kappa_std_error, fit.fit.std_errors[0],
