@@ -7,18 +7,20 @@ budget-t1, simulate-readout, snr-sweep. Results go to ``--out``, a plain
 path, or ``cqedkit-out`` by default.
 
 Commands compute; ``main`` writes. Each ``cmd_*`` takes the resolved
-config and returns its report lines plus an ordered map from file name to
-artifact: a ``(header, rows)`` table, an ``SvgPlot``, or for
-``shots.csv`` the iterator of ``(state, block)`` pairs that
-``readout.stream_shots`` returns, which draws the shots only as
-``main`` writes them. ``main`` writes the tables and the shots, the plots
-only with ``--plots`` (or ``[run] emit_plots``), and last a plain-text
-report that echoes the resolved configuration, ``--seed`` and
-``--plots`` included, and the tool version, then lists the results and
-the artifacts in map order; the report alone is enough to repeat the run
-into any output directory. A command that fails writes
-no artifacts, and a failed write removes the files the run wrote. Failures
-print a single ``error: <category>: <message>`` line and exit 1.
+config and returns its results, an ordered map from name to raw value
+(an int, float, bool or str, or sweep-spiral's ``(low, high)`` pair),
+and an ordered map from file name to artifact: a ``(header, rows)``
+table, an ``SvgPlot``, or for ``shots.csv`` the iterator of ``(state,
+block)`` pairs that ``readout.stream_shots`` returns, which draws the
+shots only as ``main`` writes them. ``main`` writes the tables and the
+shots, the plots only with ``--plots`` (or ``[run] emit_plots``), and
+last a plain-text report that echoes the resolved configuration,
+``--seed`` and ``--plots`` included, and the tool version, then renders
+the results by one rule, ``result_line``, and lists the artifacts in map
+order; the report alone is enough to repeat the run into any output
+directory. A command that fails writes no artifacts, and a failed write
+removes the files the run wrote. Failures print a single ``error:
+<category>: <message>`` line and exit 1.
 
 Each command imports the library modules it uses beyond ``resonator``
 and ``dataio`` when it runs. Seven commands, with the parser, the writers
@@ -43,7 +45,7 @@ from pathlib import Path
 from . import __version__, dataio, resonator
 from .config import (SCHEMA, RunConfig, check_value, naming_keys, parse_config,
                      render_resolved)
-from .errors import ConfigError, OutputError, ToolError
+from .errors import ConfigError, OutputError, ToolError, require_finite
 from .floats import linspace
 from .svgplot import SvgPlot
 
@@ -84,6 +86,14 @@ def _kappa(values) -> float:
     """``[readout] kappa_inv_ns`` in 1/s; 1e-320 ns underflows to inf."""
     inverse = values["kappa_inv_ns"] * 1e-9
     return 1.0 / inverse if inverse else math.inf
+
+
+def _inverse_ns(kappa: float) -> float:
+    """1/kappa in ns; a kappa so small that this overflows is a DomainError
+    naming kappa_inv_ns."""
+    inverse = 1e9 / kappa
+    require_finite(kappa_inv_ns=inverse)
+    return inverse
 
 
 def _build_purcell(config: RunConfig) -> coherence.PurcellParams | None:
@@ -150,7 +160,7 @@ def cmd_design_resonator(config: RunConfig):
     inductance = resonator.total_inductance(n_squares, film)
     band = 1.0 - f_low / f_high
 
-    columns = {
+    results = {
         "squares": n_squares,
         "inductance_nominal_nh": inductance * 1e9,
         "f_low_ghz": f_low / 1e9,
@@ -158,19 +168,19 @@ def cmd_design_resonator(config: RunConfig):
         "f_high_ghz": f_high / 1e9,
         "fractional_band": band,
     }
-    lines = [f"{name}: {value:.6g}" for name, value in columns.items()]
-
+    columns = dict(results)
     if res["q_coupling"] is not None:
         mode = resonator.ResonatorMode(f_nominal, res["q_coupling"],
                                        res["q_internal"])
-        # a kappa that overflows, or underflows to 0, fails here
+        # a kappa that overflows, or underflows to 0 or to a value whose
+        # inverse overflows, fails here
         with naming_keys({"": "[resonator] q_coupling"}):
             kappa = mode.kappa
-        lines += [f"kappa_from_qc_per_s: {kappa:.6g}",
-                  f"kappa_inv_ns: {1e9 / kappa:.6g}",
-                  f"over_coupled: {str(mode.over_coupled).lower()}"]
-        columns.update(kappa_per_s=kappa, kappa_inv_ns=1e9 / kappa)
-    return lines, {"design.csv": (list(columns), [list(columns.values())])}
+            inverse = _inverse_ns(kappa)
+        results.update(kappa_from_qc_per_s=kappa, kappa_inv_ns=inverse,
+                       over_coupled=mode.over_coupled)
+        columns.update(kappa_per_s=kappa, kappa_inv_ns=inverse)
+    return results, {"design.csv": (list(columns), [list(columns.values())])}
 
 
 def cmd_sweep_spiral(config: RunConfig):
@@ -191,8 +201,8 @@ def cmd_sweep_spiral(config: RunConfig):
             band = resonator.frequency_band(geometry, film, c_total)
             rows.append([length_um, *(f / 1e9 for f in band)])
     _, f_low, f_nominal, f_high = zip(*rows)
-    lines = [f"points: {len(rows)}",
-             f"f_nominal_ghz_range: {f_nominal[-1]:.6g} .. {f_nominal[0]:.6g}"]
+    results = {"points": len(rows),
+               "f_nominal_ghz_range": (f_nominal[-1], f_nominal[0])}
 
     plot = SvgPlot("spiral length (um)", "frequency (GHz)",
                    "resonance band vs spiral length")
@@ -201,11 +211,11 @@ def cmd_sweep_spiral(config: RunConfig):
     if sweep["measured_csv"] is not None:
         measured = dataio.load_resonator_csv(
             config.input_path(sweep["measured_csv"]))
-        lines.append(f"measured_points: {len(measured[0])}")
+        results["measured_points"] = len(measured[0])
         plot.add_scatter(measured[0], measured[1], color="#b5512d")
     table = (["spiral_length_um", "f_low_ghz", "f_nominal_ghz", "f_high_ghz"],
              rows)
-    return lines, {"spiral_sweep.csv": table, "spiral_sweep.svg": plot}
+    return results, {"spiral_sweep.csv": table, "spiral_sweep.svg": plot}
 
 
 def cmd_fit_lk(config: RunConfig):
@@ -225,38 +235,42 @@ def cmd_fit_lk(config: RunConfig):
             geometric_l_per_square=values["geometric_l_per_square_ph_sq"],
         )
     table = (["measured_f_ghz", "lk_ph_sq"], [[values["measured_f_ghz"], lk]])
-    return [f"lk_ph_sq: {lk:.6g}"], {"lk_extraction.csv": table}
+    return {"lk_ph_sq": lk}, {"lk_extraction.csv": table}
 
 
 def cmd_fit_kappa(config: RunConfig):
     values = config.require("kappa_fit")
-    lines = []
+    results = {}
     artifacts = {}
     if values["trace_csv"] is not None:
         t, v = dataio.load_ringdown_csv(
             config.input_path(values["trace_csv"]))
-        ring = resonator.fit_kappa_ringdown(t, v)
+        # the fit's failures on the trace, and a kappa whose inverse
+        # overflows, name the file
+        with naming_keys({"": "[kappa_fit] trace_csv"}):
+            ring = resonator.fit_kappa_ringdown(t, v)
+            inverse = _inverse_ns(ring.kappa)
         artifacts["kappa_ringdown.csv"] = (
             ["kappa_per_s", "kappa_std_error_per_s", "kappa_inv_ns",
              "amplitude", "offset"],
-            [[ring.kappa, ring.kappa_std_error, 1e9 / ring.kappa,
+            [[ring.kappa, ring.kappa_std_error, inverse,
               ring.amplitude, ring.offset]])
-        lines += [f"ringdown_kappa_per_s: {ring.kappa:.6g}",
-                  f"ringdown_kappa_std_error_per_s: {ring.kappa_std_error:.6g}",
-                  f"ringdown_kappa_inv_ns: {1e9 / ring.kappa:.6g}"]
+        results.update(ringdown_kappa_per_s=ring.kappa,
+                       ringdown_kappa_std_error_per_s=ring.kappa_std_error,
+                       ringdown_kappa_inv_ns=inverse)
     if values["offset_csv"] is not None:
         d_um, kappas = dataio.load_kappa_offset_csv(
             config.input_path(values["offset_csv"]))
-        fit = resonator.fit_kappa_offset([d * 1e-6 for d in d_um], kappas)
+        with naming_keys({"": "[kappa_fit] offset_csv"}):
+            fit = resonator.fit_kappa_offset([d * 1e-6 for d in d_um], kappas)
         kappa0, d0 = fit.params
         kappa0_err, d0_err = fit.std_errors
         artifacts["kappa_offset.csv"] = (
             ["kappa0_per_s", "kappa0_std_error_per_s", "d0_um",
              "d0_std_error_um"],
             [[kappa0, kappa0_err, d0 * 1e6, d0_err * 1e6]])
-        lines += [f"offset_kappa0_per_s: {kappa0:.6g}",
-                  f"offset_d0_um: {d0 * 1e6:.6g}"]
-    return lines, artifacts
+        results.update(offset_kappa0_per_s=kappa0, offset_d0_um=d0 * 1e6)
+    return results, artifacts
 
 
 def cmd_fit_qdiel(config: RunConfig):
@@ -284,20 +298,20 @@ def cmd_fit_qdiel(config: RunConfig):
     q_err, = fit.std_errors
     checked = [check for check in map(coherence.t2_bound_check, records)
                if check.applicable]
-    lines = [
-        f"q_diel: {q_diel:.6g}",
-        f"q_diel_std_error: {q_err:.6g}",
-        f"converged: {str(fit.converged).lower()}",
-        f"t2_bound_checked: {len(checked)}",
-        f"t2_bound_passed: {sum(check.passed for check in checked)}",
-    ]
+    results = {
+        "q_diel": q_diel,
+        "q_diel_std_error": q_err,
+        "converged": fit.converged,
+        "t2_bound_checked": len(checked),
+        "t2_bound_passed": sum(check.passed for check in checked),
+    }
 
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)",
                    "relaxation budget fit")
     plot.add_line([f / 1e9 for f in grid], [t * 1e6 for t in curve])
     plot.add_scatter([f / 1e9 for f in f_q], [t * 1e6 for t in t1],
                      color="#b5512d")
-    return lines, {
+    return results, {
         "qdiel_fit.csv": (
             ["f_q_ghz", "t1_us", "t1_model_us", "residual_us"],
             [[f / 1e9, t * 1e6, m * 1e6, (t - m) * 1e6]
@@ -335,16 +349,16 @@ def cmd_budget_t1(config: RunConfig):
         t1_diel, t1_p, total = coherence.t1_budget(grid, model)
         t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
     f_ghz = [f / 1e9 for f in grid]
-    lines = [f"points: {len(grid)}",
-             f"t1_total_us_at_f_min: {total[0] * 1e6:.6g}",
-             f"t1_total_us_at_f_max: {total[-1] * 1e6:.6g}"]
+    results = {"points": len(grid),
+               "t1_total_us_at_f_min": total[0] * 1e6,
+               "t1_total_us_at_f_max": total[-1] * 1e6}
 
     plot = SvgPlot("qubit frequency (GHz)", "T1 (us)", "relaxation budget")
     plot.add_line(f_ghz, [t * 1e6 for t in t1_diel])
     if model.purcell is not None:
         plot.add_line(f_ghz, [t * 1e6 for t in t1_p])
     plot.add_line(f_ghz, [t * 1e6 for t in total])
-    return lines, {
+    return results, {
         "t1_budget.csv": (
             ["f_q_ghz", "t1_dielectric_us", "t1_purcell_us", "t1_total_us",
              "t2_us"],
@@ -362,17 +376,16 @@ def cmd_simulate_readout(config: RunConfig):
         snr, shots = readout.stream_shots(rc)
     closed = readout.snr_asymptotic(rc)
     fidelity = readout.separation_fidelity(closed)
-    lines = [
-        f"epsilon_per_s: {rc.epsilon:.6g}",
-        f"snr_closed_form: {closed:.6g}",
-        f"snr_monte_carlo: {snr:.6g}",
-        f"fidelity_closed_form: {fidelity:.9g}",
-        f"shots_per_state: {rc.n_shots}",
-    ]
+    results = {
+        "epsilon_per_s": rc.epsilon,
+        "snr_closed_form": closed,
+        "snr_monte_carlo": snr,
+        "fidelity_closed_form": fidelity,
+        "shots_per_state": rc.n_shots,
+    }
     summary = (["snr_eq1", "snr_mc", "sigma_raw", "fidelity_eq1"],
                [[closed, snr, readout.noise_sigma(rc), fidelity]])
-    return lines, {"shots.csv": shots,
-                   "readout_summary.csv": summary}
+    return results, {"shots.csv": shots, "readout_summary.csv": summary}
 
 
 def cmd_snr_sweep(config: RunConfig):
@@ -386,14 +399,13 @@ def cmd_snr_sweep(config: RunConfig):
         points = readout.snr_sweep(rc, [tau * 1e-9 for tau in tau_list_ns])
     rows = [[tau_ns, p.snr_closed_form, p.snr_monte_carlo, p.fidelity]
             for tau_ns, p in zip(tau_list_ns, points)]
-    lines = [f"epsilon_per_s: {rc.epsilon:.6g}",
-             f"tau_points: {len(rows)}"]
+    results = {"epsilon_per_s": rc.epsilon, "tau_points": len(rows)}
     taus_ns, snr_eq1, snr_mc, _ = zip(*rows)
     plot = SvgPlot("integration time (ns)", "SNR",
                    "readout SNR vs integration time")
     plot.add_line(taus_ns, snr_eq1)
     plot.add_scatter(taus_ns, snr_mc, color="#b5512d")
-    return lines, {
+    return results, {
         "snr_sweep.csv": (["tau_ns", "snr_eq1", "snr_mc", "fidelity"], rows),
         "snr_sweep.svg": plot,
     }
@@ -409,6 +421,23 @@ COMMANDS = {
     "simulate-readout": cmd_simulate_readout,
     "snr-sweep": cmd_snr_sweep,
 }
+
+
+# The results whose report line has more than 6 significant digits
+_DIGITS = {"fidelity_closed_form": 9}
+
+
+def result_line(name: str, value) -> str:
+    """A result's report line: a bool as true or false, a float to 6
+    significant digits (or its ``_DIGITS``), a pair as ``low .. high``, an
+    int or a str as it is."""
+    if isinstance(value, bool):
+        value = str(value).lower()
+    elif isinstance(value, float):
+        value = f"{value:.{_DIGITS.get(name, 6)}g}"
+    elif isinstance(value, tuple):
+        value = "{:.6g} .. {:.6g}".format(*value)
+    return f"{name}: {value}"
 
 
 def _write_all(outdir: Path, files: dict) -> None:
@@ -473,7 +502,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise OutputError(f"cannot create output directory {outdir}: "
                               f"{exc.strerror or exc}") from exc
-        lines, artifacts = COMMANDS[args.command](config)
+        results, artifacts = COMMANDS[args.command](config)
+        lines = [result_line(*item) for item in results.items()]
         if not run["emit_plots"]:
             artifacts = {name: artifact for name, artifact in artifacts.items()
                          if not isinstance(artifact, SvgPlot)}

@@ -221,19 +221,22 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
 
     def cost(q):
         residuals = list(map(sub, t1, t1_model(q)))
-        return math.fsum(map(mul, weights, map(mul, residuals, residuals)))
+        return fitting.fsum(map(mul, weights, map(mul, residuals, residuals)))
 
     def model(q):
-        """T1 at each record, and its derivative in q, which is positive."""
+        """T1 at each record, and its derivative in q, which is positive;
+        a q whose square underflows to 0 has none that is finite."""
         values = t1_model(q)
+        if not q * q:
+            raise FitFailureError(f"Q_diel^2 underflows to 0 at {q:.6g}")
         return values, [d / (q * q) * (t * t) for d, t in zip(diel, values)]
 
     def slope(q):
         """The cost's derivative in q, and a bound on its rounding error."""
         values, deriv = model(q)
         weighted = map(mul, weights, map(sub, t1, values))
-        return (-2.0 * math.fsum(map(mul, weighted, deriv)),
-                2.0 * fitting.EPS * math.fsum(map(mul, map(mul, weights, t1), deriv)))
+        return (-2.0 * fitting.fsum(map(mul, weighted, deriv)),
+                2.0 * fitting.EPS * fitting.fsum(map(mul, map(mul, weights, t1), deriv)))
 
     q_records = [d * t for d, t in zip(diel, t1)]
     bracket = (0.1 * min(q_records), 1e3 * max(q_records))
@@ -244,4 +247,6 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
                               f"largest omega_q*T1: {exc}") from exc
     cost_q = cost(q)
     std_errors = fitting.standard_errors([(d,) for d in model(q)[1]], weights, cost_q)
+    # records near the ends of the float range can put these out of it
+    require_finite(q_diel=q, q_diel_std_error=std_errors[0])
     return fitting.FitResult((q,), std_errors, math.sqrt(cost_q), iterations)

@@ -53,7 +53,7 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, not_utf8
+from .errors import ConfigError, DomainError, ToolError, not_utf8
 
 _REQUIRED = object()
 
@@ -193,15 +193,18 @@ def check_value(label: str, spec: Key, value):
 @contextlib.contextmanager
 def naming_keys(keys: dict[str, str]):
     """A DomainError raised in the block, raised again as a ConfigError
-    naming the keys its value came from.
+    naming the keys its value came from; any other ToolError but a
+    ConfigError, such as a fit's failure on a file's data, keeps its type.
 
     ``keys`` maps the word that leads the library's text, the name of the
     value it rejects, to those keys, and "" to the keys of any other text.
     """
     try:
         yield
-    except DomainError as exc:
-        raise ConfigError(
+    except ConfigError:
+        raise
+    except ToolError as exc:
+        raise (ConfigError if isinstance(exc, DomainError) else type(exc))(
             f"{keys.get(str(exc).split()[0], keys[''])}: {exc}") from None
 
 

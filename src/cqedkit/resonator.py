@@ -219,8 +219,11 @@ def fit_kappa_offset(offsets, kappas) -> fitting.FitResult:
     kappa0 = math.exp(intercept)
     d0 = -1.0 / slope
     slope_err, intercept_err = line.std_errors
-    return line._replace(params=(kappa0, d0),
-                         std_errors=(kappa0 * intercept_err, slope_err * d0 * d0))
+    std_errors = (kappa0 * intercept_err, slope_err * d0 * d0)
+    # offsets near the ends of the float range can put these out of it
+    require_positive(kappa0=kappa0, d0=d0)
+    require_finite(std_errors=std_errors)
+    return line._replace(params=(kappa0, d0), std_errors=std_errors)
 
 
 class CpwTestStructure(namedtuple(
@@ -330,18 +333,18 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     # time in trace spans, the rate in decay times per span
     s = [(ti - t[0]) / span for ti in t]
     n = len(s)
-    v_mean = math.fsum(v) / n
+    v_mean = fitting.fsum(v) / n
     v_centred = [vi - v_mean for vi in v]
-    v_ss = math.fsum(map(mul, v_centred, v_centred))
+    v_ss = fitting.fsum(map(mul, v_centred, v_centred))
 
     def project(rate):
         """exp(-rate s), its mean, the deviations from that mean, their sum
         of squares, and the V0 that best fits them to v."""
         decay = [math.exp(-rate * si) for si in s]
-        mean = math.fsum(decay) / n
+        mean = fitting.fsum(decay) / n
         centred = [d - mean for d in decay]
-        c_ss = math.fsum(map(mul, centred, centred))
-        return decay, mean, centred, c_ss, math.fsum(map(mul, centred, v)) / c_ss
+        c_ss = fitting.fsum(map(mul, centred, centred))
+        return decay, mean, centred, c_ss, fitting.fsum(map(mul, centred, v)) / c_ss
 
     def cost(rate):
         """The squared residual norm from projected sums, no list of residuals."""
@@ -356,8 +359,8 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
         (the residual is orthogonal to their columns), and its rounding bound."""
         decay, _, centred, _, amp = project(rate)
         deriv = [-amp * si * d for si, d in zip(s, decay)]
-        return (-2.0 * math.fsum(map(mul, residuals(centred, amp), deriv)),
-                2.0 * fitting.EPS * math.fsum(map(mul, map(abs, v), map(abs, deriv))))
+        return (-2.0 * fitting.fsum(map(mul, residuals(centred, amp), deriv)),
+                2.0 * fitting.EPS * fitting.fsum(map(mul, map(abs, v), map(abs, deriv))))
 
     rate, iterations = fitting.least_squares(cost, slope, RINGDOWN_RATE_BRACKET)
     decay, mean, centred, _, amp = project(rate)
@@ -367,10 +370,12 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
         raise DomainError(
             "trace spans fewer than two amplitude decay times of the fitted rate")
     residual = residuals(centred, amp)
-    norm = math.sqrt(math.fsum(map(mul, residual, residual)))
+    norm = math.sqrt(fitting.fsum(map(mul, residual, residual)))
     # the derivatives in (amp, rate, offset), one row per sample
     jacobian = [(d, -amp * si * d, 1.0) for si, d in zip(s, decay)]
     fit = fitting.FitResult((amp, rate, v_mean - amp * mean), fitting.standard_errors(
         jacobian, [1.0] * n, norm * norm), norm, iterations)
-    return RingdownFit(kappa=2.0 * rate / span,
-                       kappa_std_error=2.0 * fit.std_errors[1] / span, fit=fit)
+    # a span near the ends of the float range can put kappa out of it
+    kappa, kappa_std_error = 2.0 * rate / span, 2.0 * fit.std_errors[1] / span
+    require_finite(kappa=kappa, kappa_std_error=kappa_std_error)
+    return RingdownFit(kappa=kappa, kappa_std_error=kappa_std_error, fit=fit)

@@ -1,19 +1,29 @@
-"""Property: any config value runs cleanly, or fails on one named line.
+"""Property: any config value or CSV cell runs cleanly, or fails on one
+named line.
 
 Hypothesis sets one to three keys of ``configs/demo.cfg``, or of the
 ``fits.cfg`` that ``scripts/make_demo_inputs.py`` writes, to values of
 each key's parse type: floats from 1e-300 to 1e300 with zero and
 negatives, small and out-of-range integers, booleans, and file names.
 Each edited config runs through ``cli.main`` for all eight commands.
-Every run exits 0 with nothing on stderr and no ``nan`` in any artifact,
-or exits 1 with a single ``error:`` line that names a config section or
-a CSV file, no traceback, and no file in its output directory.
+It also edits one or two columns of one of the four demo CSVs: it scales
+a column by 10^k (subnormal, zero and infinite results included), makes
+a column constant, cuts the file to one or two data rows, or reverses
+the rows, and runs the command that reads the file.
+
+Every run exits 0 with nothing on stderr and no ``nan`` or ``inf`` in any
+artifact, or exits 1 with a single ``error:`` line that names a config
+section or a CSV file, no traceback, and no file in its output directory.
+The one ``inf`` a correct run writes is ``t1_budget.csv``'s
+``t1_purcell_us`` with no Purcell channel, whose limit is infinite.
 """
 
 import contextlib
 import io
 import re
+import shutil
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +53,31 @@ VALUES = {
 }
 SEEDS = st.sampled_from([-1, 0, 2**64 - 1, 2**64]).map(str)
 
+# The config that names each demo CSV, and the command that reads it;
+# measured.cfg is demo.cfg with [sweep] measured_csv set
+READERS = {"spiral_measured.csv": ("measured.cfg", "sweep-spiral"),
+           "ringdown.csv": ("fits.cfg", "fit-kappa"),
+           "kappa_offset.csv": ("fits.cfg", "fit-kappa"),
+           "coherence.csv": ("fits.cfg", "fit-qdiel")}
+# the demo CSVs' values span 1e-6 to 1e7, so these reach past both ends
+# of the float range
+POWERS = st.one_of(st.integers(min_value=-30, max_value=30),
+                   st.integers(min_value=-330, max_value=330))
+
 # an error line names a config section, a file or a row of one
 NAMED = re.compile(r"\[[a-z_]+\]|\.(csv|cfg)\b")
 
 
 @pytest.fixture(scope="module")
 def inputs(demo_inputs, tmp_path_factory):
-    """A directory of the two base configs and the fit inputs that fits.cfg
-    names."""
+    """A directory of the base configs and the demo CSVs they name."""
     outdir = tmp_path_factory.mktemp("inputs")
     demo_inputs.write_inputs(outdir, np.random.default_rng(7).standard_normal)
-    (outdir / "demo.cfg").write_text(DEMO_CONFIG.read_text(encoding="utf-8"),
-                                     encoding="utf-8")
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    (outdir / "demo.cfg").write_text(text, encoding="utf-8")
+    (outdir / "measured.cfg").write_text(text.replace(
+        "[sweep]\n", "[sweep]\nmeasured_csv = spiral_measured.csv\n"),
+        encoding="utf-8")
     return outdir
 
 
@@ -77,6 +100,62 @@ def edited(draw, base):
     return text
 
 
+@st.composite
+def edited_table(draw, base):
+    """The CSV text ``base`` after one or two drawn edits of its rows."""
+    header, *rows = [line.split(",") for line in base.splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        edit = draw(st.sampled_from(["scale", "constant", "cut", "reverse"]))
+        column = draw(st.integers(min_value=0, max_value=len(header) - 1))
+        if edit == "scale":
+            # exact decimal scaling, then one rounding to the nearest float
+            power = draw(POWERS)
+            for row in rows:
+                row[column] = repr(float(Decimal(row[column]).scaleb(power)))
+        elif edit == "constant":
+            value = draw(st.sampled_from(rows))[column]
+            for row in rows:
+                row[column] = value
+        elif edit == "cut":
+            rows = rows[:draw(st.integers(min_value=1, max_value=2))]
+        else:
+            rows = rows[::-1]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _unmeant(path: Path) -> list[str]:
+    """The ``nan`` and ``inf`` words in an artifact, but for the infinite
+    Purcell limit of ``t1_budget.csv`` with no Purcell channel."""
+    text = path.read_text(encoding="utf-8")
+    if path.name == "t1_budget.csv":
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        purcell = header.index("t1_purcell_us")
+        text = "\n".join(",".join(cell for n, cell in enumerate(row)
+                                  if n != purcell) for row in [header, *rows])
+    return re.findall(r"\b(?:nan|inf)\b", text, flags=re.IGNORECASE)
+
+
+def check_run(command: str, config: Path, out: Path) -> None:
+    """Run ``command`` on ``config`` into the new directory ``out``: it exits
+    0 with clean artifacts, or 1 on one named line, leaving no file."""
+    out.mkdir()
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        status = main([command, "--config", str(config), "--out", str(out),
+                       "--plots"])
+    err = stderr.getvalue()
+    assert status in (0, 1), (command, status, err)
+    if status == 0:
+        assert err == "", (command, err)
+        for path in out.iterdir():
+            assert not _unmeant(path), (command, path.name, _unmeant(path))
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert NAMED.search(err), (command, err)
+        assert list(out.iterdir()) == [], (command, err)
+
+
 @given(data=st.data(), name=st.sampled_from(["demo.cfg", "fits.cfg"]))
 @settings(max_examples=60, deadline=None)
 def test_any_value_runs_cleanly_or_fails_on_one_named_line(inputs, data, name):
@@ -86,24 +165,19 @@ def test_any_value_runs_cleanly_or_fails_on_one_named_line(inputs, data, name):
     config = inputs / "edited.cfg"
     config.write_text(text, encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
         for command in COMMANDS:
-            out = tmp / command
-            out.mkdir()
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(stderr):
-                status = main([command, "--config", str(config),
-                               "--out", str(out), "--plots"])
-            err = stderr.getvalue()
-            assert status in (0, 1), (command, status, err)
-            if status == 0:
-                assert err == "", (command, err)
-                for path in out.iterdir():
-                    assert not re.search(r"\bnan\b", path.read_text(
-                        encoding="utf-8"), re.IGNORECASE), (command, path.name)
-            else:
-                assert err.startswith("error: ") and err.count("\n") == 1, (
-                    command, err)
-                assert NAMED.search(err), (command, err)
-                assert list(out.iterdir()) == [], (command, err)
+            check_run(command, config, Path(tmp) / command)
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(READERS)))
+@settings(max_examples=60, deadline=None)
+def test_any_csv_edit_runs_cleanly_or_fails_on_one_named_line(inputs, data, name):
+    text = data.draw(edited_table((inputs / name).read_text(encoding="utf-8")),
+                     label=name)
+    config, command = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for path in inputs.glob("*.c*"):
+            shutil.copy(path, tmp)
+        (tmp / name).write_text(text, encoding="utf-8")
+        check_run(command, tmp / config, tmp / "out")

@@ -804,6 +804,9 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
     # a band far below 1 Hz over a huge Q_c: kappa underflows to 0
     ("design-resonator", {"c_total_ff": "1e300", "q_coupling": "1e300"},
      "[resonator] q_coupling: kappa must be positive"),
+    # kappa is subnormal, so 1e9 / kappa overflows
+    ("design-resonator", {"c_total_ff": "1e300", "q_coupling": "2.5e171"},
+     "[resonator] q_coupling: kappa_inv_ns must be finite"),
     # (L f)^2 overflows, or underflows to 0
     ("fit-lk", {"cpw_length_um": "1e300"},
      f"{LK_KEYS}: measured frequency implies a negative kinetic inductance"),
@@ -871,7 +874,7 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
 ], ids=["turns-below-one", "design-lc-underflow", "sweep-c-underflow",
         "sweep-length-underflow", "design-inductance-overflow",
         "sweep-inductance-overflow", "kappa-overflow", "kappa-underflow",
-        "lk-length-1e300",
+        "kappa-inverse-overflow", "lk-length-1e300",
         "lk-length-1e308", "lk-length-underflow", "lk-frequency-underflow",
         "lk-per-length-overflow", "lk-frequency-overflow",
         "simulate-snr-overflow", "sweep-snr-overflow", "sweep-long-tau-snr-overflow",
