@@ -10,17 +10,16 @@ Commands compute; ``main`` writes. Each ``cmd_*`` takes the resolved
 config and returns its results, an ordered map from name to raw value
 (an int, float, bool or str, or sweep-spiral's ``(low, high)`` pair),
 and an ordered map from file name to artifact: a ``(header, rows)``
-table, an ``SvgPlot``, or for ``shots.csv`` the iterator of ``(state,
-block)`` pairs that ``readout.stream_shots`` returns, which draws the
-shots only as ``main`` writes them. ``main`` writes the tables and the
-shots, the plots only with ``--plots`` (or ``[run] emit_plots``), and
-last a plain-text report that echoes the resolved configuration,
-``--seed`` and ``--plots`` included, and the tool version, then renders
-the results by one rule, ``result_line``, and lists the artifacts in map
-order; the report alone is enough to repeat the run into any output
-directory. A command that fails writes no artifacts, and a failed write
-removes the files the run wrote. Failures print a single ``error:
-<category>: <message>`` line and exit 1.
+table, an ``SvgPlot``, or for ``shots.csv`` the ``(state, block)``
+iterator of ``readout.stream_shots``, which draws the shots as ``main``
+writes them. ``main`` writes the tables and the shots, the plots only
+with ``--plots`` (or ``[run] emit_plots``), and last a report that
+echoes the resolved configuration, ``--seed`` and ``--plots`` included,
+and the tool version, renders the results by one rule, ``result_line``,
+and lists the artifacts in map order; the report alone is enough to
+repeat the run into any output directory. A command that fails writes no
+artifacts, and a failed write removes the files the run wrote. Failures
+print a single ``error: <category>: <message>`` line and exit 1.
 
 Each command imports the library modules it uses beyond ``resonator``
 and ``dataio`` when it runs. Seven commands, with the parser, the writers
@@ -89,8 +88,7 @@ def _kappa(values) -> float:
 
 
 def _inverse_ns(kappa: float) -> float:
-    """1/kappa in ns; a kappa so small that this overflows is a DomainError
-    naming kappa_inv_ns."""
+    """1/kappa in ns; one that overflows is a DomainError naming kappa_inv_ns."""
     inverse = 1e9 / kappa
     require_finite(kappa_inv_ns=inverse)
     return inverse
@@ -172,8 +170,7 @@ def cmd_design_resonator(config: RunConfig):
     if res["q_coupling"] is not None:
         mode = resonator.ResonatorMode(f_nominal, res["q_coupling"],
                                        res["q_internal"])
-        # a kappa that overflows, or underflows to 0 or to a value whose
-        # inverse overflows, fails here
+        # a kappa that overflows, underflows to 0 or has no finite inverse
         with naming_keys({"": "[resonator] q_coupling"}):
             kappa = mode.kappa
             inverse = _inverse_ns(kappa)
@@ -245,8 +242,7 @@ def cmd_fit_kappa(config: RunConfig):
     if values["trace_csv"] is not None:
         t, v = dataio.load_ringdown_csv(
             config.input_path(values["trace_csv"]))
-        # the fit's failures on the trace, and a kappa whose inverse
-        # overflows, name the file
+        # the fit's failures on the trace name the file
         with naming_keys({"": "[kappa_fit] trace_csv"}):
             ring = resonator.fit_kappa_ringdown(t, v)
             inverse = _inverse_ns(ring.kappa)
@@ -329,6 +325,8 @@ def cmd_fit_qdiel(config: RunConfig):
 # library's name
 _GRID_KEYS = {"t1": "[loss] q_diel, f_q_min_ghz, f_q_max_ghz",
               "delta": "[loss] purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz",
+              "t1_purcell": "[loss] purcell_g_mhz, purcell_f_r_ghz, f_q_min_ghz, "
+                            "f_q_max_ghz, [readout] kappa_inv_ns",
               "": "[loss] f_q_min_ghz, f_q_max_ghz"}
 
 
@@ -348,6 +346,11 @@ def cmd_budget_t1(config: RunConfig):
     with naming_keys(_GRID_KEYS):
         t1_diel, t1_p, total = coherence.t1_budget(grid, model)
         t2 = [coherence.t2_from_t1(t1, model.gamma_phi) for t1 in total]
+        # the table is in us, where a T1 or T2 near the largest float
+        # overflows; the Purcell limit is inf only where g = 0
+        require_finite(t1=[t * 1e6 for t in (*t1_diel, *t2)])
+        if values["purcell_g_mhz"]:
+            require_finite(t1_purcell=[t * 1e6 for t in t1_p])
     f_ghz = [f / 1e9 for f in grid]
     results = {"points": len(grid),
                "t1_total_us_at_f_min": total[0] * 1e6,
@@ -428,9 +431,8 @@ _DIGITS = {"fidelity_closed_form": 9}
 
 
 def result_line(name: str, value) -> str:
-    """A result's report line: a bool as true or false, a float to 6
-    significant digits (or its ``_DIGITS``), a pair as ``low .. high``, an
-    int or a str as it is."""
+    """``name: value``: a bool as true or false, a float to 6 significant
+    digits (or its ``_DIGITS``), a pair as ``low .. high``, else ``str``."""
     if isinstance(value, bool):
         value = str(value).lower()
     elif isinstance(value, float):

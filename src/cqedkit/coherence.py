@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from operator import mul, sub
 
@@ -106,7 +107,12 @@ def _purcell_rate(g: float, delta: float, kappa: float) -> float:
     b = complex(abs(delta) / scale, 0.5 * kappa / scale)
     h = g / scale
     # Python's complex division, also for numpy scalar arguments
-    x = complex(2.0 * h * h) / (b + cmath.sqrt(b * b + 4.0 * h * h))
+    root = b + cmath.sqrt(b * b + 4.0 * h * h)
+    x = complex(2.0 * h * h) / root
+    if g and abs(x.imag) < sys.float_info.min:
+        # a subnormal or zero Im(x) has lost its digits (a detuning far
+        # beyond g and kappa); the unscaled 2 g h keeps them
+        return -2.0 * (complex(2.0 * g * h) / root).imag
     return -2.0 * scale * x.imag
 
 
@@ -221,7 +227,7 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
 
     def cost(q):
         residuals = list(map(sub, t1, t1_model(q)))
-        return fitting.fsum(map(mul, weights, map(mul, residuals, residuals)))
+        return math.fsum(map(mul, weights, map(mul, residuals, residuals)))
 
     def model(q):
         """T1 at each record, and its derivative in q, which is positive;
@@ -235,8 +241,8 @@ def fit_qdiel(records, purcell: PurcellParams | None = None) -> fitting.FitResul
         """The cost's derivative in q, and a bound on its rounding error."""
         values, deriv = model(q)
         weighted = map(mul, weights, map(sub, t1, values))
-        return (-2.0 * fitting.fsum(map(mul, weighted, deriv)),
-                2.0 * fitting.EPS * fitting.fsum(map(mul, map(mul, weights, t1), deriv)))
+        return (-2.0 * math.fsum(map(mul, weighted, deriv)),
+                2.0 * fitting.EPS * math.fsum(map(mul, map(mul, weights, t1), deriv)))
 
     q_records = [d * t for d, t in zip(diel, t1)]
     bracket = (0.1 * min(q_records), 1e3 * max(q_records))

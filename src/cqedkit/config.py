@@ -193,7 +193,8 @@ def check_value(label: str, spec: Key, value):
 @contextlib.contextmanager
 def naming_keys(keys: dict[str, str]):
     """A DomainError raised in the block, raised again as a ConfigError
-    naming the keys its value came from; any other ToolError but a
+    naming the keys its value came from, as is ``math``'s OverflowError or
+    ValueError on a result past the float range; any other ToolError but a
     ConfigError, such as a fit's failure on a file's data, keeps its type.
 
     ``keys`` maps the word that leads the library's text, the name of the
@@ -203,9 +204,10 @@ def naming_keys(keys: dict[str, str]):
         yield
     except ConfigError:
         raise
-    except ToolError as exc:
-        raise (ConfigError if isinstance(exc, DomainError) else type(exc))(
-            f"{keys.get(str(exc).split()[0], keys[''])}: {exc}") from None
+    except (ToolError, OverflowError, ValueError) as exc:
+        kind = (type(exc) if isinstance(exc, ToolError)
+                and not isinstance(exc, DomainError) else ConfigError)
+        raise kind(f"{keys.get(str(exc).split()[0], keys[''])}: {exc}") from None
 
 
 class RunConfig(namedtuple("RunConfig", "source sections")):

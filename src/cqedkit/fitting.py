@@ -10,9 +10,8 @@ slope, and builds its Jacobian once, at the optimum, for
 ``straight_line`` is the closed-form line of the offset fit, in log kappa.
 
 The fits compute on plain Python floats, one point at a time. Their sums
-are ``fsum``'s, correctly rounded, so no result depends on a summation
-order, and nan past the float range, which fails the fit. Only
-``fit_gaussian_1d`` imports numpy, when called.
+are ``math.fsum``'s, correctly rounded, so no result depends on a
+summation order. Only ``fit_gaussian_1d`` imports numpy, when called.
 Results are named tuples: ``FitResult``, ``GaussianEstimate`` and
 ``least_squares``'s ``Optimum``.
 """
@@ -52,15 +51,6 @@ class FitResult(namedtuple("FitResult",
     converged = True  # a class constant, not a field
 
 
-def fsum(values) -> float:
-    """``math.fsum``, but nan where it raises: for a sum past the float
-    range, or of inf and -inf."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
 def _minor(matrix, i: int, j: int):
     """``matrix`` without row i and column j."""
     return [row[:j] + row[j + 1:] for k, row in enumerate(matrix) if k != i]
@@ -70,8 +60,8 @@ def _det(matrix) -> float:
     """Determinant by cofactor expansion along the first row."""
     if not matrix:
         return 1.0
-    return fsum((-1) ** j * matrix[0][j] * _det(_minor(matrix, 0, j))
-                for j in range(len(matrix)))
+    return math.fsum((-1) ** j * matrix[0][j] * _det(_minor(matrix, 0, j))
+                     for j in range(len(matrix)))
 
 
 def standard_errors(jmat, weights, cost: float) -> tuple[float, ...]:
@@ -85,7 +75,7 @@ def standard_errors(jmat, weights, cost: float) -> tuple[float, ...]:
     dof = len(jmat) - n_params
     if dof <= 0 or cost == 0.0:
         return (0.0,) * n_params
-    normal = [[fsum(row[i] * (w * row[j]) for w, row in zip(weights, jmat))
+    normal = [[math.fsum(row[i] * (w * row[j]) for w, row in zip(weights, jmat))
                for j in range(n_params)] for i in range(n_params)]
     det = _det(normal)
     if det == 0.0:
@@ -167,15 +157,15 @@ def straight_line(x, y) -> FitResult:
     ``s^2 = RSS / (n - 2)``, the convention of ``numpy.polyfit(cov=True)``.
     """
     n = len(x)
-    x_mean = fsum(x) / n
+    x_mean = math.fsum(x) / n
     dx = [xi - x_mean for xi in x]
-    sxx = fsum(d * d for d in dx)
+    sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise DegenerateDataError("x values have no spread")
-    slope = fsum(d * yi for d, yi in zip(dx, y)) / sxx
-    intercept = fsum(y) / n - slope * x_mean
+    slope = math.fsum(d * yi for d, yi in zip(dx, y)) / sxx
+    intercept = math.fsum(y) / n - slope * x_mean
     residuals = [yi - (slope * xi + intercept) for xi, yi in zip(x, y)]
-    rss = fsum(r * r for r in residuals)
+    rss = math.fsum(r * r for r in residuals)
     s2 = rss / (n - 2)
     return FitResult(
         params=(slope, intercept),

@@ -333,18 +333,18 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
     # time in trace spans, the rate in decay times per span
     s = [(ti - t[0]) / span for ti in t]
     n = len(s)
-    v_mean = fitting.fsum(v) / n
+    v_mean = math.fsum(v) / n
     v_centred = [vi - v_mean for vi in v]
-    v_ss = fitting.fsum(map(mul, v_centred, v_centred))
+    v_ss = math.fsum(map(mul, v_centred, v_centred))
 
     def project(rate):
         """exp(-rate s), its mean, the deviations from that mean, their sum
         of squares, and the V0 that best fits them to v."""
         decay = [math.exp(-rate * si) for si in s]
-        mean = fitting.fsum(decay) / n
+        mean = math.fsum(decay) / n
         centred = [d - mean for d in decay]
-        c_ss = fitting.fsum(map(mul, centred, centred))
-        return decay, mean, centred, c_ss, fitting.fsum(map(mul, centred, v)) / c_ss
+        c_ss = math.fsum(map(mul, centred, centred))
+        return decay, mean, centred, c_ss, math.fsum(map(mul, centred, v)) / c_ss
 
     def cost(rate):
         """The squared residual norm from projected sums, no list of residuals."""
@@ -359,8 +359,8 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
         (the residual is orthogonal to their columns), and its rounding bound."""
         decay, _, centred, _, amp = project(rate)
         deriv = [-amp * si * d for si, d in zip(s, decay)]
-        return (-2.0 * fitting.fsum(map(mul, residuals(centred, amp), deriv)),
-                2.0 * fitting.EPS * fitting.fsum(map(mul, map(abs, v), map(abs, deriv))))
+        return (-2.0 * math.fsum(map(mul, residuals(centred, amp), deriv)),
+                2.0 * fitting.EPS * math.fsum(map(mul, map(abs, v), map(abs, deriv))))
 
     rate, iterations = fitting.least_squares(cost, slope, RINGDOWN_RATE_BRACKET)
     decay, mean, centred, _, amp = project(rate)
@@ -370,7 +370,7 @@ def fit_kappa_ringdown(times, amplitudes) -> RingdownFit:
         raise DomainError(
             "trace spans fewer than two amplitude decay times of the fitted rate")
     residual = residuals(centred, amp)
-    norm = math.sqrt(fitting.fsum(map(mul, residual, residual)))
+    norm = math.sqrt(math.fsum(map(mul, residual, residual)))
     # the derivatives in (amp, rate, offset), one row per sample
     jacobian = [(d, -amp * si * d, 1.0) for si, d in zip(s, decay)]
     fit = fitting.FitResult((amp, rate, v_mean - amp * mean), fitting.standard_errors(

@@ -28,11 +28,13 @@ def _fmt(value: float) -> str:
 
 def _axis(low: float, high: float, pad: float) -> tuple[float, float]:
     """Axis ends for data from ``low`` to ``high``, padded by ``pad`` of the
-    span; one value widens by 1, or by a quarter of it where 1 rounds away."""
+    span unless that span overflows; one value widens by 1, or by a quarter
+    of it where 1 rounds away."""
     if low == high:
         half = 1.0 if abs(low) < 2.0**52 else 0.25 * abs(low)
         low, high = low - half, high + half
-    return low - pad * (high - low), high + pad * (high - low)
+    padded = low - pad * (high - low), high + pad * (high - low)
+    return padded if math.isfinite(padded[1] - padded[0]) else (low, high)
 
 
 class SvgPlot:

@@ -1,13 +1,17 @@
-"""Shared fixtures: the demo-input generator loaded as a module, and the
+"""Shared fixtures: the demo-input generator loaded as a module, the demo
+configs beside its inputs, a CSV cell scaled by a power of ten, and the
 shot blocks that ``write_shots_csv`` takes, cut from in-memory clouds."""
 
 import importlib.util
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqedkit.readout import SHOT_BLOCK
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +23,22 @@ def demo_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def write_demo_configs(outdir: Path) -> None:
+    """``demo.cfg`` and ``measured.cfg``, demo.cfg with ``[sweep]
+    measured_csv`` naming the spiral survey, written to ``outdir``."""
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    (outdir / "demo.cfg").write_text(text, encoding="utf-8")
+    (outdir / "measured.cfg").write_text(text.replace(
+        "[sweep]\n", "[sweep]\nmeasured_csv = spiral_measured.csv\n"),
+        encoding="utf-8")
+
+
+def scaled(cell: str, power: int) -> str:
+    """A CSV cell times 10^power: exact decimal scaling, then one rounding
+    to the nearest float, which may be subnormal, zero or infinite."""
+    return repr(float(Decimal(cell).scaleb(power)))
 
 
 def shot_blocks(shots):

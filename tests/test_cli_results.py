@@ -4,7 +4,6 @@ the fit inputs near the ends of the float range that used to end a run in
 
 import random
 import re
-from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -14,18 +13,15 @@ from cqedkit.cli import COMMANDS, main, result_line
 from cqedkit.config import parse_config
 from cqedkit.floats import normal
 
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+from conftest import scaled, write_demo_configs
 
 
 @pytest.fixture
 def inputs(demo_inputs, tmp_path):
     """The demo inputs at seed 3, as ``make_demo_inputs.py --seed 3``
-    writes them, and ``measured.cfg``: demo.cfg with the spiral survey."""
+    writes them, and the demo configs."""
     demo_inputs.write_inputs(tmp_path, partial(normal, random.Random(3)))
-    (tmp_path / "measured.cfg").write_text(
-        DEMO_CONFIG.read_text(encoding="utf-8").replace(
-            "[sweep]\n", "[sweep]\nmeasured_csv = spiral_measured.csv\n"),
-        encoding="utf-8")
+    write_demo_configs(tmp_path)
     return tmp_path
 
 
@@ -60,13 +56,13 @@ def test_results_are_raw_values(command, inputs):
         assert not re.match(r"\w+: ", str(value)), (name, value)
 
 
-def _scaled(path: Path, column: str, power: int) -> None:
-    """Scale one column of a CSV by 10^power, rounding once."""
+def _scale_column(path: Path, column: str, power: int) -> None:
+    """Scale one column of a CSV by 10^power."""
     header, *rows = [line.split(",") for line in
                      path.read_text(encoding="utf-8").splitlines()]
     at = header.index(column)
     for row in rows:
-        row[at] = repr(float(Decimal(row[at]).scaleb(power)))
+        row[at] = scaled(row[at], power)
     path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]),
                     encoding="utf-8")
 
@@ -82,10 +78,14 @@ def _scaled(path: Path, column: str, power: int) -> None:
     ("fit-qdiel", "coherence.csv", "f_q_ghz", -200,
      "error: fit-failure: [loss] coherence_csv: Q_diel fit over 0.1 x the "
      "smallest to 1e3 x the largest omega_q*T1: Q_diel^2 underflows to 0 at "),
-], ids=["subnormal-times", "huge-times", "subnormal-frequencies"])
+    # finite kappas whose extrapolated log kappa0 is past ln(DBL_MAX)
+    ("fit-kappa", "kappa_offset.csv", "kappa_per_s", 301,
+     "error: config: [kappa_fit] offset_csv: math range error\n"),
+], ids=["subnormal-times", "huge-times", "subnormal-frequencies",
+        "kappa0-overflow"])
 def test_fit_input_at_the_float_range_ends_fails_on_one_named_line(
         command, name, column, power, error, inputs, capsys):
-    _scaled(inputs / name, column, power)
+    _scale_column(inputs / name, column, power)
     out = inputs / "out"
     assert main([command, "--config", str(inputs / "fits.cfg"),
                  "--out", str(out)]) == 1

@@ -15,7 +15,8 @@ Every run exits 0 with nothing on stderr and no ``nan`` or ``inf`` in any
 artifact, or exits 1 with a single ``error:`` line that names a config
 section or a CSV file, no traceback, and no file in its output directory.
 The one ``inf`` a correct run writes is ``t1_budget.csv``'s
-``t1_purcell_us`` with no Purcell channel, whose limit is infinite.
+``t1_purcell_us`` with no Purcell channel, whose limit is infinite: there
+the column is ``inf`` in every row. A ``nan`` anywhere fails the run.
 """
 
 import contextlib
@@ -23,7 +24,6 @@ import io
 import re
 import shutil
 import tempfile
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from cqedkit.cli import COMMANDS, main
 from cqedkit.config import SCHEMA
 
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+from conftest import scaled, write_demo_configs
 
 MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
 # mostly in the positive bounds that most keys have, so that runs get past
@@ -73,11 +73,7 @@ def inputs(demo_inputs, tmp_path_factory):
     """A directory of the base configs and the demo CSVs they name."""
     outdir = tmp_path_factory.mktemp("inputs")
     demo_inputs.write_inputs(outdir, np.random.default_rng(7).standard_normal)
-    text = DEMO_CONFIG.read_text(encoding="utf-8")
-    (outdir / "demo.cfg").write_text(text, encoding="utf-8")
-    (outdir / "measured.cfg").write_text(text.replace(
-        "[sweep]\n", "[sweep]\nmeasured_csv = spiral_measured.csv\n"),
-        encoding="utf-8")
+    write_demo_configs(outdir)
     return outdir
 
 
@@ -108,10 +104,9 @@ def edited_table(draw, base):
         edit = draw(st.sampled_from(["scale", "constant", "cut", "reverse"]))
         column = draw(st.integers(min_value=0, max_value=len(header) - 1))
         if edit == "scale":
-            # exact decimal scaling, then one rounding to the nearest float
             power = draw(POWERS)
             for row in rows:
-                row[column] = repr(float(Decimal(row[column]).scaleb(power)))
+                row[column] = scaled(row[column], power)
         elif edit == "constant":
             value = draw(st.sampled_from(rows))[column]
             for row in rows:
@@ -124,14 +119,16 @@ def edited_table(draw, base):
 
 
 def _unmeant(path: Path) -> list[str]:
-    """The ``nan`` and ``inf`` words in an artifact, but for the infinite
-    Purcell limit of ``t1_budget.csv`` with no Purcell channel."""
+    """The ``nan`` and ``inf`` words in an artifact, but for
+    ``t1_budget.csv``'s ``t1_purcell_us`` where it is ``inf`` in every row,
+    the infinite limit of no Purcell channel."""
     text = path.read_text(encoding="utf-8")
     if path.name == "t1_budget.csv":
         header, *rows = [line.split(",") for line in text.splitlines()]
-        purcell = header.index("t1_purcell_us")
-        text = "\n".join(",".join(cell for n, cell in enumerate(row)
-                                  if n != purcell) for row in [header, *rows])
+        at = header.index("t1_purcell_us")
+        if all(row[at] == "inf" for row in rows):
+            text = "\n".join(",".join(row[:at] + row[at + 1:])
+                             for row in [header, *rows])
     return re.findall(r"\b(?:nan|inf)\b", text, flags=re.IGNORECASE)
 
 
@@ -181,3 +178,17 @@ def test_any_csv_edit_runs_cleanly_or_fails_on_one_named_line(inputs, data, name
             shutil.copy(path, tmp)
         (tmp / name).write_text(text, encoding="utf-8")
         check_run(command, tmp / config, tmp / "out")
+
+
+@pytest.mark.parametrize("purcell, flagged", [
+    (["inf", "inf"], []),
+    (["inf", "nan"], ["inf", "nan"]),
+    (["2.5", "inf"], ["inf"]),
+], ids=["no-channel", "nan", "partly-inf"])
+def test_unmeant_spares_only_a_purcell_column_inf_throughout(
+        tmp_path, purcell, flagged):
+    path = tmp_path / "t1_budget.csv"
+    path.write_text("f_q_ghz,t1_dielectric_us,t1_purcell_us,t1_total_us,t2_us\n"
+                    + "".join(f"4,30,{cell},30,40\n" for cell in purcell),
+                    encoding="utf-8")
+    assert _unmeant(path) == flagged

@@ -108,6 +108,16 @@ def test_t1_purcell_is_finite_at_extreme_coupling(delta):
         assert t1 == pytest.approx(2.0 / 3e6, rel=1e-12)
 
 
+@pytest.mark.parametrize("detune_hz", [8.8e113, 3.4e115, 1e160])
+def test_t1_purcell_keeps_its_digits_far_from_the_resonator(detune_hz):
+    # scaled by the detuning, the rate's Im part is subnormal here: it read
+    # 2.4e-10 to 1 relative off, or 0, where the dispersive T1 is finite
+    g, kappa = TWO_PI * 50e6, 1.0 / 300e-9
+    delta = TWO_PI * detune_hz
+    assert t1_purcell(g, delta, kappa) == pytest.approx(
+        delta / g * (delta / g) / kappa, rel=1e-12)
+
+
 def test_t1_total_harmonic_combination():
     # dielectric limit 29.7 us combined with a Purcell limit near 270 us
     f_q = 4.0e9

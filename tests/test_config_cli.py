@@ -865,6 +865,16 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
     ("budget-t1", {"q_diel": "1e308", "f_q_min_ghz": "1e-300",
                    "purcell_g_mhz": None, "purcell_f_r_ghz": None},
      "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
+    # T1, or T2 = 2 T1, is finite in s but overflows in the table's us
+    ("budget-t1", {"q_diel": "1129523909179.0", "f_q_min_ghz": "1e-300"},
+     "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
+    ("budget-t1", {"q_diel": "6.3e11", "f_q_min_ghz": "1e-300",
+                   "purcell_g_mhz": None, "purcell_f_r_ghz": None},
+     "[loss] q_diel, f_q_min_ghz, f_q_max_ghz: t1 must be finite"),
+    # the Purcell limit is past the float range at the top of the grid
+    ("budget-t1", {"f_q_max_ghz": "1e200"},
+     "[loss] purcell_g_mhz, purcell_f_r_ghz, f_q_min_ghz, f_q_max_ghz, "
+     "[readout] kappa_inv_ns: t1_purcell must be finite"),
     ("fit-qdiel", {"coherence_csv": "underflowing-spread.csv"},
      "[loss] coherence_csv: t1_spread must give a finite, positive weight "
      "1/t1_spread^2"),
@@ -883,8 +893,8 @@ LK_KEYS = ("[lk] cpw_length_um, l_per_m_nh, c_per_m_pf, measured_f_ghz, "
         "budget-detuning-overflow", "fit-detuning-overflow",
         "purcell-kappa-overflow", "fit-purcell-kappa-overflow",
         "purcell-kappa-underflow", "fit-purcell-kappa-underflow",
-        "fit-purcell-takes-all", "infinite-t1",
-        "underflowing-spread", "overflowing-weight"])
+        "fit-purcell-takes-all", "infinite-t1", "t1-overflows-in-us",
+        "t2-overflows-in-us", "purcell-t1-overflows", "underflowing-spread", "overflowing-weight"])
 def test_cli_model_value_errors_name_the_keys(command, edits, message, tmp_path,
                                               capsys):
     # a value the key's bound lets through but the model rejects
@@ -937,6 +947,18 @@ def test_cli_plot_of_one_large_value_has_an_axis(tmp_path, capsys):
     assert _run(["snr-sweep", "--config", str(config), "--out", str(out),
                  "--plots"]) == 0
     assert "nan" not in (out / "snr_sweep.svg").read_text(encoding="utf-8")
+
+
+def test_cli_plot_spanning_most_of_the_float_range_has_finite_axes(
+        tmp_path, capsys):
+    # T1 from 174 us to 1.6e308 us: the padded axis would span past the
+    # largest float, and every tick would be nan
+    config = _demo_config(tmp_path, {"f_q_min_ghz": "1e-300",
+                                     "q_diel": "1008503490338.0"})
+    out = tmp_path / "out"
+    assert _run(["budget-t1", "--config", str(config), "--out", str(out),
+                 "--plots"]) == 0
+    assert "nan" not in (out / "t1_budget.svg").read_text(encoding="utf-8")
 
 
 def _column(path, name):
